@@ -18,7 +18,9 @@ from .model import (
     supporting_rules,
     supports,
 )
-from .ground import GroundingError, ground_program, instantiate_for_head
+from .ground import (
+    GroundingError, GroundingIndex, ground_program, instantiate_for_head,
+)
 from .trees import Explanation, VertexLabeledTree
 from .engine import (
     calculate_difference,
@@ -62,7 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnswerSet", "Atom", "CardinalityExpression", "Program", "Rule", "Term",
     "is_answer_set", "reduct", "satisfies_card", "supporting_rules",
-    "supports", "GroundingError", "ground_program", "instantiate_for_head",
+    "supports", "GroundingError", "GroundingIndex", "ground_program",
+    "instantiate_for_head",
     "Explanation", "VertexLabeledTree", "calculate_difference",
     "calculate_weight", "create_tree", "distance", "enumerate_explanations",
     "extract_exp", "k_different", "shortest_explanation",

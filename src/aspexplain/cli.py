@@ -98,16 +98,13 @@ def cmd_explain(args) -> int:
         if not ok:
             print("not an answer set: %s" % reason, file=sys.stderr)
             return EXIT_NOT_IN_ANSWER_SET
-    on_demand = args.ground == "ondemand"
     if p not in X:
         print("atom not in answer set: %s" % p.text, file=sys.stderr)
         return EXIT_NOT_IN_ANSWER_SET
     if args.mode == "shortest":
-        explanations = [
-            engine.shortest_explanation(P, X, p, on_demand=on_demand)
-        ]
+        explanations = [engine.shortest_explanation(P, X, p)]
     else:
-        explanations = engine.k_different(P, X, p, args.k, on_demand=on_demand)
+        explanations = engine.k_different(P, X, p, args.k)
     _print_explanations(explanations, args.format, table)
     return EXIT_OK
 
@@ -149,10 +146,7 @@ def cmd_enumerate(args) -> int:
     if p not in X:
         print("atom not in answer set: %s" % p.text, file=sys.stderr)
         return EXIT_NOT_IN_ANSWER_SET
-    on_demand = args.ground == "ondemand"
-    explanations = engine.enumerate_explanations(
-        P, X, p, cap=args.max_expl, on_demand=on_demand
-    )
+    explanations = engine.enumerate_explanations(P, X, p, cap=args.max_expl)
     for i, e in enumerate(explanations, start=1):
         print("explanation %d (size %d):" % (i, e.size))
         sys.stdout.write(_format_text(e))
@@ -185,9 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="check the answer set before explaining",
     )
-    sp.add_argument(
-        "--ground", choices=("eager", "ondemand"), default="ondemand"
-    )
     sp.set_defaults(func=cmd_explain)
 
     sp = sub.add_parser("verify", help="check that the set is an answer set")
@@ -208,9 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-expl", type=int, default=engine.DEFAULT_ENUM_CAP,
         help="enumeration cap",
-    )
-    sp.add_argument(
-        "--ground", choices=("eager", "ondemand"), default="ondemand"
     )
     sp.set_defaults(func=cmd_enumerate)
     return top

@@ -10,52 +10,13 @@ import itertools
 import math
 from typing import Callable, Iterator, Optional, Union
 
-from .ground import ground_program, instantiate_for_head
-from .model import (
-    Atom,
-    Program,
-    Rule,
-    AtomSet,
-    as_atom_set,
-    supporting_rules,
-    supports,
-)
+from .ground import GroundingIndex, instantiate_for_head
+from .model import Atom, Program, Rule, AtomSet, as_atom_set, supports
 from .trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
 
 _Node = tuple[Label, list]
-
-
-def _rule_source(
-    P: Program, X: AtomSet, on_demand: bool
-) -> Callable[[Atom, frozenset[Atom]], tuple[Rule, ...]]:
-    """How an atom vertex finds its candidate rules.
-
-    Eager mode scans the fully ground program; on-demand mode grounds
-    just the rules whose head matches the atom. Both end with the same
-    support filter, so they agree on the result.
-    """
-    atoms = as_atom_set(X)
-    if on_demand:
-        cache: dict[Atom, tuple[Rule, ...]] = {}
-
-        def source(a: Atom, excluded: frozenset[Atom]) -> tuple[Rule, ...]:
-            if a not in cache:
-                cache[a] = instantiate_for_head(P, a, atoms)
-            matching = [r for r in cache[a] if supports(r, a, atoms, excluded)]
-            return tuple(sorted(dict.fromkeys(matching), key=lambda r: r.text))
-
-        return source
-
-    G = ground_program(P).deduplicated()
-
-    def source(a: Atom, excluded: frozenset[Atom]) -> tuple[Rule, ...]:
-        return tuple(
-            sorted(supporting_rules(G, a, atoms, excluded), key=lambda r: r.text)
-        )
-
-    return source
 
 
 def _freeze(node: Optional[_Node]) -> VertexLabeledTree:
@@ -82,7 +43,6 @@ def create_tree(
     X: AtomSet,
     d: Union[Atom, Rule],
     L: frozenset[Atom] = frozenset(),
-    on_demand: bool = False,
 ) -> VertexLabeledTree:
     """The and-or explanation tree for ``d`` under the answer set ``X``.
 
@@ -98,34 +58,43 @@ def create_tree(
             raise ValueError("unknown explanandum: %s" % d.text)
     elif d not in set(P.rules):
         raise ValueError("unknown explanandum: %s" % d.text)
-    source = _rule_source(P, X, on_demand)
+    index = GroundingIndex(P, atoms)
+    candidates: dict[Atom, tuple[Rule, ...]] = {}
 
-    def build_atom(a: Atom, excluded: frozenset[Atom]) -> Optional[_Node]:
-        if a in excluded:
-            return None
-        below = excluded | {a}
-        kids = []
-        for r in source(a, below):
-            sub = build_rule(r, below)
-            if sub is not None:
-                kids.append(sub)
-        if not kids:
-            return None
-        return (a, kids)
-
-    def build_rule(r: Rule, excluded: frozenset[Atom]) -> Optional[_Node]:
-        kids = []
-        for b in r.body_pos:
-            sub = build_atom(b, excluded)
-            if sub is None:
-                return None
-            kids.append(sub)
-        return (r, kids)
+    def supporting(a: Atom, excluded: frozenset[Atom]) -> list[Rule]:
+        if a not in candidates:
+            candidates[a] = instantiate_for_head(index, a)
+        return [r for r in candidates[a] if supports(r, a, atoms, excluded)]
 
     L = frozenset(L)
     if isinstance(d, Atom):
-        return _freeze(build_atom(d, L))
-    return _freeze(build_rule(d, L))
+        return _freeze(_build_atom(d, L, supporting))
+    return _freeze(_build_rule(d, L, supporting))
+
+
+# Module level, not nested in create_tree: nested functions that call
+# each other form a reference cycle, which would keep the grounding
+# index alive until the next garbage collection.
+def _build_atom(a: Atom, excluded: frozenset, supporting: Callable) -> Optional[_Node]:
+    if a in excluded:
+        return None
+    below = excluded | {a}
+    kids = []
+    for r in supporting(a, below):
+        sub = _build_rule(r, below, supporting)
+        if sub is not None:
+            kids.append(sub)
+    return (a, kids) if kids else None
+
+
+def _build_rule(r: Rule, excluded: frozenset, supporting: Callable) -> Optional[_Node]:
+    kids = []
+    for b in r.body_pos:
+        sub = _build_atom(b, excluded, supporting)
+        if sub is None:
+            return None
+        kids.append(sub)
+    return (r, kids)
 
 
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
@@ -158,14 +127,6 @@ def calculate_difference(
     return D
 
 
-def _subtree_key(T: VertexLabeledTree, v: int) -> tuple[str, ...]:
-    """Rule-label texts of the subtree at ``v`` in preorder, used to
-    break weight ties deterministically."""
-    return tuple(
-        T.labels[u].text for u in T.preorder_from(v) if T.is_rule_vertex(u)
-    )
-
-
 def extract_exp(
     T: VertexLabeledTree,
     v: int,
@@ -190,7 +151,7 @@ def extract_exp(
             best = op(W[c] for c in kids)
             chosen = min(
                 (c for c in kids if W[c] == best),
-                key=lambda c: _subtree_key(T, c),
+                key=lambda c: T.labels[c].text,
             )
             walk(chosen, anchor)
             return
@@ -212,14 +173,12 @@ def extract_exp(
     )
 
 
-def shortest_explanation(
-    P: Program, X: AtomSet, p: Atom, on_demand: bool = False
-) -> Explanation:
+def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
     """A smallest explanation for ``p``, or the empty explanation when
     the and-or tree is empty."""
     if p not in as_atom_set(X):
         raise ValueError("atom not in answer set: %s" % p.text)
-    T = create_tree(P, X, p, on_demand=on_demand)
+    T = create_tree(P, X, p)
     if T.is_empty:
         return Explanation(None, andor=T)
     W = calculate_weight(T, T.root)
@@ -234,9 +193,7 @@ def distance(Z: frozenset[int], S: Explanation) -> int:
     return len(S.rule_vertex_ids - Z)
 
 
-def k_different(
-    P: Program, X: AtomSet, p: Atom, k: int, on_demand: bool = False
-) -> list[Explanation]:
+def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     """Up to ``k`` explanations, each maximizing the number of rule
     vertices unseen in the previous ones; stops early once every
     extractable explanation is fully covered."""
@@ -244,7 +201,7 @@ def k_different(
         raise ValueError("k must be positive")
     if p not in as_atom_set(X):
         raise ValueError("atom not in answer set: %s" % p.text)
-    T = create_tree(P, X, p, on_demand=on_demand)
+    T = create_tree(P, X, p)
     if T.is_empty:
         return []
     out: list[Explanation] = []
@@ -354,13 +311,12 @@ def enumerate_explanations(
     X: AtomSet,
     p: Atom,
     cap: int = DEFAULT_ENUM_CAP,
-    on_demand: bool = False,
 ) -> tuple[Explanation, ...]:
     """Every explanation for ``p``, exactly once, smallest first. This
     is the brute-force oracle the fast paths are tested against."""
     if p not in as_atom_set(X):
         raise ValueError("atom not in answer set: %s" % p.text)
-    T = create_tree(P, X, p, on_demand=on_demand)
+    T = create_tree(P, X, p)
     seen: dict[frozenset[int], Explanation] = {}
     for E in enumerate_explanation_trees(T, cap=cap):
         e = explanation_of_tree(E, T)

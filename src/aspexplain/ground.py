@@ -1,11 +1,10 @@
 """Substitution-based grounding.
 
-Two modes are offered: :func:`ground_program` instantiates every rule
-over all constants up front, while :func:`instantiate_for_head` grounds
-only the rules that could derive one given atom, filtered against the
-answer set. The second mode is an over-approximation of the rules that
-actually support the atom, so running the explanation engine on either
-result gives the same trees.
+:func:`ground_program` instantiates every rule over all constants;
+verification and the justification conversions need the whole ground
+program. :func:`instantiate_for_head` grounds only the rules for one
+head atom, joining their positive bodies against an answer set held in
+a :class:`GroundingIndex`.
 """
 from __future__ import annotations
 
@@ -54,10 +53,11 @@ def _expand_card(
     return CardinalityExpression(card.lower, card.upper, tuple(dict.fromkeys(members)))
 
 
-def _check_safety(r: Rule) -> None:
+def _check_groundable(r: Rule, universe: tuple[Term, ...]) -> None:
     """Every variable outside the cardinality expressions must occur in
-    a positive body atom; cardinality-expression variables not bound
-    elsewhere are local and expanded in place."""
+    a positive body atom, and there must be constants to substitute;
+    cardinality-expression variables not bound elsewhere are local and
+    expanded in place."""
     pos_vars: set[str] = set()
     for a in r.body_pos:
         pos_vars |= a.variables()
@@ -72,33 +72,35 @@ def _check_safety(r: Rule) -> None:
             "unsafe rule %r: variable %s does not occur in a positive body atom"
             % (r.display, unbound[0])
         )
+    if not universe:
+        raise GroundingError(
+            "cannot ground rule %r: the program has no constants" % r.display
+        )
+
+
+def _instance(r: Rule, subst: Subst, universe: tuple[Term, ...]) -> Rule:
+    return Rule(
+        None if r.head is None else _subst_atom(r.head, subst),
+        tuple(_subst_atom(a, subst) for a in r.body_pos),
+        tuple(_subst_atom(a, subst) for a in r.body_neg),
+        tuple(_expand_card(c, subst, universe) for c in r.body_card),
+    )
 
 
 def _ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
     if r.is_ground:
         return [r]
-    _check_safety(r)
-    if not universe:
-        raise GroundingError(
-            "cannot ground rule %r: the program has no constants" % r.display
-        )
+    _check_groundable(r, universe)
     global_vars: set[str] = set()
     if r.head is not None:
         global_vars |= r.head.variables()
     for a in itertools.chain(r.body_pos, r.body_neg):
         global_vars |= a.variables()
     names = sorted(global_vars)
-    out = []
-    for combo in itertools.product(universe, repeat=len(names)):
-        subst = dict(zip(names, combo))
-        out.append(
-            Rule(
-                None if r.head is None else _subst_atom(r.head, subst),
-                tuple(_subst_atom(a, subst) for a in r.body_pos),
-                tuple(_subst_atom(a, subst) for a in r.body_neg),
-                tuple(_expand_card(c, subst, universe) for c in r.body_card),
-            )
-        )
+    out = [
+        _instance(r, dict(zip(names, combo)), universe)
+        for combo in itertools.product(universe, repeat=len(names))
+    ]
     out.sort(key=lambda g: g.text)
     return out
 
@@ -119,10 +121,8 @@ def ground_program(P: Program) -> Program:
 
 
 def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
-    """Extend ``subst`` so that ``pattern`` becomes ``ground``, or give
-    up with None."""
-    if pattern.predicate != ground.predicate or pattern.arity != ground.arity:
-        return None
+    """Extend ``subst`` so that ``pattern`` becomes ``ground``, an atom
+    of the same predicate and arity, or give up with None."""
     out = dict(subst)
     for t, g in zip(pattern.args, ground.args):
         if t.is_variable:
@@ -136,50 +136,77 @@ def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
     return out
 
 
-def instantiate_for_head(P: Program, p: Atom, X: AtomSet) -> tuple[Rule, ...]:
-    """Ground instances of the rules of ``P`` whose head is ``p``.
+class GroundingIndex:
+    """The rules of ``P`` by head, the atoms of ``X`` by predicate and
+    arity, and the sorted Herbrand universe of ``P``, for
+    :func:`instantiate_for_head`. Atoms of ``X`` with a constant outside
+    the universe are left out, as no instance over the universe holds
+    them. Raises :class:`GroundingError` where :func:`ground_program`
+    would.
+    """
 
-    The head is unified with ``p``, remaining body variables range over
-    the program's constants, and only instances whose positive body lies
-    in ``X`` plus the heads of ground facts are kept. That filter is a
-    sound over-approximation of the rules supporting ``p``.
+    def __init__(self, P: Program, X: AtomSet):
+        self.universe = tuple(sorted(P.herbrand_universe))
+        self.constants = P.herbrand_universe
+        # Ground heads keyed by atom, others by predicate and arity; the
+        # program position decides whose source text a duplicate keeps.
+        self.rules: dict[object, list[tuple[int, Rule]]] = {}
+        for i, r in enumerate(P.rules):
+            if not r.is_ground:
+                _check_groundable(r, self.universe)
+            if r.head is not None:
+                key = r.head if r.head.is_ground else (r.head.predicate, r.head.arity)
+                self.rules.setdefault(key, []).append((i, r))
+        self.atoms: dict[tuple[str, int], list[Atom]] = {}
+        for a in as_atom_set(X):
+            if self.constants.issuperset(a.args):
+                self.atoms.setdefault((a.predicate, a.arity), []).append(a)
+        # Built on first use: (predicate, arity, bound positions) ->
+        # values at those positions -> atoms.
+        self._tables: dict[tuple, dict[tuple[Term, ...], list[Atom]]] = {}
+
+    def candidates(self, pattern: Atom) -> list[Atom]:
+        """The indexed atoms that agree with ``pattern`` on its constant
+        arguments."""
+        bound = tuple(i for i, t in enumerate(pattern.args) if not t.is_variable)
+        key = (pattern.predicate, pattern.arity, bound)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {}
+            for a in self.atoms.get(key[:2], ()):
+                table.setdefault(tuple(a.args[i] for i in bound), []).append(a)
+        return table.get(tuple(pattern.args[i] for i in bound), [])
+
+
+def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
+    """Ground instances, over the Herbrand universe, of the indexed
+    rules whose head is ``p`` and whose positive body lies in the
+    indexed atom set.
+
+    The head is unified with ``p``; the body variables are bound by
+    joining the positive body, left to right, against the atom set.
+    Variables local to a cardinality expression range over the
+    universe. The result is deduplicated, the first rule in program
+    order keeping its source text, and sorted by text.
     """
     if not p.is_ground:
         raise GroundingError("non-ground query atom: %s" % p.text)
-    atoms = as_atom_set(X)
-    fact_heads = frozenset(
-        r.head for r in P.rules if r.is_fact and r.head is not None and r.head.is_ground
-    )
-    allowed = atoms | fact_heads
-    universe = tuple(sorted(P.herbrand_universe))
+    if not index.constants.issuperset(p.args):
+        return ()
     out: list[Rule] = []
-    for r in P.rules:
-        if r.head is None:
+    rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
+    for _, r in sorted(rules):
+        head = _match_atom(r.head, p, {})
+        if head is None:
             continue
-        subst = _match_atom(r.head, p, {})
-        if subst is None:
-            continue
-        if not r.is_ground:
-            _check_safety(r)
-        body_vars: set[str] = set()
-        for a in itertools.chain(r.body_pos, r.body_neg):
-            body_vars |= a.variables()
-        rest = sorted(body_vars - set(subst))
-        if rest and not universe:
-            raise GroundingError(
-                "cannot ground rule %r: the program has no constants" % r.display
-            )
-        for combo in itertools.product(universe, repeat=len(rest)):
-            full = dict(subst)
-            full.update(zip(rest, combo))
-            g = Rule(
-                p,
-                tuple(_subst_atom(a, full) for a in r.body_pos),
-                tuple(_subst_atom(a, full) for a in r.body_neg),
-                tuple(_expand_card(c, full, universe) for c in r.body_card),
-                r.source_text if r.is_ground else "",
-            )
-            if set(g.body_pos) <= allowed:
-                out.append(g)
-    unique = dict.fromkeys(out)
-    return tuple(sorted(unique, key=lambda g: g.text))
+        substs = [head]
+        for pattern in r.body_pos:
+            substs = [
+                m
+                for s in substs
+                for a in index.candidates(_subst_atom(pattern, s))
+                if (m := _match_atom(pattern, a, s)) is not None
+            ]
+        for s in substs:
+            out.append(r if r.is_ground else _instance(r, s, index.universe))
+    return tuple(sorted(dict.fromkeys(out), key=lambda g: g.text))

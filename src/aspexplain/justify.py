@@ -340,7 +340,8 @@ def explanation_to_justification(
     while queue:
         v = queue.popleft()
         lbl = T.labels[v]
-        assert isinstance(lbl, Atom)
+        if not isinstance(lbl, Atom):
+            raise ValueError("rule vertex %s where an atom vertex belongs" % lbl.text)
         src = AnnotatedAtom(lbl, "+")
         nodes.add(src)
         kids = T.child_ids(v)

@@ -357,8 +357,9 @@ def supports(r: Rule, p: Atom, Y: AtomSet, Z: AtomSet) -> bool:
     zs = as_atom_set(Z)
     return (
         r.head == p
-        and set(r.body_pos) <= (ys - zs)
-        and not (set(r.body_neg) & ys)
+        and ys.issuperset(r.body_pos)
+        and zs.isdisjoint(r.body_pos)
+        and ys.isdisjoint(r.body_neg)
         and all(satisfies_card(ys, c) for c in r.body_card)
     )
 

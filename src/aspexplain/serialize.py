@@ -109,8 +109,20 @@ def _parse_rule_text(text: str) -> Rule:
 
 
 def parse_json(text: str) -> Emittable:
-    """Read back anything produced by :func:`emit_json`."""
+    """Read back anything produced by :func:`emit_json`. A document of
+    any other shape raises :class:`ParseError`."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParseError("expected a JSON object", 1, 1)
+    try:
+        return _parse_doc(doc)
+    except KeyError as exc:
+        raise ParseError("missing field or vertex id %s" % exc, 1, 1) from None
+    except (TypeError, AttributeError) as exc:
+        raise ParseError("malformed document: %s" % exc, 1, 1) from None
+
+
+def _parse_doc(doc: dict) -> Emittable:
     kind = doc.get("kind")
     if kind == "egraph":
         nodes_by_id: dict[int, Node] = {}
@@ -118,7 +130,7 @@ def parse_json(text: str) -> Emittable:
             lk = v["label_kind"]
             if lk == "marker":
                 if v["label_text"] not in MARKERS:
-                    raise ValueError("unknown marker: %s" % v["label_text"])
+                    raise ParseError("unknown marker: %s" % v["label_text"], 1, 1)
                 nodes_by_id[v["id"]] = v["label_text"]
             else:
                 sign = "+" if lk == "pos_atom" else "-"
@@ -131,7 +143,7 @@ def parse_json(text: str) -> Emittable:
         )
         return EGraph(frozenset(nodes_by_id.values()), edges)
     if kind not in ("tree", "explanation"):
-        raise ValueError("unknown kind: %r" % kind)
+        raise ParseError("unknown kind: %r" % kind, 1, 1)
     labels: dict[int, Label] = {}
     for v in doc["vertices"]:
         if v["label_kind"] == "atom":
@@ -139,14 +151,23 @@ def parse_json(text: str) -> Emittable:
         elif v["label_kind"] == "rule":
             labels[v["id"]] = _parse_rule_text(v["label_text"])
         else:
-            raise ValueError("unknown label kind: %r" % v["label_kind"])
+            raise ParseError("unknown label kind: %r" % v["label_kind"], 1, 1)
     children: dict[int, list[int]] = {v: [] for v in labels}
     for e in doc["edges"]:
         children[e["from"]].append(e["to"])
     frozen = {v: tuple(c) for v, c in children.items()}
     root = doc.get("root")
-    if root is None and labels:
-        raise ValueError("missing root")
+    tree = VertexLabeledTree(root, labels, frozen)
+    # Checked in this order, each vertex but the root has one parent,
+    # so the traversal stops, and it must reach exactly the vertices.
+    below = [c for kids in frozen.values() for c in kids]
+    if (labels or root is not None) and (
+        root not in labels
+        or root in below
+        or len(set(below)) != len(below)
+        or set(tree.preorder()) != set(labels)
+    ):
+        raise ParseError("the edges do not form a tree under the root", 1, 1)
     if kind == "explanation":
         return Explanation(root, labels, frozen)
-    return VertexLabeledTree(root, labels, frozen)
+    return tree

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain.model import Atom, Program, Rule, reduct
+from aspexplain.ground import ground_program
+from aspexplain.model import Atom, Program, Rule, Term, reduct
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,6 +57,42 @@ def random_program(
             body_neg = tuple(rest[:n_neg])
         rules.append(Rule(head, body_pos, body_neg))
     return Program(tuple(rules)).deduplicated()
+
+
+def random_nonground_program(rng: random.Random) -> Program:
+    """A small safe non-ground normal program: two or three predicates
+    of arity at most 2 over at most three constants, variables bound by
+    the positive body, negative body atoms at random. Programs whose
+    ground base exceeds 9 atoms are redrawn, which keeps
+    :func:`answer_sets` on the ground program cheap."""
+    while True:
+        consts = [Term(c) for c in ("a", "b", "c")[: rng.randint(1, 3)]]
+        # The first predicate takes arguments, so the first fact puts
+        # constants into the program.
+        preds = [("q0", rng.randint(1, 2))]
+        preds += [("q%d" % i, rng.randint(0, 2)) for i in range(1, rng.randint(2, 3))]
+
+        def atom(pred, pool):
+            name, arity = pred
+            return Atom(name, tuple(rng.choice(pool) for _ in range(arity)))
+
+        rules = [Rule(atom(preds[0], consts))]
+        rules += [Rule(atom(rng.choice(preds), consts)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(1, 5)):
+            terms = consts + [Term("V"), Term("W")]
+            body_pos = tuple(
+                atom(rng.choice(preds), terms) for _ in range(rng.randint(1, 2))
+            )
+            bound = consts + sorted(
+                {t for a in body_pos for t in a.args if t.is_variable}
+            )
+            body_neg = ()
+            if rng.random() < 0.5:
+                body_neg = (atom(rng.choice(preds), bound),)
+            rules.append(Rule(atom(rng.choice(preds), bound), body_pos, body_neg))
+        P = Program(tuple(rules)).deduplicated()
+        if not P.is_ground and len(ground_program(P).herbrand_base) <= 9:
+            return P
 
 
 def _closure(P: Program, I: frozenset[Atom]) -> frozenset[Atom]:

@@ -15,6 +15,7 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
+from aspexplain.ground import ground_program
 from aspexplain.justify import (
     TOP,
     AnnotatedAtom,
@@ -241,7 +242,7 @@ def test_criterion_09_property_suite():
                     best = max(distance(R, o) for o in oracle)
                     assert distance(R, cand) == best
                     R = R | cand.rule_vertex_ids
-                assert create_tree(P, X, p, on_demand=True) == T
+                assert create_tree(ground_program(P), X, p) == T
                 checked += 1
     assert checked
     assert time.perf_counter() - start < 60

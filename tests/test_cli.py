@@ -3,8 +3,10 @@ import json
 import pytest
 
 from aspexplain.cli import main
+from aspexplain.ground import ground_program
+from aspexplain.parser import parse_program, render_program
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text
 
 
 def fx(name: str) -> str:
@@ -51,16 +53,24 @@ class TestExplain:
         assert code == 0
         assert "The distance of the gene CASK from the start gene is 2." in out
 
-    def test_eager_matches_ondemand(self, capsys):
-        results = []
-        for mode in ("eager", "ondemand"):
-            code, out, _ = run(
-                capsys, "explain", fx("q8.lp"), fx("q8.as"),
-                'what_be_genes("CASK")', "--ground", mode,
-            )
-            assert code == 0
-            results.append(out)
-        assert results[0] == results[1]
+    def test_eager_matches_ondemand(self, tmp_path, capsys):
+        """Explaining with the non-ground program prints, in every
+        format, what explaining with its whole grounding prints."""
+        ground = tmp_path / "q8_ground.lp"
+        ground.write_text(
+            render_program(ground_program(parse_program(fixture_text("q8.lp"))))
+        )
+        for fmt in ("text", "nl", "dot", "json"):
+            results = []
+            for program in (fx("q8.lp"), str(ground)):
+                code, out, _ = run(
+                    capsys, "explain", program, fx("q8.as"),
+                    'what_be_genes("CASK")', "--format", fmt,
+                    "--lookup", fx("q8.lookup"),
+                )
+                assert code == 0
+                results.append(out)
+            assert results[0] == results[1]
 
     def test_verify_flag_rejects_bad_set(self, tmp_path, capsys):
         bad = tmp_path / "bad.as"
@@ -159,6 +169,35 @@ class TestConvert:
         )
         assert code == 2
         assert "labels not unique" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "tree", "root": 0, "edges": [],
+             "vertices": [{"id": 0, "label_text": "a"}]},
+            [],
+            {"kind": "tree", "root": 0, "edges": [{"from": 5, "to": 0}],
+             "vertices": [{"id": 0, "label_kind": "atom", "label_text": "a"}]},
+            {"kind": "tree", "root": 0,
+             "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 0}],
+             "vertices": [{"id": 0, "label_kind": "atom", "label_text": "a"},
+                          {"id": 1, "label_kind": "rule", "label_text": "a"}]},
+            {"kind": "tree", "root": 0, "edges": [],
+             "vertices": [{"id": 0, "label_kind": "rule", "label_text": "a"}]},
+        ],
+        ids=["no-label-kind", "top-level-array", "unknown-edge-source",
+             "cycle", "rule-root"],
+    )
+    def test_malformed_input_exit_code(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "convert", "exp2jst", fx("example41.lp"),
+            fx("example41.as"), "a", str(path),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEnumerate:

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
 from aspexplain.ground import (
     GroundingError,
+    GroundingIndex,
     ground_program,
     instantiate_for_head,
 )
-from aspexplain.model import supporting_rules
-from aspexplain.parser import parse_atom, parse_program
+from aspexplain.model import Atom, Term, supporting_rules
+from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
-from conftest import fixture_text
+from conftest import fixture_text, random_nonground_program
 
 
 class TestGroundProgram:
@@ -59,43 +62,89 @@ class TestInstantiateForHead:
         )
         X = frozenset([parse_atom('drug_gene("Epinephrine","ADRB1")'),
                        parse_atom('what_be_genes("ADRB1")')])
-        rs = instantiate_for_head(P, parse_atom('what_be_genes("ADRB1")'), X)
+        rs = instantiate_for_head(
+            GroundingIndex(P, X), parse_atom('what_be_genes("ADRB1")')
+        )
         assert [r.text for r in rs] == [
             'what_be_genes("ADRB1") :- drug_gene("Epinephrine","ADRB1")'
         ]
 
     def test_unknown_predicate(self):
         P = parse_program("a :- b.")
-        assert instantiate_for_head(P, parse_atom("z"), frozenset()) == ()
+        index = GroundingIndex(P, frozenset())
+        assert instantiate_for_head(index, parse_atom("z")) == ()
 
     def test_ground_program_head_match(self):
         P = parse_program("a :- b, c. a :- d. d. b :- c. c.")
         X = frozenset(P.herbrand_base)
-        rs = instantiate_for_head(P, parse_atom("a"), X)
+        rs = instantiate_for_head(GroundingIndex(P, X), parse_atom("a"))
         assert sorted(r.text for r in rs) == ["a :- b, c", "a :- d"]
 
     def test_subset_of_full_grounding(self):
         P = parse_program(fixture_text("q8.lp"))
-        from aspexplain.parser import parse_answer_set
-
         X = parse_answer_set(fixture_text("q8.as"))
         G = ground_program(P)
         p = parse_atom('what_be_genes("CASK")')
-        on_demand = set(instantiate_for_head(P, p, X))
+        joined = set(instantiate_for_head(GroundingIndex(P, X), p))
         full = {r for r in G.rules if r.head == p}
-        assert on_demand <= full
+        assert joined <= full
 
     def test_agrees_with_support_filter(self):
         P = parse_program(fixture_text("q8.lp"))
-        from aspexplain.parser import parse_answer_set
-
         X = parse_answer_set(fixture_text("q8.as"))
         G = ground_program(P)
+        index = GroundingIndex(P, X)
         for p in X:
             got = {
                 r
-                for r in instantiate_for_head(P, p, X)
+                for r in instantiate_for_head(index, p)
                 if r in set(supporting_rules(G, p, X, frozenset([p])))
             }
             expected = set(supporting_rules(G, p, X, frozenset([p])))
             assert got == expected
+
+    def test_matches_filtered_full_grounding(self):
+        """Over random non-ground programs and random atom sets, some
+        with a constant the program lacks, the join gives exactly the
+        instances in the whole grounding whose positive body lies in
+        the set, sorted by text."""
+        rng = random.Random(20261017)
+        for _ in range(200):
+            P = random_nonground_program(rng)
+            G = ground_program(P)
+            base = sorted(G.herbrand_base)
+            X = frozenset(a for a in base if rng.random() < 0.6)
+            X |= {Atom("q0", (Term("z"),) * arity) for arity in (1, 2)}
+            index = GroundingIndex(P, X)
+            for p in sorted(X):
+                expected = sorted(
+                    (r for r in G.rules if r.head == p and X.issuperset(r.body_pos)),
+                    key=lambda r: r.text,
+                )
+                assert list(instantiate_for_head(index, p)) == expected
+
+    def test_duplicate_keeps_first_source_text(self):
+        X = frozenset([parse_atom("p(a)"), parse_atom("q(a)")])
+        for text, display in [
+            ("p(V) :- q(V). p(a) :-  q(a). q(a).", "p(a) :- q(a)"),
+            ("p(a) :-  q(a). p(V) :- q(V). q(a).", "p(a) :-  q(a)"),
+        ]:
+            index = GroundingIndex(parse_program(text), X)
+            (r,) = instantiate_for_head(index, parse_atom("p(a)"))
+            assert r.display == display
+
+    def test_unsafe_rule_rejected(self):
+        P = parse_program("q(a). p(Xv) :- not q(Xv).")
+        with pytest.raises(GroundingError, match="unsafe rule.*Xv"):
+            GroundingIndex(P, frozenset())
+
+    def test_no_constants_with_variables(self):
+        P = parse_program("p(Xv) :- q(Xv).")
+        with pytest.raises(GroundingError, match="no constants"):
+            GroundingIndex(P, frozenset())
+
+    def test_non_ground_query_rejected(self):
+        P = parse_program("q(a). p(Xv) :- q(Xv).")
+        index = GroundingIndex(P, frozenset())
+        with pytest.raises(GroundingError, match="non-ground query"):
+            instantiate_for_head(index, parse_atom("p(Xv)"))

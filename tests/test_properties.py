@@ -1,8 +1,9 @@
 """Oracle-based property suite over randomly generated small programs.
 
-Each case pairs a ground normal program with one of its answer sets
-(found by exhaustive search) and a member atom; the fast algorithms are
-checked against the brute-force explanation enumerator.
+Each case pairs a normal program with one of its answer sets (found by
+exhaustive search) and a member atom; the fast algorithms are checked
+against the brute-force explanation enumerator, and the per-atom
+grounder against the whole ground program.
 """
 import random
 
@@ -15,11 +16,16 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
+from aspexplain.ground import ground_program
+from aspexplain.model import Rule
+from aspexplain.parser import parse_answer_set, parse_program
 from aspexplain.trees import validate_andor_tree
 
-from conftest import answer_sets, random_program
+from conftest import answer_sets, fixture_text, random_nonground_program, random_program
 
 N_PROGRAMS = 500
+N_NONGROUND = 400
+FIXTURES = ("example41", "example44", "threerule", "q8")
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +40,29 @@ def corpus():
             for p in sorted(X):
                 cases.append((P, X, p))
     assert cases
+    return cases
+
+
+@pytest.fixture(scope="module")
+def nonground_corpus():
+    rng = random.Random(20261017)
+    cases = []
+    for _ in range(N_NONGROUND):
+        P = random_nonground_program(rng)
+        for X in answer_sets(ground_program(P)):
+            for p in sorted(X):
+                cases.append((P, X, p))
+    assert cases
+    return cases
+
+
+@pytest.fixture(scope="module")
+def fixture_cases():
+    cases = []
+    for name in FIXTURES:
+        P = parse_program(fixture_text(name + ".lp"))
+        X = parse_answer_set(fixture_text(name + ".as"))
+        cases += [(P, X, p) for p in sorted(X)]
     return cases
 
 
@@ -70,11 +99,16 @@ def test_k_different_greedy_maximality(enumerated):
         assert len(set(ids)) == len(ids)
 
 
-def test_eager_and_ondemand_agree(corpus):
-    for P, X, p in corpus:
-        eager = create_tree(P, X, p, on_demand=False)
-        ondemand = create_tree(P, X, p, on_demand=True)
-        assert eager == ondemand
-        s1 = shortest_explanation(P, X, p, on_demand=False)
-        s2 = shortest_explanation(P, X, p, on_demand=True)
-        assert s1 == s2
+def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
+    """Grounding per atom gives the same and-or trees, rule displays and
+    shortest explanations as the whole ground program."""
+    for P, X, p in corpus + nonground_corpus + fixture_cases:
+        G = ground_program(P)
+        T = create_tree(P, X, p)
+        reference = create_tree(G, X, p)
+        assert T == reference
+        assert [r.display for r in T.labels.values() if isinstance(r, Rule)] == [
+            r.display for r in reference.labels.values() if isinstance(r, Rule)
+        ]
+        validate_andor_tree(T, G, X, p)
+        assert shortest_explanation(P, X, p) == shortest_explanation(G, X, p)
