@@ -13,6 +13,7 @@ from .model import (
     Rule,
     Term,
     is_answer_set,
+    least_model,
     reduct,
     satisfies_card,
     supporting_rules,
@@ -63,9 +64,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnswerSet", "Atom", "CardinalityExpression", "Program", "Rule", "Term",
-    "is_answer_set", "reduct", "satisfies_card", "supporting_rules",
-    "supports", "GroundingError", "GroundingIndex", "ground_program",
-    "instantiate_for_head",
+    "is_answer_set", "least_model", "reduct", "satisfies_card",
+    "supporting_rules", "supports", "GroundingError", "GroundingIndex",
+    "ground_program", "instantiate_for_head",
     "Explanation", "VertexLabeledTree", "calculate_difference",
     "calculate_weight", "create_tree", "distance", "enumerate_explanations",
     "extract_exp", "k_different", "shortest_explanation",

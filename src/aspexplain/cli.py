@@ -6,18 +6,12 @@ set (or verification fails), 2 on parse and I/O errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
 from . import engine
 from .ground import GroundingError, ground_program
-from .model import (
-    DEFAULT_BASE_CAP,
-    Program,
-    AnswerSet,
-    verify_answer_set,
-)
+from .model import Program, AnswerSet, verify_answer_set
 from .justify import (
     EGraph,
     explanation_to_justification,
@@ -43,11 +37,6 @@ EXIT_INPUT_ERROR = 2
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
-
-
-def _base_cap() -> int:
-    env = os.environ.get("ASPEXPLAIN_MAX_BASE")
-    return int(env) if env else DEFAULT_BASE_CAP
 
 
 def _load_inputs(args) -> tuple[Program, AnswerSet]:
@@ -94,7 +83,7 @@ def cmd_explain(args) -> int:
     )
     if args.verify:
         G = ground_program(P)
-        ok, reason = verify_answer_set(G, X, cap=_base_cap())
+        ok, reason = verify_answer_set(G, X)
         if not ok:
             print("not an answer set: %s" % reason, file=sys.stderr)
             return EXIT_NOT_IN_ANSWER_SET
@@ -112,7 +101,7 @@ def cmd_explain(args) -> int:
 def cmd_verify(args) -> int:
     P, X = _load_inputs(args)
     G = ground_program(P)
-    ok, reason = verify_answer_set(G, X, cap=_base_cap())
+    ok, reason = verify_answer_set(G, X)
     if ok:
         print("answer set verified")
         return EXIT_OK

@@ -281,8 +281,8 @@ def satisfies_rule(I: AtomSet, r: Rule) -> bool:
     """Classical satisfaction of a single (possibly negated) rule."""
     atoms = as_atom_set(I)
     body_holds = (
-        set(r.body_pos) <= atoms
-        and not (set(r.body_neg) & atoms)
+        atoms.issuperset(r.body_pos)
+        and atoms.isdisjoint(r.body_neg)
         and all(satisfies_card(atoms, c) for c in r.body_card)
     )
     if not body_holds:
@@ -298,53 +298,89 @@ def reduct(P: Program, I: AtomSet) -> Program:
     atoms = as_atom_set(I)
     kept = []
     for r in P.rules:
-        if set(r.body_neg) & atoms:
+        if not atoms.isdisjoint(r.body_neg):
             continue
         kept.append(Rule(r.head, r.body_pos, (), r.body_card))
     return Program(tuple(kept))
 
 
-DEFAULT_BASE_CAP = 20
+def least_model(P: Program, I: AtomSet) -> frozenset[Atom]:
+    """The least model of the reduct ``P^I`` with its constraints
+    dropped: every head derivable from the facts by the rules whose
+    negative body avoids ``I``.
 
-
-def is_answer_set(P: Program, I: AtomSet, cap: int = DEFAULT_BASE_CAP) -> bool:
-    """Exhaustive answer-set check: ``I`` must satisfy the reduct and no
-    strict subset of ``I`` may do so.
-
-    Only programs without cardinality expressions are accepted, and the
-    Herbrand base must stay within ``cap`` atoms.
+    Each rule counts its positive body atoms not yet derived; deriving
+    an atom decrements the counters of the rules it occurs in, and a
+    rule whose counter reaches zero derives its head. The work queue
+    replaces recursion, and the cost is linear in the size of ``P``
+    (Dowling & Gallier 1984). Only normal programs are accepted.
     """
-    ok, _ = verify_answer_set(P, I, cap=cap)
+    blockers = as_atom_set(I)
+    heads: list[Atom] = []
+    missing: list[int] = []
+    watchers: dict[Atom, list[int]] = {}
+    queue: list[Atom] = []
+    for r in P.rules:
+        if r.body_card:
+            raise ValueError("normal programs only")
+        if r.head is None or not blockers.isdisjoint(r.body_neg):
+            continue
+        if not r.body_pos:
+            queue.append(r.head)
+            continue
+        # A body atom listed twice is watched twice and, once derived,
+        # decrements the counter twice.
+        i = len(heads)
+        heads.append(r.head)
+        missing.append(len(r.body_pos))
+        for b in r.body_pos:
+            watchers.setdefault(b, []).append(i)
+    model: set[Atom] = set()
+    while queue:
+        a = queue.pop()
+        if a in model:
+            continue
+        model.add(a)
+        for i in watchers.get(a, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                queue.append(heads[i])
+    return frozenset(model)
+
+
+def is_answer_set(P: Program, I: AtomSet) -> bool:
+    """Answer-set check: ``I`` must satisfy the reduct and equal its
+    least model (Gelfond & Lifschitz 1988).
+
+    Only ground programs without cardinality expressions are accepted.
+    """
+    ok, _ = verify_answer_set(P, I)
     return ok
 
 
-def verify_answer_set(
-    P: Program, I: AtomSet, cap: int = DEFAULT_BASE_CAP
-) -> tuple[bool, str]:
-    """Like :func:`is_answer_set` but reports the violated condition."""
+def verify_answer_set(P: Program, I: AtomSet) -> tuple[bool, str]:
+    """Like :func:`is_answer_set` but reports the violated condition.
+
+    When ``I`` satisfies the reduct, every subset of ``I`` that does so
+    contains the least model, which satisfies the reduct itself; so the
+    least model is the smallest such subset, and the one reported when
+    ``I`` is not minimal.
+    """
     if not P.is_ground:
         raise ValueError("non-ground program")
     if any(r.body_card for r in P.rules):
         raise ValueError("cardinality expressions not supported in verification")
-    if len(P.herbrand_base) > cap:
-        raise ValueError(
-            "instance too large for exhaustive verification: "
-            "%d atoms in the base, cap is %d" % (len(P.herbrand_base), cap)
-        )
     atoms = as_atom_set(I)
     R = reduct(P, I)
     for r in R.rules:
         if not satisfies_rule(atoms, r):
             return False, "unsatisfied rule: %s." % r.display
-    members = sorted(atoms)
-    for k in range(len(members)):
-        for combo in itertools.combinations(members, k):
-            sub = frozenset(combo)
-            if all(satisfies_rule(sub, r) for r in R.rules):
-                return False, (
-                    "not subset-minimal: {%s} already satisfies the reduct"
-                    % ", ".join(a.text for a in sorted(sub))
-                )
+    least = least_model(P, atoms)
+    if least != atoms:
+        return False, (
+            "not subset-minimal: {%s} already satisfies the reduct"
+            % ", ".join(a.text for a in sorted(least))
+        )
     return True, ""
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import Atom, Program, Rule, AtomSet, as_atom_set
+from .model import Atom, Program, AtomSet, as_atom_set, least_model
 
 ASSUMPTION_SEARCH_CAP = 2**16
 
@@ -42,18 +42,9 @@ def immediate_consequence(
         r.head
         for r in P.rules
         if r.head is not None
-        and set(r.body_pos) <= ss
-        and not (set(r.body_neg) & vs)
+        and ss.issuperset(r.body_pos)
+        and vs.isdisjoint(r.body_neg)
     )
-
-
-def _lfp(P: Program, V: frozenset[Atom]) -> frozenset[Atom]:
-    S: frozenset[Atom] = frozenset()
-    while True:
-        nxt = immediate_consequence(P, V, S)
-        if nxt == S:
-            return S
-        S = nxt
 
 
 def well_founded_model(
@@ -69,11 +60,11 @@ def well_founded_model(
     _require_normal(P)
     if base is None:
         base = P.herbrand_base
-    K = _lfp(P, base)
-    U = _lfp(P, K)
+    K = least_model(P, base)
+    U = least_model(P, K)
     while True:
-        K2 = _lfp(P, U)
-        U2 = _lfp(P, K2)
+        K2 = least_model(P, U)
+        U2 = least_model(P, K2)
         if (K2, U2) == (K, U):
             break
         K, U = K2, U2

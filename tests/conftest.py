@@ -1,10 +1,13 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from aspexplain.ground import ground_program
-from aspexplain.model import Atom, Program, Rule, Term, reduct
+from aspexplain.model import (
+    Atom, Program, Rule, Term, least_model, reduct, satisfies_rule,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +62,22 @@ def random_program(
     return Program(tuple(rules)).deduplicated()
 
 
+def random_constraint_program(
+    rng: random.Random, max_atoms: int = 5, max_rules: int = 8
+) -> Program:
+    """A :func:`random_program` followed by one to three constraints
+    ``:- body.``, each with one to three body literals over the
+    program's atoms and random negation."""
+    P = random_program(rng, max_atoms=max_atoms, max_rules=max_rules)
+    atoms = sorted(P.herbrand_base)
+    constraints = []
+    for _ in range(rng.randint(1, 3)):
+        pool = rng.sample(atoms, min(len(atoms), rng.randint(1, 3)))
+        n_pos = rng.randint(0, len(pool))
+        constraints.append(Rule(None, tuple(pool[:n_pos]), tuple(pool[n_pos:])))
+    return Program(P.rules + tuple(constraints)).deduplicated()
+
+
 def random_nonground_program(rng: random.Random) -> Program:
     """A small safe non-ground normal program: two or three predicates
     of arity at most 2 over at most three constants, variables bound by
@@ -95,21 +114,6 @@ def random_nonground_program(rng: random.Random) -> Program:
             return P
 
 
-def _closure(P: Program, I: frozenset[Atom]) -> frozenset[Atom]:
-    """Least model of the (negation-free) reduct of P w.r.t. I."""
-    R = reduct(P, I)
-    S: frozenset[Atom] = frozenset()
-    while True:
-        nxt = frozenset(
-            r.head
-            for r in R.rules
-            if r.head is not None and set(r.body_pos) <= S
-        )
-        if nxt == S:
-            return S
-        S = nxt
-
-
 def answer_sets(P: Program) -> list[frozenset[Atom]]:
     """All answer sets of a small ground normal program, by exhaustive
     candidate checking against the least model of the reduct."""
@@ -117,7 +121,7 @@ def answer_sets(P: Program) -> list[frozenset[Atom]]:
     out = []
     for mask in range(2 ** len(base)):
         I = frozenset(a for i, a in enumerate(base) if mask >> i & 1)
-        if _closure(P, I) == I:
+        if least_model(P, I) == I:
             if all(
                 r.head in I
                 for r in P.rules
@@ -127,3 +131,25 @@ def answer_sets(P: Program) -> list[frozenset[Atom]]:
             ):
                 out.append(I)
     return out
+
+
+def exhaustive_verify(P: Program, I: frozenset[Atom]) -> tuple[bool, str]:
+    """The answer-set check by its definition: ``I`` satisfies the
+    reduct and no strict subset of ``I`` does. Subsets are tried by
+    size, then in sorted order, so a non-minimal ``I`` is reported with
+    the first, smallest subset found. Exponential in ``len(I)``; the
+    reference for :func:`aspexplain.model.verify_answer_set`."""
+    R = reduct(P, I)
+    for r in R.rules:
+        if not satisfies_rule(I, r):
+            return False, "unsatisfied rule: %s." % r.display
+    members = sorted(I)
+    for k in range(len(members)):
+        for combo in itertools.combinations(members, k):
+            sub = frozenset(combo)
+            if all(satisfies_rule(sub, r) for r in R.rules):
+                return False, (
+                    "not subset-minimal: {%s} already satisfies the reduct"
+                    % ", ".join(a.text for a in sorted(sub))
+                )
+    return True, ""

@@ -119,17 +119,37 @@ class TestVerify:
         assert code == 1
         assert "not subset-minimal" in err
 
-    def test_base_cap_env_override(self, tmp_path, capsys, monkeypatch):
-        prog = tmp_path / "p.lp"
-        prog.write_text("".join("p%d.\n" % i for i in range(8)))
-        ans = tmp_path / "p.as"
-        ans.write_text(" ".join("p%d" % i for i in range(8)))
-        monkeypatch.setenv("ASPEXPLAIN_MAX_BASE", "5")
-        code, _, err = run(capsys, "verify", str(prog), str(ans))
-        assert code == 2 and "too large" in err
-        monkeypatch.setenv("ASPEXPLAIN_MAX_BASE", "10")
-        code, out, _ = run(capsys, "verify", str(prog), str(ans))
-        assert code == 0
+    def test_long_chain(self, tmp_path, capsys):
+        """A 10^4-step chain verifies with no size cap; one atom too
+        many names the least model as the smaller model."""
+        n = 10**4
+        prog = tmp_path / "chain.lp"
+        prog.write_text("c0.\n" + "".join(
+            "c%d :- c%d, not d%d.\n" % (i + 1, i, i) for i in range(n)
+        ))
+        chain = ["c%d" % i for i in range(n + 1)]
+        ans = tmp_path / "chain.as"
+        ans.write_text(" ".join(chain))
+        assert run(capsys, "verify", str(prog), str(ans)) == (
+            0, "answer set verified\n", ""
+        )
+        ans.write_text(" ".join(chain + ["u"]))
+        assert run(capsys, "verify", str(prog), str(ans)) == (
+            1, "",
+            "not an answer set: not subset-minimal: {%s} already satisfies "
+            "the reduct\n" % ", ".join(sorted(chain)),
+        )
+
+    def test_cardinality_exit_code(self, tmp_path, capsys):
+        prog = tmp_path / "card.lp"
+        prog.write_text("a :- 1 {b; c} 2.\nb.\nc.\n")
+        ans = tmp_path / "card.as"
+        ans.write_text("a b c")
+        code, out, err = run(capsys, "verify", str(prog), str(ans))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: cardinality expressions not supported in verification\n"
+        )
 
 
 class TestConvert:

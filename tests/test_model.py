@@ -11,6 +11,7 @@ from aspexplain.model import (
     Rule,
     Term,
     is_answer_set,
+    least_model,
     reduct,
     satisfies_card,
     supporting_rules,
@@ -19,7 +20,9 @@ from aspexplain.model import (
 )
 from aspexplain.parser import parse_program
 
-from conftest import answer_sets, random_program
+from conftest import (
+    answer_sets, exhaustive_verify, random_constraint_program, random_program,
+)
 
 
 def atoms(*names):
@@ -136,6 +139,22 @@ class TestReduct:
         assert all(not r.body_neg for r in R.rules)
 
 
+class TestLeastModel:
+    def test_blocked_rules_and_constraints_ignored(self):
+        P = parse_program("a. b :- a, not c. d :- b, not a. :- b.")
+        assert least_model(P, {a, c}) == {a}
+        assert least_model(P, set()) == {a, b, d}
+
+    def test_repeated_body_atom(self):
+        P = parse_program("a :- b, b. b :- c. c.")
+        assert least_model(P, set()) == {a, b, c}
+
+    def test_cardinality_rejected(self):
+        P = parse_program("a :- 1 {b; c} 2. b.")
+        with pytest.raises(ValueError, match="normal programs only"):
+            least_model(P, set())
+
+
 class TestIsAnswerSet:
     def test_positive_case(self):
         P = parse_program("p :- not q.")
@@ -151,11 +170,19 @@ class TestIsAnswerSet:
         ok, reason = verify_answer_set(P, {p, q})
         assert not ok and "not subset-minimal" in reason
 
-    def test_cap(self):
-        facts = ".\n".join("p%d" % i for i in range(25)) + "."
-        P = parse_program(facts)
-        with pytest.raises(ValueError, match="too large"):
-            is_answer_set(P, P.herbrand_base)
+    def test_long_chain(self):
+        n = 10**4
+        P = parse_program("c0.\n" + "".join(
+            "c%d :- c%d, not d%d.\n" % (i + 1, i, i) for i in range(n)
+        ))
+        X = frozenset(Atom("c%d" % i) for i in range(n + 1))
+        assert verify_answer_set(P, X) == (True, "")
+        ok, reason = verify_answer_set(P, X | {Atom("u")})
+        assert not ok
+        assert reason == (
+            "not subset-minimal: {%s} already satisfies the reduct"
+            % ", ".join(a.text for a in sorted(X))
+        )
 
     def test_cardinality_rejected(self):
         P = parse_program("a :- 1 {b; c} 2. b. c.")
@@ -163,14 +190,19 @@ class TestIsAnswerSet:
             is_answer_set(P, {a, b, c})
 
     def test_agrees_with_oracle(self):
+        """The verdict and the reason equal those of the exhaustive
+        subset check, on every subset of the base plus an atom foreign
+        to the program, for programs with and without constraints."""
         rng = random.Random(7)
-        for _ in range(50):
-            P = random_program(rng, max_atoms=5, max_rules=8)
-            expected = set(answer_sets(P))
-            base = sorted(P.herbrand_base)
-            for mask in range(2 ** len(base)):
-                I = frozenset(x for i, x in enumerate(base) if mask >> i & 1)
-                assert is_answer_set(P, I) == (I in expected)
+        for generate in (random_program, random_constraint_program):
+            for _ in range(50):
+                P = generate(rng, max_atoms=5, max_rules=8)
+                expected = set(answer_sets(P))
+                atoms = sorted(P.herbrand_base) + [Atom("u")]
+                for mask in range(2 ** len(atoms)):
+                    I = frozenset(x for i, x in enumerate(atoms) if mask >> i & 1)
+                    assert verify_answer_set(P, I) == exhaustive_verify(P, I)
+                    assert is_answer_set(P, I) == (I in expected)
 
 
 class TestSupports:
