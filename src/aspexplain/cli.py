@@ -6,6 +6,7 @@ set (or verification fails), 2 on parse and I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -82,7 +83,7 @@ def cmd_explain(args) -> int:
         parse_lookup(_read(args.lookup)) if args.lookup else LookupTable()
     )
     if args.verify:
-        G = ground_program(P)
+        G = ground_program(P, X)
         ok, reason = verify_answer_set(G, X)
         if not ok:
             print("not an answer set: %s" % reason, file=sys.stderr)
@@ -100,7 +101,7 @@ def cmd_explain(args) -> int:
 
 def cmd_verify(args) -> int:
     P, X = _load_inputs(args)
-    G = ground_program(P)
+    G = ground_program(P, X)
     ok, reason = verify_answer_set(G, X)
     if ok:
         print("answer set verified")
@@ -116,12 +117,12 @@ def cmd_convert(args) -> int:
     if args.direction == "jst2exp":
         if not isinstance(obj, EGraph):
             raise ParseError("expected an e-graph input", 1, 1)
-        tree = justification_to_explanation(ground_program(P), X, p, obj)
+        tree = justification_to_explanation(ground_program(P, X), X, p, obj)
         out = tree
     else:
         if not isinstance(obj, VertexLabeledTree):
             raise ParseError("expected an explanation-tree input", 1, 1)
-        out = explanation_to_justification(ground_program(P), X, p, obj)
+        out = explanation_to_justification(ground_program(P, X), X, p, obj)
     if args.format == "dot":
         sys.stdout.write(emit_dot(out))
     else:
@@ -143,6 +144,8 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# Built once: building the parser costs far more than parsing a command.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="aspexplain",

@@ -1,10 +1,14 @@
-"""Substitution-based grounding.
+"""Grounding by joining positive bodies against an atom set.
 
-:func:`ground_program` instantiates every rule over all constants;
-verification and the justification conversions need the whole ground
-program. :func:`instantiate_for_head` grounds only the rules for one
-head atom, joining their positive bodies against an answer set held in
-a :class:`GroundingIndex`.
+Every ground rule that matters for explaining an atom of an answer set
+``X``, or for checking that ``X`` is an answer set, has its positive
+body inside ``X``. A :class:`GroundingIndex` holds the rules of a
+program and the atoms of ``X``; rule variables are bound by joining the
+positive body, left to right, against those atoms, as a bottom-up
+grounder does. :func:`ground_program` grounds every rule this way and
+:func:`instantiate_for_head` only the rules for one head atom. The
+whole grounding over the Herbrand universe is
+``ground_program(P, P.herbrand_base)``.
 """
 from __future__ import annotations
 
@@ -87,39 +91,6 @@ def _instance(r: Rule, subst: Subst, universe: tuple[Term, ...]) -> Rule:
     )
 
 
-def _ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
-    if r.is_ground:
-        return [r]
-    _check_groundable(r, universe)
-    global_vars: set[str] = set()
-    if r.head is not None:
-        global_vars |= r.head.variables()
-    for a in itertools.chain(r.body_pos, r.body_neg):
-        global_vars |= a.variables()
-    names = sorted(global_vars)
-    out = [
-        _instance(r, dict(zip(names, combo)), universe)
-        for combo in itertools.product(universe, repeat=len(names))
-    ]
-    out.sort(key=lambda g: g.text)
-    return out
-
-
-def ground_program(P: Program) -> Program:
-    """All ground instances of the rules of ``P`` over its constants.
-
-    Already-ground programs are returned unchanged. Instances of one
-    rule come out sorted by text; rules keep program order.
-    """
-    if P.is_ground:
-        return P
-    universe = tuple(sorted(P.herbrand_universe))
-    rules: list[Rule] = []
-    for r in P.rules:
-        rules.extend(_ground_rule(r, universe))
-    return Program(tuple(rules)).deduplicated()
-
-
 def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
     """Extend ``subst`` so that ``pattern`` becomes ``ground``, an atom
     of the same predicate and arity, or give up with None."""
@@ -139,10 +110,11 @@ def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
 class GroundingIndex:
     """The rules of ``P`` by head, the atoms of ``X`` by predicate and
     arity, and the sorted Herbrand universe of ``P``, for
-    :func:`instantiate_for_head`. Atoms of ``X`` with a constant outside
-    the universe are left out, as no instance over the universe holds
-    them. Raises :class:`GroundingError` where :func:`ground_program`
-    would.
+    :func:`ground_program` and :func:`instantiate_for_head`. Atoms of
+    ``X`` with a constant outside the universe are left out, as no
+    instance over the universe holds them. Raises
+    :class:`GroundingError` for the first rule, in program order, that
+    is unsafe or has variables in a program without constants.
     """
 
     def __init__(self, P: Program, X: AtomSet):
@@ -178,16 +150,48 @@ class GroundingIndex:
         return table.get(tuple(pattern.args[i] for i in bound), [])
 
 
+def _join(index: GroundingIndex, r: Rule, subst: Subst) -> list[Rule]:
+    """The instances of ``r`` that extend ``subst`` and whose positive
+    body lies in the indexed atom set: the positive body is joined, left
+    to right, against the atom set, and variables local to a cardinality
+    expression range over the universe."""
+    substs = [subst]
+    for pattern in r.body_pos:
+        substs = [
+            m
+            for s in substs
+            for a in index.candidates(_subst_atom(pattern, s))
+            if (m := _match_atom(pattern, a, s)) is not None
+        ]
+    return [r if r.is_ground else _instance(r, s, index.universe) for s in substs]
+
+
+def ground_program(P: Program, X: AtomSet) -> Program:
+    """The ground instances, over the constants of ``P``, of the rules
+    of ``P``, constraints included, whose positive body lies in ``X``.
+
+    Instances of one rule come out sorted by text and rules keep program
+    order; a duplicate keeps the source text of the first rule in
+    program order. ``ground_program(P, P.herbrand_base)`` is the whole
+    grounding. Raises :class:`GroundingError` as :class:`GroundingIndex`
+    does.
+    """
+    index = GroundingIndex(P, X)
+    rules: list[Rule] = []
+    for r in P.rules:
+        rules.extend(sorted(_join(index, r, {}), key=lambda g: g.text))
+    return Program(tuple(rules)).deduplicated()
+
+
 def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
     """Ground instances, over the Herbrand universe, of the indexed
     rules whose head is ``p`` and whose positive body lies in the
     indexed atom set.
 
-    The head is unified with ``p``; the body variables are bound by
-    joining the positive body, left to right, against the atom set.
-    Variables local to a cardinality expression range over the
-    universe. The result is deduplicated, the first rule in program
-    order keeping its source text, and sorted by text.
+    The head is unified with ``p``; the other variables are bound by
+    the join :func:`ground_program` uses. The result is deduplicated,
+    the first rule in program order keeping its source text, and sorted
+    by text.
     """
     if not p.is_ground:
         raise GroundingError("non-ground query atom: %s" % p.text)
@@ -197,16 +201,6 @@ def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
     rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
     for _, r in sorted(rules):
         head = _match_atom(r.head, p, {})
-        if head is None:
-            continue
-        substs = [head]
-        for pattern in r.body_pos:
-            substs = [
-                m
-                for s in substs
-                for a in index.candidates(_subst_atom(pattern, s))
-                if (m := _match_atom(pattern, a, s)) is not None
-            ]
-        for s in substs:
-            out.append(r if r.is_ground else _instance(r, s, index.universe))
+        if head is not None:
+            out.extend(_join(index, r, head))
     return tuple(sorted(dict.fromkeys(out), key=lambda g: g.text))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain.ground import ground_program
+from aspexplain.ground import _check_groundable, _instance
 from aspexplain.model import (
     Atom, Program, Rule, Term, least_model, reduct, satisfies_rule,
 )
@@ -110,8 +110,45 @@ def random_nonground_program(rng: random.Random) -> Program:
                 body_neg = (atom(rng.choice(preds), bound),)
             rules.append(Rule(atom(rng.choice(preds), bound), body_pos, body_neg))
         P = Program(tuple(rules)).deduplicated()
-        if not P.is_ground and len(ground_program(P).herbrand_base) <= 9:
+        if not P.is_ground and len(P.herbrand_base) <= 9:
             return P
+
+
+def _product_ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
+    if r.is_ground:
+        return [r]
+    _check_groundable(r, universe)
+    global_vars: set[str] = set()
+    if r.head is not None:
+        global_vars |= r.head.variables()
+    for a in itertools.chain(r.body_pos, r.body_neg):
+        global_vars |= a.variables()
+    names = sorted(global_vars)
+    out = [
+        _instance(r, dict(zip(names, combo)), universe)
+        for combo in itertools.product(universe, repeat=len(names))
+    ]
+    out.sort(key=lambda g: g.text)
+    return out
+
+
+def product_ground(P: Program) -> Program:
+    """All ground instances of the rules of ``P`` over its constants, by
+    substituting every tuple of the Herbrand universe for the variables
+    of each rule; the reference for
+    :func:`aspexplain.ground.ground_program`. Exponential in the number
+    of variables per rule.
+
+    Already-ground programs are returned unchanged. Instances of one
+    rule come out sorted by text; rules keep program order.
+    """
+    if P.is_ground:
+        return P
+    universe = tuple(sorted(P.herbrand_universe))
+    rules: list[Rule] = []
+    for r in P.rules:
+        rules.extend(_product_ground_rule(r, universe))
+    return Program(tuple(rules)).deduplicated()
 
 
 def answer_sets(P: Program) -> list[frozenset[Atom]]:

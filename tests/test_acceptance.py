@@ -15,7 +15,6 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
-from aspexplain.ground import ground_program
 from aspexplain.justify import (
     TOP,
     AnnotatedAtom,
@@ -41,7 +40,7 @@ from aspexplain.wellfounded import (
 )
 
 import conftest
-from conftest import answer_sets, fixture_text, random_program
+from conftest import answer_sets, fixture_text, product_ground, random_program
 
 
 def criterion(number: int, title: str):
@@ -242,7 +241,7 @@ def test_criterion_09_property_suite():
                     best = max(distance(R, o) for o in oracle)
                     assert distance(R, cand) == best
                     R = R | cand.rule_vertex_ids
-                assert create_tree(ground_program(P), X, p) == T
+                assert create_tree(product_ground(P), X, p) == T
                 checked += 1
     assert checked
     assert time.perf_counter() - start < 60

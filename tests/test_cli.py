@@ -3,10 +3,9 @@ import json
 import pytest
 
 from aspexplain.cli import main
-from aspexplain.ground import ground_program
 from aspexplain.parser import parse_program, render_program
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, product_ground
 
 
 def fx(name: str) -> str:
@@ -58,7 +57,7 @@ class TestExplain:
         format, what explaining with its whole grounding prints."""
         ground = tmp_path / "q8_ground.lp"
         ground.write_text(
-            render_program(ground_program(parse_program(fixture_text("q8.lp"))))
+            render_program(product_ground(parse_program(fixture_text("q8.lp"))))
         )
         for fmt in ("text", "nl", "dot", "json"):
             results = []
@@ -150,6 +149,82 @@ class TestVerify:
         assert err == (
             "error: cardinality expressions not supported in verification\n"
         )
+
+    def test_irrelevant_cardinality_rule(self, tmp_path, capsys):
+        """A cardinality rule whose positive body is not in the set can
+        neither fire nor be violated, so it does not stop verification."""
+        prog = tmp_path / "card.lp"
+        prog.write_text("a :- d, 1 {b; c} 2.\nb.\nc.\n")
+        ans = tmp_path / "card.as"
+        ans.write_text("b c")
+        assert run(capsys, "verify", str(prog), str(ans)) == (
+            0, "answer set verified\n", ""
+        )
+
+    def test_reachability_over_many_constants(self, tmp_path, capsys):
+        """Reachability along a 1,000-node path: the whole grounding has
+        about 10^6 instances, but verification and conversion only ground
+        the rules whose positive body lies in the answer set."""
+        n = 1000
+        nodes = ["n%d" % i for i in range(n)]
+        edges = ["edge(%s,%s)" % (a, b) for a, b in zip(nodes, nodes[1:])]
+        reach = ["reach(%s)" % v for v in nodes]
+        prog = tmp_path / "reach.lp"
+        prog.write_text(
+            "start(n0).\n" + "".join(e + ".\n" for e in edges)
+            + "reach(V) :- start(V).\nreach(W) :- reach(V), edge(V,W).\n"
+        )
+        ans = tmp_path / "reach.as"
+        ans.write_text(" ".join(["start(n0)"] + edges + reach))
+        assert run(capsys, "verify", str(prog), str(ans)) == (
+            0, "answer set verified\n", ""
+        )
+        assert run(
+            capsys, "explain", str(prog), str(ans), "reach(n1)", "--verify"
+        ) == (0, "reach(n1) :- reach(n0), edge(n0,n1).\n  reach(n0) :- start(n0).\n"
+              "    start(n0).\n  edge(n0,n1).\n", "")
+        labels = [
+            ("atom", "reach(n2)"), ("rule", "reach(n2) :- reach(n1), edge(n1,n2)"),
+            ("atom", "reach(n1)"), ("rule", "reach(n1) :- reach(n0), edge(n0,n1)"),
+            ("atom", "reach(n0)"), ("rule", "reach(n0) :- start(n0)"),
+            ("atom", "start(n0)"), ("rule", "start(n0)"),
+            ("atom", "edge(n0,n1)"), ("rule", "edge(n0,n1)"),
+            ("atom", "edge(n1,n2)"), ("rule", "edge(n1,n2)"),
+        ]
+        links = [(0, 1), (1, 2), (1, 10), (2, 3), (3, 4), (3, 8), (4, 5),
+                 (5, 6), (6, 7), (8, 9), (10, 11)]
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "kind": "tree", "root": 0,
+            "vertices": [{"id": i, "label_kind": k, "label_text": t}
+                         for i, (k, t) in enumerate(labels)],
+            "edges": [{"from": a, "to": b} for a, b in links],
+        }))
+        code, out, _ = run(
+            capsys, "convert", "exp2jst", str(prog), str(ans), "reach(n2)",
+            str(tree),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        text = {v["id"]: v["label_text"] for v in doc["vertices"]}
+        assert {(text[e["from"]], text[e["to"]], e["sign"]) for e in doc["edges"]} == {
+            ("reach(n2)", "reach(n1)", "+"), ("reach(n2)", "edge(n1,n2)", "+"),
+            ("reach(n1)", "reach(n0)", "+"), ("reach(n1)", "edge(n0,n1)", "+"),
+            ("reach(n0)", "start(n0)", "+"), ("edge(n1,n2)", "top", "+"),
+            ("edge(n0,n1)", "top", "+"), ("start(n0)", "top", "+"),
+        }
+        egraph = tmp_path / "egraph.json"
+        egraph.write_text(out)
+        code, out, _ = run(
+            capsys, "convert", "jst2exp", str(prog), str(ans), "reach(n2)",
+            str(egraph),
+        )
+        assert code == 0
+        assert sorted(
+            v["label_text"] for v in json.loads(out)["vertices"]
+            if v["label_kind"] == "atom"
+        ) == sorted(["reach(n2)", "reach(n1)", "reach(n0)", "edge(n1,n2)",
+                     "edge(n0,n1)", "start(n0)"])
 
 
 class TestConvert:

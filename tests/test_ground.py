@@ -8,50 +8,122 @@ from aspexplain.ground import (
     ground_program,
     instantiate_for_head,
 )
-from aspexplain.model import Atom, Term, supporting_rules
+from aspexplain.model import Atom, Term, supporting_rules, verify_answer_set
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
-from conftest import fixture_text, random_nonground_program
+from conftest import (
+    answer_sets,
+    fixture_text,
+    product_ground,
+    random_constraint_program,
+    random_nonground_program,
+)
+
+FIXTURES = ("example41", "example44", "threerule", "q8")
 
 
 class TestGroundProgram:
     def test_single_constant(self):
         P = parse_program("q(a). p(Xv) :- q(Xv).")
-        G = ground_program(P)
+        G = ground_program(P, P.herbrand_base)
         assert sorted(r.text for r in G.rules) == ["p(a) :- q(a)", "q(a)"]
 
     def test_identity_on_ground_input(self):
+        """For a ground program the result is its rules whose positive
+        body lies in the set, deduplicated and in program order: the
+        program itself when the set holds every body."""
         P = parse_program("a :- b, c. a :- d. d. b :- c. c.")
-        assert ground_program(P) is P
+        G = ground_program(P, P.herbrand_base)
+        assert G.rules == P.rules
+        assert [r.display for r in G] == [r.display for r in P]
+        P = parse_program("a :- b, c. a :- d. d. b :- c. c. a:-d.")
+        X = frozenset([parse_atom("c"), parse_atom("d")])
+        G = ground_program(P, X)
+        assert [r.display for r in G.rules] == ["a :- d", "d", "b :- c", "c"]
+        assert G.rules == tuple(
+            dict.fromkeys(r for r in P.rules if X.issuperset(r.body_pos))
+        )
 
     def test_two_constants(self):
         P = parse_program("q(a). q(b). p(Xv) :- q(Xv).")
-        G = ground_program(P)
+        G = ground_program(P, P.herbrand_base)
         texts = sorted(r.text for r in G.rules)
         assert "p(a) :- q(a)" in texts and "p(b) :- q(b)" in texts
         assert len(G.rules) == 4
 
+    def test_positive_body_outside_set_dropped(self):
+        P = parse_program("q(a). q(b). p(Xv) :- q(Xv). :- p(Xv), not q(Xv).")
+        X = frozenset([parse_atom("q(a)"), parse_atom("q(b)"), parse_atom("p(b)")])
+        G = ground_program(P, X)
+        assert [r.text for r in G.rules] == [
+            "q(a)", "q(b)", "p(a) :- q(a)", "p(b) :- q(b)", ":- p(b), not q(b)",
+        ]
+
     def test_unsafe_rule_rejected(self):
         P = parse_program("q(a). p(Xv) :- not q(Xv).")
         with pytest.raises(GroundingError, match="unsafe rule.*Xv"):
-            ground_program(P)
+            ground_program(P, frozenset())
 
     def test_unsafe_head_variable_rejected(self):
         P = parse_program("q(a). p(Yv) :- q(Xv).")
         with pytest.raises(GroundingError, match="Yv"):
-            ground_program(P)
+            ground_program(P, frozenset())
 
     def test_no_constants_with_variables(self):
         P = parse_program("p(Xv) :- q(Xv).")
         with pytest.raises(GroundingError, match="no constants"):
-            ground_program(P)
+            ground_program(P, frozenset())
 
     def test_cardinality_local_variables_expand(self):
         P = parse_program("idx(1). idx(2). ok :- 1 {idx(Iv)} 2.")
-        G = ground_program(P)
+        G = ground_program(P, P.herbrand_base)
         card_rule = [r for r in G.rules if r.body_card][0]
         members = sorted(a.text for a in card_rule.body_card[0].atoms)
         assert "idx(1)" in members and "idx(2)" in members
+
+    def test_full_grounding_matches_product(self):
+        """Joined against the Herbrand base, the grounder gives the
+        rules of the product grounder, in the same order and with the
+        same display, over 400 random non-ground programs and the
+        fixtures."""
+        rng = random.Random(20261017)
+        programs = [random_nonground_program(rng) for _ in range(400)]
+        programs += [parse_program(fixture_text(name + ".lp")) for name in FIXTURES]
+        for P in programs:
+            G = ground_program(P, P.herbrand_base)
+            reference = product_ground(P)
+            assert G.rules == reference.rules
+            assert [r.display for r in G] == [r.display for r in reference]
+
+    def test_verification_agrees_with_product_grounding(self):
+        """Verifying against the rules whose positive body lies in the
+        interpretation gives the verdict and reason of verifying against
+        the whole grounding, with atoms foreign to the program in some
+        interpretations."""
+        rng = random.Random(20261018)
+        foreign = [Atom("u"), Atom("q0", (Term("z"),))]
+        cases = []
+        for _ in range(100):
+            P = random_nonground_program(rng)
+            atoms = sorted(P.herbrand_base) + foreign
+            interps = answer_sets(product_ground(P))
+            interps += [X | {a} for X in interps for a in foreign]
+            interps += [
+                frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(20)
+            ]
+            cases += [(P, I) for I in interps]
+        for _ in range(50):
+            P = random_constraint_program(rng)
+            atoms = sorted(P.herbrand_base) + foreign[:1]
+            cases += [
+                (P, frozenset(a for i, a in enumerate(atoms) if mask >> i & 1))
+                for mask in range(2 ** len(atoms))
+            ]
+        assert any(verify_answer_set(product_ground(P), I)[0] for P, I in cases)
+        for P, I in cases:
+            assert verify_answer_set(ground_program(P, I), I) == verify_answer_set(
+                product_ground(P), I
+            )
 
 
 class TestInstantiateForHead:
@@ -83,7 +155,7 @@ class TestInstantiateForHead:
     def test_subset_of_full_grounding(self):
         P = parse_program(fixture_text("q8.lp"))
         X = parse_answer_set(fixture_text("q8.as"))
-        G = ground_program(P)
+        G = product_ground(P)
         p = parse_atom('what_be_genes("CASK")')
         joined = set(instantiate_for_head(GroundingIndex(P, X), p))
         full = {r for r in G.rules if r.head == p}
@@ -92,7 +164,7 @@ class TestInstantiateForHead:
     def test_agrees_with_support_filter(self):
         P = parse_program(fixture_text("q8.lp"))
         X = parse_answer_set(fixture_text("q8.as"))
-        G = ground_program(P)
+        G = product_ground(P)
         index = GroundingIndex(P, X)
         for p in X:
             got = {
@@ -107,14 +179,18 @@ class TestInstantiateForHead:
         """Over random non-ground programs and random atom sets, some
         with a constant the program lacks, the join gives exactly the
         instances in the whole grounding whose positive body lies in
-        the set, sorted by text."""
+        the set: per head sorted by text, and in the order of the whole
+        grounding for all rules."""
         rng = random.Random(20261017)
         for _ in range(200):
             P = random_nonground_program(rng)
-            G = ground_program(P)
+            G = product_ground(P)
             base = sorted(G.herbrand_base)
             X = frozenset(a for a in base if rng.random() < 0.6)
             X |= {Atom("q0", (Term("z"),) * arity) for arity in (1, 2)}
+            assert ground_program(P, X).rules == tuple(
+                r for r in G.rules if X.issuperset(r.body_pos)
+            )
             index = GroundingIndex(P, X)
             for p in sorted(X):
                 expected = sorted(

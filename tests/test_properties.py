@@ -16,12 +16,13 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
-from aspexplain.ground import ground_program
 from aspexplain.model import Rule
 from aspexplain.parser import parse_answer_set, parse_program
 from aspexplain.trees import validate_andor_tree
 
-from conftest import answer_sets, fixture_text, random_nonground_program, random_program
+from conftest import (
+    answer_sets, fixture_text, product_ground, random_nonground_program, random_program,
+)
 
 N_PROGRAMS = 500
 N_NONGROUND = 400
@@ -49,7 +50,7 @@ def nonground_corpus():
     cases = []
     for _ in range(N_NONGROUND):
         P = random_nonground_program(rng)
-        for X in answer_sets(ground_program(P)):
+        for X in answer_sets(product_ground(P)):
             for p in sorted(X):
                 cases.append((P, X, p))
     assert cases
@@ -101,9 +102,10 @@ def test_k_different_greedy_maximality(enumerated):
 
 def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
     """Grounding per atom gives the same and-or trees, rule displays and
-    shortest explanations as the whole ground program."""
+    shortest explanations as the whole ground program, built by the
+    reference product grounder."""
     for P, X, p in corpus + nonground_corpus + fixture_cases:
-        G = ground_program(P)
+        G = product_ground(P)
         T = create_tree(P, X, p)
         reference = create_tree(G, X, p)
         assert T == reference
