@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .model import Atom, Program, Rule, AtomSet, as_atom_set, reduct
-from .trees import Label, VertexLabeledTree
+from .trees import Explanation, Label, VertexLabeledTree
 
 ASSUME = "assume"
 TOP = "top"
@@ -315,16 +315,41 @@ def justification_to_explanation(
     )
 
 
+def _with_head_vertices(e: Explanation) -> VertexLabeledTree:
+    """The explanation tree of ``e``: each rule vertex gets its head as
+    the atom vertex above it. Vertices are numbered afresh."""
+    labels: dict[int, Label] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    ids = itertools.count()
+    stack = [(e.root, next(ids))]
+    while stack:
+        v, a = stack.pop()
+        rule = e.labels[v]
+        if not isinstance(rule, Rule) or rule.is_constraint:
+            raise ValueError("explanation vertex %s is not a rule with a head"
+                             % rule.text)
+        r = next(ids)
+        labels[a], labels[r] = rule.head, rule
+        children[a] = (r,)
+        below = [(c, next(ids)) for c in e.child_ids(v)]
+        children[r] = tuple(b for _, b in below)
+        stack.extend(below)
+    return VertexLabeledTree(0, labels, children)
+
+
 def explanation_to_justification(
     P: Program, X: AtomSet, p: Atom, T: VertexLabeledTree
 ) -> EGraph:
     """Build the justification of ``p`` in the reduct of ``P`` encoded
     by an explanation tree: atoms with a fact child point to ⊤, other
-    atoms point to the atoms below their rule. Vertex labels must be
-    unique for the reading to be unambiguous."""
+    atoms point to the atoms below their rule. An :class:`Explanation`
+    stands for the tree with each rule's head as the atom vertex above
+    it. Vertex labels must be unique for the reading to be unambiguous."""
     atoms = as_atom_set(X)
     if p not in atoms:
         raise ValueError("atom not in answer set: %s" % p.text)
+    if isinstance(T, Explanation) and not T.is_empty:
+        T = _with_head_vertices(T)
     if T.is_empty:
         raise ValueError("empty explanation tree")
     seen_labels = [

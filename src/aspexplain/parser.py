@@ -31,19 +31,18 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
-    offset: int
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A :class:`ParseError` at ``offset`` of ``text``. Lines are counted
+    by ``\\n`` only when an error is raised, so parsing never tracks them."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(
+        message, text.count("\n", 0, line_start) + 1, offset - line_start + 1
+    )
 
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
+      (?P<SKIP>\s+|%[^\n]*)
     | (?P<STRING>"[^"\n]*")
     | (?P<DOTS>\.\.)
     | (?P<NUMBER>-?\d+)
@@ -51,236 +50,211 @@ _TOKEN_RE = re.compile(
     | (?P<IDENT>[a-z_][A-Za-z0-9_]*)
     | (?P<VAR>[A-Z][A-Za-z0-9_]*)
     | (?P<SYM>[(){},;.])
+    | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+# (kind, value, offset). A token list ends with an END token whose offset
+# is just past the last token, where "unexpected end of input" points.
+Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("WS", "COMMENT"):
-            out.append(Token(kind, value, line, pos - line_start + 1, pos))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = m.end()
+        if kind != "SKIP":
+            if kind == "BAD":
+                raise _error("unexpected character %r" % m.group(), text, m.start())
+            out.append((kind, m.group(), m.start()))
+    _, value, offset = out[-1] if out else ("", "", 0)
+    out.append(("END", "", offset + len(value)))
     return out
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], text: str):
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
+_TERM_KINDS = frozenset(("IDENT", "STRING", "VAR", "NUMBER"))
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+class _Terms(dict):
+    """Interned terms by name: each name gets one :class:`Term`."""
+
+    def __missing__(self, name: str) -> Term:
+        t = self[name] = Term(name)
+        return t
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text. Symbols are
+    recognised by their value alone, which no other kind of token can
+    have. Terms are interned per text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.terms = _Terms()
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        return _error(message, self.text, tok[2])
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.col + len(last.value) if last else 1
-            raise ParseError("unexpected end of input", line, col)
+        t = self.tokens[self.i]
+        if t[0] == "END":
+            raise self.error("unexpected end of input", t)
         self.i += 1
         return t
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
         t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value or kind.lower()
-            raise ParseError(
-                "expected %s, found %r" % (want, t.value), t.line, t.col
+        if t[0] != kind or (value is not None and t[1] != value):
+            raise self.error(
+                "expected %s, found %r" % (value or kind.lower(), t[1]), t
             )
         return t
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.peek()
-        return (
-            t is not None
-            and t.kind == kind
-            and (value is None or t.value == value)
-        )
+    def parse_term(self, allow_interval: bool):
+        t = self.next()
+        if t[0] not in _TERM_KINDS:
+            raise self.error("expected a term, found %r" % t[1], t)
+        if allow_interval and t[0] == "NUMBER" and self.tokens[self.i][0] == "DOTS":
+            self.i += 1
+            lo, hi = int(t[1]), int(self.expect("NUMBER")[1])
+            if hi < lo:
+                raise self.error("empty interval", t)
+            return (lo, hi)
+        return self.terms[t[1]]
 
+    def parse_atom(self, allow_interval: bool = False) -> tuple[str, tuple]:
+        pred = self.expect("IDENT")[1]
+        tokens = self.tokens
+        if tokens[self.i][1] != "(":
+            return pred, ()
+        self.i += 1
+        args = [self.parse_term(allow_interval)]
+        while tokens[self.i][1] == ",":
+            self.i += 1
+            args.append(self.parse_term(allow_interval))
+        self.expect("SYM", ")")
+        return pred, tuple(args)
 
-_IntervalTerm = tuple[int, int]
+    def parse_card(self) -> CardinalityExpression:
+        lower = 0
+        t = self.tokens[self.i]
+        if t[0] == "NUMBER":
+            self.i += 1
+            lower = int(t[1])
+            if lower < 0:
+                raise self.error("negative bound", t)
+        self.expect("SYM", "{")
+        members: list[Atom] = []
+        if self.tokens[self.i][1] != "}":
+            members.append(Atom(*self.parse_atom()))
+            while self.tokens[self.i][1] == ";":
+                self.i += 1
+                members.append(Atom(*self.parse_atom()))
+        self.expect("SYM", "}")
+        upper: Optional[int] = None
+        t = self.tokens[self.i]
+        if t[0] == "NUMBER":
+            self.i += 1
+            upper = int(t[1])
+            if upper < 0:
+                raise self.error("negative bound", t)
+            if upper < lower:
+                raise self.error("lower bound exceeds upper bound", t)
+        return CardinalityExpression(lower, upper, tuple(members))
 
+    def expand_intervals(self, predicate: str, args: tuple) -> Iterator[Atom]:
+        fixed = [
+            [self.terms[str(v)] for v in range(a[0], a[1] + 1)]
+            if isinstance(a, tuple) else [a]
+            for a in args
+        ]
+        for combo in itertools.product(*fixed):
+            yield Atom(predicate, combo)
 
-def _parse_term(c: _Cursor, allow_interval: bool):
-    t = c.next()
-    if t.kind in ("IDENT", "STRING", "VAR"):
-        return Term(t.value)
-    if t.kind == "NUMBER":
-        if allow_interval and c.at("DOTS"):
-            c.next()
-            hi = c.expect("NUMBER")
-            lo_v, hi_v = int(t.value), int(hi.value)
-            if hi_v < lo_v:
-                raise ParseError("empty interval", t.line, t.col)
-            return (lo_v, hi_v)
-        return Term(t.value)
-    raise ParseError("expected a term, found %r" % t.value, t.line, t.col)
-
-
-def _parse_atom(c: _Cursor, allow_interval: bool = False):
-    t = c.expect("IDENT")
-    args: list = []
-    if c.at("SYM", "("):
-        c.next()
-        while True:
-            args.append(_parse_term(c, allow_interval))
-            if c.at("SYM", ","):
-                c.next()
+    def parse_rules(self) -> Iterator[Rule]:
+        tokens = self.tokens
+        while tokens[self.i][0] != "END":
+            start = tokens[self.i]
+            head_raw = None
+            if start[1] != ":-":
+                head_raw = self.parse_atom(allow_interval=True)
+            body_pos: list[Atom] = []
+            body_neg: list[Atom] = []
+            body_card: list[CardinalityExpression] = []
+            if tokens[self.i][1] == ":-":
+                self.i += 1
+                while True:
+                    t = tokens[self.i]
+                    if t[0] == "END":
+                        raise self.error("unexpected end of input", start)
+                    if t[1] == "not":
+                        self.i += 1
+                        body_neg.append(Atom(*self.parse_atom()))
+                    elif t[0] == "NUMBER" or t[1] == "{":
+                        body_card.append(self.parse_card())
+                    else:
+                        body_pos.append(Atom(*self.parse_atom()))
+                    if tokens[self.i][1] != ",":
+                        break
+                    self.i += 1
+            end = self.expect("SYM", ".")
+            source = self.text[start[2]:end[2]].strip()
+            if head_raw is None:
+                head = None
+            elif tuple in map(type, head_raw[1]):  # an interval
+                if body_pos or body_neg or body_card:
+                    raise self.error("intervals are only allowed in facts", start)
+                for atom in self.expand_intervals(*head_raw):
+                    yield Rule(atom, source_text=atom.text)
                 continue
-            break
-        c.expect("SYM", ")")
-    return t.value, tuple(args)
-
-
-def _expand_intervals(predicate: str, args: tuple) -> Iterator[Atom]:
-    fixed: list[list[Term]] = []
-    for a in args:
-        if isinstance(a, tuple):
-            fixed.append([Term(str(v)) for v in range(a[0], a[1] + 1)])
-        else:
-            fixed.append([a])
-    for combo in itertools.product(*fixed):
-        yield Atom(predicate, tuple(combo))
-
-
-def _parse_card(c: _Cursor) -> CardinalityExpression:
-    lower = 0
-    if c.at("NUMBER"):
-        lower = int(c.next().value)
-        if lower < 0:
-            raise ParseError("negative bound", c.tokens[c.i - 1].line,
-                             c.tokens[c.i - 1].col)
-    c.expect("SYM", "{")
-    members: list[Atom] = []
-    if not c.at("SYM", "}"):
-        while True:
-            pred, args = _parse_atom(c)
-            members.append(Atom(pred, args))
-            if c.at("SYM", ";"):
-                c.next()
-                continue
-            break
-    c.expect("SYM", "}")
-    upper: Optional[int] = None
-    if c.at("NUMBER"):
-        tok = c.next()
-        upper = int(tok.value)
-        if upper < 0:
-            raise ParseError("negative bound", tok.line, tok.col)
-        if upper < lower:
-            raise ParseError("lower bound exceeds upper bound", tok.line, tok.col)
-    return CardinalityExpression(lower, upper, tuple(members))
-
-
-def _simple_atom(pred: str, args: tuple, where: Token) -> Atom:
-    if any(isinstance(a, tuple) for a in args):
-        raise ParseError(
-            "intervals are only allowed in facts", where.line, where.col
-        )
-    return Atom(pred, args)
+            else:
+                head = Atom(*head_raw)
+            yield Rule(
+                head, tuple(body_pos), tuple(body_neg), tuple(body_card), source
+            )
 
 
 def parse_program(text: str) -> Program:
     """Parse rule text into a :class:`Program`, keeping each rule's
     verbatim source (without the trailing period) for display."""
-    c = _Cursor(_tokenize(text), text)
-    rules: list[Rule] = []
-    while c.peek() is not None:
-        start_tok = c.peek()
-        head: Optional[Atom] = None
-        head_raw = None
-        if not c.at("IMPL"):
-            head_raw = _parse_atom(c, allow_interval=True)
-        body_pos: list[Atom] = []
-        body_neg: list[Atom] = []
-        body_card: list[CardinalityExpression] = []
-        if c.at("IMPL"):
-            c.next()
-            while True:
-                t = c.peek()
-                if t is None:
-                    raise ParseError("unexpected end of input", start_tok.line,
-                                     start_tok.col)
-                if t.kind == "IDENT" and t.value == "not":
-                    c.next()
-                    pred, args = _parse_atom(c)
-                    body_neg.append(_simple_atom(pred, args, t))
-                elif t.kind == "NUMBER" or (t.kind == "SYM" and t.value == "{"):
-                    body_card.append(_parse_card(c))
-                else:
-                    pred, args = _parse_atom(c)
-                    body_pos.append(_simple_atom(pred, args, t))
-                if c.at("SYM", ","):
-                    c.next()
-                    continue
-                break
-        end_tok = c.expect("SYM", ".")
-        source = text[start_tok.offset:end_tok.offset].strip()
-        if head_raw is not None and any(
-            isinstance(a, tuple) for a in head_raw[1]
-        ):
-            if body_pos or body_neg or body_card:
-                raise ParseError(
-                    "intervals are only allowed in facts",
-                    start_tok.line, start_tok.col,
-                )
-            for atom in _expand_intervals(*head_raw):
-                rules.append(Rule(atom, source_text=atom.text))
-            continue
-        if head_raw is not None:
-            head = Atom(*head_raw)
-        rules.append(
-            Rule(head, tuple(body_pos), tuple(body_neg), tuple(body_card), source)
-        )
-    return Program(tuple(rules))
+    return Program(tuple(_Parser(text).parse_rules()))
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query argument."""
-    c = _Cursor(_tokenize(text), text)
-    pred, args = _parse_atom(c)
-    t = c.peek()
-    if t is not None:
-        raise ParseError("trailing input after atom", t.line, t.col)
-    return Atom(pred, args)
+    c = _Parser(text)
+    atom = Atom(*c.parse_atom())
+    t = c.tokens[c.i]
+    if t[0] != "END":
+        raise c.error("trailing input after atom", t)
+    return atom
+
+
+_HEADER_RE = re.compile(r"\s*Answer:\s*\d+\s*$")
 
 
 def parse_answer_set(text: str) -> AnswerSet:
-    """Whitespace-separated ground atoms; a leading ``Answer: N`` header
-    line is skipped."""
-    lines = text.splitlines()
-    body_lines = [
-        ln for ln in lines if not re.match(r"^\s*Answer:\s*\d+\s*$", ln)
-    ]
-    c = _Cursor(_tokenize("\n".join(body_lines)), text)
+    """Whitespace-separated ground atoms. An ``Answer: N`` header line is
+    skipped; error positions still count it, and count lines as
+    :meth:`str.splitlines` does."""
+    c = _Parser(
+        "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines())
+    )
     atoms: list[Atom] = []
-    while c.peek() is not None:
-        tok = c.peek()
-        pred, args = _parse_atom(c)
-        atom = Atom(pred, args)
-        if not atom.is_ground:
-            raise ParseError(
-                "non-ground atom in answer set: %s" % atom.text,
-                tok.line, tok.col,
-            )
+    interned = 0
+    while c.tokens[c.i][0] != "END":
+        start = c.tokens[c.i]
+        atom = Atom(*c.parse_atom())
+        # The first non-ground atom is the first to intern a variable.
+        if len(c.terms) > interned:
+            interned = len(c.terms)
+            if not atom.is_ground:
+                raise c.error(
+                    "non-ground atom in answer set: %s" % atom.text, start
+                )
         atoms.append(atom)
     return AnswerSet.of(atoms)
 

@@ -248,6 +248,37 @@ class TestConvert:
         assert doc["kind"] == "egraph"
         assert len(doc["edges"]) == 4
 
+    @pytest.mark.parametrize(
+        "name", ["example41", "example44", "q8", "threerule"]
+    )
+    def test_exp2jst_reads_explain_json(self, tmp_path, capsys, name):
+        import aspexplain as ax
+        from aspexplain.engine import explanation_tree_of
+
+        P = ax.parse_program(fixture_text(name + ".lp"))
+        X = ax.parse_answer_set(fixture_text(name + ".as"))
+        G = ax.ground_program(P, X)
+        for p in sorted(X.atoms):
+            code, out, _ = run(
+                capsys, "explain", fx(name + ".lp"), fx(name + ".as"), p.text,
+                "--format", "json",
+            )
+            assert code == 0 and json.loads(out)["kind"] == "explanation"
+            path = tmp_path / "expl.json"
+            path.write_text(out)
+            code, out, err = run(
+                capsys, "convert", "exp2jst", fx(name + ".lp"),
+                fx(name + ".as"), p.text, str(path),
+            )
+            e = ax.shortest_explanation(P, X, p)
+            try:
+                want = ax.emit_json(ax.explanation_to_justification(
+                    G, X, p, explanation_tree_of(e, e.andor)))
+            except ValueError as exc:
+                assert (code, err) == (2, "error: %s\n" % exc)
+            else:
+                assert (code, out) == (0, want)
+
     def test_duplicate_labels_exit_code(self, tmp_path, capsys):
         import aspexplain as ax
         from aspexplain.engine import enumerate_explanation_trees
@@ -279,9 +310,14 @@ class TestConvert:
                           {"id": 1, "label_kind": "rule", "label_text": "a"}]},
             {"kind": "tree", "root": 0, "edges": [],
              "vertices": [{"id": 0, "label_kind": "rule", "label_text": "a"}]},
+            {"kind": "explanation", "root": 0, "edges": [],
+             "vertices": [{"id": 0, "label_kind": "atom", "label_text": "a"}]},
+            {"kind": "explanation", "root": 0, "edges": [],
+             "vertices": [{"id": 0, "label_kind": "rule",
+                           "label_text": ":- b"}]},
         ],
         ids=["no-label-kind", "top-level-array", "unknown-edge-source",
-             "cycle", "rule-root"],
+             "cycle", "rule-root", "explanation-atom", "explanation-constraint"],
     )
     def test_malformed_input_exit_code(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspexplain.model import Atom, Rule, Term
 from aspexplain.parser import (
@@ -111,6 +113,16 @@ class TestParseAnswerSet:
         X = parse_answer_set("Answer: 1\na b")
         assert len(X) == 2
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("Answer: 1\np q(X)", 2, 3),
+        ("a\n  Answer: 3  \nb\nc(", 4, 3),
+        ("Answer: 1\r\nabcdefghijkl X", 2, 14),
+    ])
+    def test_error_lines_count_the_header(self, text, line, col):
+        with pytest.raises(ParseError) as info:
+            parse_answer_set(text)
+        assert (info.value.line, info.value.col) == (line, col)
+
     def test_string_constants(self):
         X = parse_answer_set('drug_gene("Epinephrine","ADRB1")')
         (atom,) = X.atoms
@@ -164,3 +176,88 @@ class TestRoundTrip:
     def test_cardinality_round_trip(self):
         P = parse_program("a :- d, 1 {b; c} 2. a :- {b}. a :- 1 {b}.")
         assert parse_program(render_program(P)) == P
+
+
+# Exact messages, lines and columns of malformed inputs. Columns count
+# from 1; "end of input" points just past the last token.
+ERROR_TABLE = [
+    (parse_program, "a :- b & c.",
+     "unexpected character '&' (line 1, column 8)"),
+    (parse_program, "a :- b.\n\n\n   a :- c, $",
+     "unexpected character '$' (line 4, column 12)"),
+    (parse_atom, "", "unexpected end of input (line 1, column 1)"),
+    (parse_program, "a :- b", "unexpected end of input (line 1, column 7)"),
+    (parse_program, "p(a", "unexpected end of input (line 1, column 4)"),
+    (parse_program, "a :- ", "unexpected end of input (line 1, column 1)"),
+    (parse_program, "p(a) :- q(a), \n  r(a) ; s.",
+     "expected ., found ';' (line 2, column 8)"),
+    (parse_program, "a.\nb :- ,.\n",
+     "expected ident, found ',' (line 2, column 6)"),
+    (parse_program, 'a :- "s".',
+     "expected ident, found '\"s\"' (line 1, column 6)"),
+    (parse_program, "p(a,) :- q.",
+     "expected a term, found ')' (line 1, column 5)"),
+    (parse_atom, "P", "expected ident, found 'P' (line 1, column 1)"),
+    (parse_program, "p(3..1).", "empty interval (line 1, column 3)"),
+    (parse_program, "p(1..3) :- q.",
+     "intervals are only allowed in facts (line 1, column 1)"),
+    (parse_program, "x.\n  p(1..3, a) :- not q.",
+     "intervals are only allowed in facts (line 2, column 3)"),
+    (parse_program, "p :- q(1..3).",
+     "expected ), found '..' (line 1, column 9)"),
+    (parse_program, "p :- not q(1..2).",
+     "expected ), found '..' (line 1, column 13)"),
+    (parse_program, "a :- -1 {b}.", "negative bound (line 1, column 6)"),
+    (parse_program, "a :- {b} -2.", "negative bound (line 1, column 10)"),
+    (parse_program, "a :- 3 {b; c} 2.",
+     "lower bound exceeds upper bound (line 1, column 15)"),
+    (parse_answer_set, "p q(X)",
+     "non-ground atom in answer set: q(X) (line 1, column 3)"),
+    (parse_answer_set, "a b(c)\n% comment\nd(e,F)",
+     "non-ground atom in answer set: d(e,F) (line 3, column 1)"),
+    (parse_atom, "p q", "trailing input after atom (line 1, column 3)"),
+    (parse_atom, "p(a) .", "trailing input after atom (line 1, column 6)"),
+    (parse_program, '% comment\np("a b").\n% another\nq("x") :- p(, r.',
+     "expected a term, found ',' (line 4, column 13)"),
+    (parse_program, '% c\n\n  s("quoted % not a comment") :- t.\n  u :- v w.',
+     "expected ., found 'w' (line 4, column 10)"),
+    (parse_program, 'p("a\nb").', "unexpected character '\"' (line 1, column 3)"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message", ERROR_TABLE,
+    ids=["%s:%r" % (f.__name__, t) for f, t, _ in ERROR_TABLE],
+)
+def test_error_message_and_position(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    line, col = map(int, re.search(r"line (\d+), column (\d+)\)$", message).groups())
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def _lines(parse, text: str) -> list[str]:
+    # Programs and atoms count lines by "\n"; answer sets by str.splitlines.
+    if parse is parse_answer_set:
+        return text.splitlines() or [""]
+    return text.split("\n")
+
+
+_FRAGMENTS = st.sampled_from([
+    "p", "q(a)", "r(X,1)", "X", "_y", ":-", "not", "..", "1", "-2", "{", "}",
+    ";", ",", ".", "(", ")", '"s t"', '"', "%c", "\n", " ", "Answer: 1\n",
+    "\r", "\x85", "$",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_FRAGMENTS, st.characters()), max_size=30).map("".join),
+       st.sampled_from([parse_program, parse_answer_set, parse_atom]))
+def test_any_text_parses_or_raises_parse_error(text, parse):
+    try:
+        parse(text)
+    except ParseError as exc:
+        lines = _lines(parse, text)
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1
