@@ -16,7 +16,6 @@ from .model import (
     least_model,
     reduct,
     satisfies_card,
-    supporting_rules,
     supports,
 )
 from .ground import (
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnswerSet", "Atom", "CardinalityExpression", "Program", "Rule", "Term",
     "is_answer_set", "least_model", "reduct", "satisfies_card",
-    "supporting_rules", "supports", "GroundingError", "GroundingIndex",
+    "supports", "GroundingError", "GroundingIndex",
     "ground_program", "instantiate_for_head",
     "Explanation", "VertexLabeledTree", "calculate_difference",
     "calculate_weight", "create_tree", "distance", "enumerate_explanations",

@@ -114,15 +114,16 @@ def cmd_convert(args) -> int:
     P, X = _load_inputs(args)
     p = parse_atom(args.atom)
     obj = parse_json(_read(args.input))
+    # Grounded in both directions, so an ungroundable program exits 2 either way.
+    G = ground_program(P, X)
     if args.direction == "jst2exp":
         if not isinstance(obj, EGraph):
             raise ParseError("expected an e-graph input", 1, 1)
-        tree = justification_to_explanation(ground_program(P, X), X, p, obj)
-        out = tree
+        out = justification_to_explanation(X, p, obj)
     else:
         if not isinstance(obj, VertexLabeledTree):
             raise ParseError("expected an explanation-tree input", 1, 1)
-        out = explanation_to_justification(ground_program(P, X), X, p, obj)
+        out = explanation_to_justification(G, X, p, obj)
     if args.format == "dot":
         sys.stdout.write(emit_dot(out))
     else:

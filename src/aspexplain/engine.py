@@ -38,19 +38,14 @@ def _freeze(node: Optional[_Node]) -> VertexLabeledTree:
     return VertexLabeledTree(root, labels, children)
 
 
-def create_tree(
-    P: Program,
-    X: AtomSet,
-    d: Union[Atom, Rule],
-    L: frozenset[Atom] = frozenset(),
-) -> VertexLabeledTree:
+def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTree:
     """The and-or explanation tree for ``d`` under the answer set ``X``.
 
     An atom vertex gets one rule child per rule supporting it with the
     vertex's ancestor atoms (and the atom itself) excluded; a rule
     vertex gets one atom child per positive body atom. Subtrees that
     cannot be completed are dropped, and the whole result is the empty
-    tree when nothing remains. The top-level call uses ``L = ∅``.
+    tree when nothing remains.
     """
     atoms = as_atom_set(X)
     if isinstance(d, Atom):
@@ -66,10 +61,8 @@ def create_tree(
             candidates[a] = instantiate_for_head(index, a)
         return [r for r in candidates[a] if supports(r, a, atoms, excluded)]
 
-    L = frozenset(L)
-    if isinstance(d, Atom):
-        return _freeze(_build_atom(d, L, supporting))
-    return _freeze(_build_rule(d, L, supporting))
+    build = _build_atom if isinstance(d, Atom) else _build_rule
+    return _freeze(build(d, frozenset(), supporting))
 
 
 # Module level, not nested in create_tree: nested functions that call
@@ -128,49 +121,46 @@ def calculate_difference(
 
 
 def extract_exp(
-    T: VertexLabeledTree,
-    v: int,
-    W: dict[int, int],
-    anchor: Optional[int] = None,
-    op: Callable = min,
+    T: VertexLabeledTree, v: int, W: dict[int, int], op: Callable = min
 ) -> Explanation:
     """Extract the explanation that follows the ``op``-weighted child at
-    every atom vertex and all children at every rule vertex.
+    every atom vertex, ties broken by the least rule text, and all
+    children at every rule vertex. Rule vertices keep their and-or-tree
+    ids."""
 
-    Rule vertices keep their and-or-tree ids; ``anchor`` is the rule
-    vertex the next rule vertex below attaches to.
-    """
+    def pick(u: int) -> int:
+        kids = T.child_ids(u)
+        best = op(W[c] for c in kids)
+        return min(
+            (c for c in kids if W[c] == best), key=lambda c: T.labels[c].text
+        )
+
+    return _collapse(T, v, pick)
+
+
+def _collapse(
+    T: VertexLabeledTree, v: int, pick: Callable[[int], int]
+) -> Explanation:
+    """The explanation below ``v`` in the and-or tree ``T``: every atom
+    vertex gives way to the rule child ``pick`` chooses, and every rule
+    vertex keeps all of its children."""
+
+    def rule_below(u: int) -> int:
+        while T.is_atom_vertex(u):
+            u = pick(u)
+        return u
+
     labels: dict[int, Label] = {}
-    children: dict[int, list[int]] = {}
-    root: Optional[int] = None
-
-    def walk(u: int, anchor: Optional[int]) -> None:
-        nonlocal root
-        if T.is_atom_vertex(u):
-            kids = T.child_ids(u)
-            best = op(W[c] for c in kids)
-            chosen = min(
-                (c for c in kids if W[c] == best),
-                key=lambda c: T.labels[c].text,
-            )
-            walk(chosen, anchor)
-            return
+    children: dict[int, tuple[int, ...]] = {}
+    root = rule_below(v)
+    stack = [root]
+    while stack:
+        u = stack.pop()
         labels[u] = T.labels[u]
-        children[u] = []
-        if anchor is None:
-            root = u
-        else:
-            children[anchor].append(u)
-        for c in T.child_ids(u):
-            walk(c, u)
-
-    walk(v, anchor)
-    return Explanation(
-        root,
-        labels,
-        {k: tuple(c) for k, c in children.items()},
-        andor=T,
-    )
+        kids = tuple(rule_below(c) for c in T.child_ids(u))
+        children[u] = kids
+        stack.extend(reversed(kids))
+    return Explanation(root, labels, children, andor=T)
 
 
 def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
@@ -182,7 +172,7 @@ def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
     if T.is_empty:
         return Explanation(None, andor=T)
     W = calculate_weight(T, T.root)
-    return extract_exp(T, T.root, W, None, min)
+    return extract_exp(T, T.root, W, min)
 
 
 def distance(Z: frozenset[int], S: Explanation) -> int:
@@ -210,7 +200,7 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
         D = calculate_difference(T, T.root, R)
         if D[T.root] == 0 and out:
             break
-        e = extract_exp(T, T.root, D, None, max)
+        e = extract_exp(T, T.root, D, max)
         out.append(e)
         R = R | e.rule_vertex_ids
     return out
@@ -260,50 +250,12 @@ def enumerate_explanation_trees(
 
 
 def explanation_of_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> Explanation:
-    """Collapse an explanation tree to its rule vertices, connecting
-    each rule vertex to the rule vertices chosen under its body atoms."""
-    labels: dict[int, Label] = {}
-    children: dict[int, tuple[int, ...]] = {}
+    """Collapse an explanation tree inside the and-or tree ``T`` to its
+    rule vertices, connecting each rule vertex to the rule vertices
+    chosen under its body atoms."""
     if E.is_empty:
         return Explanation(None, andor=T)
-
-    def rule_below(u: int) -> int:
-        while E.is_atom_vertex(u):
-            (u,) = E.child_ids(u)
-        return u
-
-    root = rule_below(E.root)
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        labels[u] = E.labels[u]
-        kids = tuple(rule_below(c) for c in E.child_ids(u))
-        children[u] = kids
-        stack.extend(kids)
-    return Explanation(root, labels, children, andor=T)
-
-
-def explanation_tree_of(e: Explanation, T: VertexLabeledTree) -> VertexLabeledTree:
-    """Rebuild the explanation tree (with atom vertices) that an
-    explanation extracted from ``T`` stands for."""
-    if e.is_empty:
-        return EMPTY_TREE
-    chosen = e.rule_vertex_ids
-    labels: dict[int, Label] = {}
-    children: dict[int, tuple[int, ...]] = {}
-
-    def walk(u: int) -> None:
-        labels[u] = T.labels[u]
-        if T.is_atom_vertex(u):
-            picked = [c for c in T.child_ids(u) if c in chosen]
-            children[u] = tuple(picked)
-        else:
-            children[u] = T.child_ids(u)
-        for c in children[u]:
-            walk(c)
-
-    walk(T.root)
-    return VertexLabeledTree(T.root, labels, children)
+    return _collapse(T, E.root, lambda u: E.child_ids(u)[0])
 
 
 def enumerate_explanations(

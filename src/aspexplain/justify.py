@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Union
 
-from .model import Atom, Program, Rule, AtomSet, as_atom_set, reduct
+from .model import Atom, Program, Rule, AtomSet, as_atom_set
 from .trees import Explanation, Label, VertexLabeledTree
 
 ASSUME = "assume"
@@ -56,54 +56,55 @@ def _node_key(n: Node):
     return (0, n) if isinstance(n, str) else (1, n.atom, n.sign)
 
 
+def _node_error(n: Node, out: list[Edge]) -> str:
+    """Why ``n`` with the out-edges ``out`` breaks an e-graph condition,
+    or the empty string."""
+    if isinstance(n, str):
+        return "marker node %s cannot have out-edges" % n if out else ""
+    if not out:
+        return "only assume/top/bot may be sinks: %s" % n.text
+    marks = [(dst, sign) for _, dst, sign in out if isinstance(dst, str)]
+    if n.sign == "+" and ((ASSUME, "-") in marks or (BOT, "-") in marks):
+        return "positive node %s with a negative marker edge" % n.text
+    if n.sign == "-" and ((ASSUME, "+") in marks or (TOP, "+") in marks):
+        return "negative node %s with a positive marker edge" % n.text
+    if marks and len(out) > 1:
+        return "marker edge of %s must be its only out-edge" % n.text
+    return ""
+
+
 @dataclass(frozen=True)
 class EGraph:
     """A labeled directed graph over annotated atoms and the marker
     nodes assume, ⊤ and ⊥; the structural conditions are enforced at
-    construction time."""
+    construction time. A violation is reported for the smallest
+    offending node in :func:`_node_key` order."""
 
     nodes: frozenset[Node]
     edges: frozenset[Edge]
+    _out: dict[Node, tuple[Edge, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        for src, dst, sign in self.edges:
-            if src not in self.nodes or dst not in self.nodes:
-                raise ValueError("edge endpoint not among the nodes")
-            if sign not in ("+", "-"):
-                raise ValueError("edge label must be + or -")
-            if isinstance(src, str):
-                raise ValueError("marker node %s cannot have out-edges" % src)
+        if any(s not in self.nodes or d not in self.nodes for s, d, _ in self.edges):
+            raise ValueError("edge endpoint not among the nodes")
+        if any(sign not in ("+", "-") for _, _, sign in self.edges):
+            raise ValueError("edge label must be + or -")
         out: dict[Node, list[Edge]] = {n: [] for n in self.nodes}
         for e in self.edges:
             out[e[0]].append(e)
-        for n in self.nodes:
-            if isinstance(n, str):
-                continue
-            if not out[n]:
-                raise ValueError("only assume/top/bot may be sinks: %s" % n.text)
-            if n.sign == "+" and (
-                (n, ASSUME, "-") in self.edges or (n, BOT, "-") in self.edges
-            ):
-                raise ValueError(
-                    "positive node %s with a negative marker edge" % n.text
-                )
-            if n.sign == "-" and (
-                (n, ASSUME, "+") in self.edges or (n, TOP, "+") in self.edges
-            ):
-                raise ValueError(
-                    "negative node %s with a positive marker edge" % n.text
-                )
-            marker_edges = [e for e in out[n] if isinstance(e[1], str)]
-            if marker_edges and len(out[n]) > 1:
-                raise ValueError(
-                    "marker edge of %s must be its only out-edge" % n.text
-                )
+        errors = [(n, msg) for n in self.nodes if (msg := _node_error(n, out[n]))]
+        if errors:
+            raise ValueError(min(errors, key=lambda x: _node_key(x[0]))[1])
+        object.__setattr__(self, "_out", {
+            n: tuple(sorted(es, key=lambda e: (_node_key(e[1]), e[2])))
+            for n, es in out.items()
+        })
 
     def out_edges(self, n: Node) -> tuple[Edge, ...]:
-        return tuple(sorted(
-            (e for e in self.edges if e[0] == n),
-            key=lambda e: (_node_key(e[1]), e[2]),
-        ))
+        """The edges leaving ``n``, ordered by target node and sign."""
+        return self._out.get(n, ())
 
 
 def support_of(b: AnnotatedAtom, G: EGraph) -> Union[str, frozenset[Literal]]:
@@ -173,26 +174,26 @@ def _is_negative_lce(
 
 
 def _has_positive_cycle(G: EGraph) -> bool:
-    pos_adj: dict[Node, set[Node]] = {}
-    for src, dst, sign in G.edges:
-        if sign == "+" and not isinstance(dst, str):
-            pos_adj.setdefault(src, set()).add(dst)
-    state: dict[Node, int] = {}
-
-    def visit(n: Node) -> bool:
-        state[n] = 1
-        for nxt in pos_adj.get(n, ()):
-            s = state.get(nxt)
-            if s == 1 or (s is None and visit(nxt)):
-                return True
-        state[n] = 2
-        return False
-
-    return any(
-        state.get(n) is None and visit(n)
+    """Kahn's algorithm over the positive edges between atom nodes: the
+    nodes never freed of incoming edges are those on or below a cycle."""
+    below = {
+        n: [d for _, d, s in G.out_edges(n) if s == "+" and not isinstance(d, str)]
         for n in G.nodes
         if not isinstance(n, str)
-    )
+    }
+    incoming = dict.fromkeys(below, 0)
+    for targets in below.values():
+        for d in targets:
+            incoming[d] += 1
+    free = [n for n, k in incoming.items() if not k]
+    freed = 0
+    while free:
+        freed += 1
+        for d in below[free.pop()]:
+            incoming[d] -= 1
+            if not incoming[d]:
+                free.append(d)
+    return freed < len(below)
 
 
 def is_offline_justification(
@@ -256,7 +257,7 @@ def is_offline_justification(
 
 
 def justification_to_explanation(
-    P: Program, X: AtomSet, p: Atom, G: EGraph
+    X: AtomSet, p: Atom, G: EGraph
 ) -> VertexLabeledTree:
     """Read an explanation tree off a justification of ``p``: each atom
     vertex gets one rule child whose rule has the atom as head and the
@@ -357,8 +358,13 @@ def explanation_to_justification(
     ]
     if len(seen_labels) != len(set(seen_labels)):
         raise ValueError("labels not unique")
-    R = reduct(P, atoms)
-    fact_heads = frozenset(r.head for r in R.rules if r.is_fact)
+    if not P.is_ground:
+        raise ValueError("non-ground program")
+    # The facts of the reduct P^X.
+    fact_heads = frozenset(
+        r.head for r in P.rules
+        if not r.body_pos and not r.body_card and atoms.isdisjoint(r.body_neg)
+    )
     nodes: set[Node] = set()
     edges: set[Edge] = set()
     queue = deque([T.root])

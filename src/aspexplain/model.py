@@ -139,11 +139,6 @@ class Rule:
         )
 
     @property
-    def is_normal(self) -> bool:
-        """True when the rule carries no cardinality expressions."""
-        return not self.body_card
-
-    @property
     def text(self) -> str:
         body = [a.text for a in self.body_pos]
         body += ["not %s" % a.text for a in self.body_neg]
@@ -222,10 +217,6 @@ class Program:
         """Drop structurally duplicate rules; the first occurrence (and
         its source text) wins."""
         return Program(tuple(dict.fromkeys(self.rules)))
-
-    @property
-    def text(self) -> str:
-        return "\n".join(r.display + "." for r in self.rules)
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
@@ -398,12 +389,3 @@ def supports(r: Rule, p: Atom, Y: AtomSet, Z: AtomSet) -> bool:
         and ys.isdisjoint(r.body_neg)
         and all(satisfies_card(ys, c) for c in r.body_card)
     )
-
-
-def supporting_rules(
-    P: Program, p: Atom, Y: AtomSet, Z: AtomSet
-) -> tuple[Rule, ...]:
-    """The rules of ``P`` that support ``p`` w.r.t. ``Y`` but ``Z``,
-    deduplicated, in program order."""
-    out = dict.fromkeys(r for r in P.rules if supports(r, p, Y, Z))
-    return tuple(out)

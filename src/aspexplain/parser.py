@@ -113,13 +113,19 @@ class _Parser:
             )
         return t
 
+    def number(self, t: Token) -> int:
+        try:
+            return int(t[1])
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too large", t) from None
+
     def parse_term(self, allow_interval: bool):
         t = self.next()
         if t[0] not in _TERM_KINDS:
             raise self.error("expected a term, found %r" % t[1], t)
         if allow_interval and t[0] == "NUMBER" and self.tokens[self.i][0] == "DOTS":
             self.i += 1
-            lo, hi = int(t[1]), int(self.expect("NUMBER")[1])
+            lo, hi = self.number(t), self.number(self.expect("NUMBER"))
             if hi < lo:
                 raise self.error("empty interval", t)
             return (lo, hi)
@@ -143,7 +149,7 @@ class _Parser:
         t = self.tokens[self.i]
         if t[0] == "NUMBER":
             self.i += 1
-            lower = int(t[1])
+            lower = self.number(t)
             if lower < 0:
                 raise self.error("negative bound", t)
         self.expect("SYM", "{")
@@ -158,7 +164,7 @@ class _Parser:
         t = self.tokens[self.i]
         if t[0] == "NUMBER":
             self.i += 1
-            upper = int(t[1])
+            upper = self.number(t)
             if upper < 0:
                 raise self.error("negative bound", t)
             if upper < lower:
@@ -304,8 +310,3 @@ def parse_lookup(text: str) -> LookupTable:
             )
         templates[(pred, arity)] = tpl
     return LookupTable(templates)
-
-
-def render_program(P: Program) -> str:
-    """Program text that parses back to an equal program."""
-    return "\n".join(r.text + "." for r in P.rules) + ("\n" if P.rules else "")

@@ -1,5 +1,5 @@
 """Vertex-labeled trees: and-or explanation trees, explanation trees and
-rule-only explanations, plus structural validators.
+rule-only explanations.
 
 Vertices are integer ids assigned in preorder during construction, so
 identical inputs always produce identical trees. Labels are atoms or
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .model import Atom, Program, Rule, AtomSet, as_atom_set, supporting_rules
+from .model import Atom, Rule
 
 Label = Union[Atom, Rule]
 
@@ -106,113 +106,3 @@ class Explanation(VertexLabeledTree):
     @property
     def rule_vertex_ids(self) -> frozenset[int]:
         return frozenset(self.labels)
-
-    def label_structure(self) -> tuple:
-        """The explanation's shape with labels only, for comparisons
-        across trees with different id assignments."""
-
-        def walk(v: int) -> tuple:
-            lbl = self.labels[v]
-            text = lbl.text
-            return (text, tuple(sorted(walk(c) for c in self.child_ids(v))))
-
-        if self.root is None:
-            return ()
-        return walk(self.root)
-
-
-def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -> None:
-    """Check the defining conditions of an and-or explanation tree for
-    ``p``; raises ValueError on the first violation.
-
-    The check is independent of how the tree was built: expected rule
-    children are recomputed from the support relation, keeping only
-    rules whose subtree is actually constructible under the ancestor
-    exclusion (a rule with an underivable body atom contributes no
-    child).
-    """
-    if T.is_empty:
-        raise ValueError("empty tree")
-    atoms = as_atom_set(X)
-
-    buildable_cache: dict[tuple[Atom, frozenset[Atom]], bool] = {}
-
-    def atom_buildable(a: Atom, excluded: frozenset[Atom]) -> bool:
-        key = (a, excluded)
-        if key in buildable_cache:
-            return buildable_cache[key]
-        buildable_cache[key] = False
-        ok = any(
-            all(atom_buildable(b, excluded | {a}) for b in r.body_pos)
-            for r in supporting_rules(P, a, atoms, excluded | {a})
-        )
-        buildable_cache[key] = ok
-        return ok
-
-    if T.labels[T.root] != p:
-        raise ValueError("root is not labeled by the queried atom")
-    for v in T.preorder():
-        lbl = T.labels[v]
-        kids = T.child_ids(v)
-        if isinstance(lbl, Atom):
-            if lbl not in atoms:
-                raise ValueError("atom vertex %d not in the answer set" % v)
-            anc = frozenset(
-                T.labels[u] for u in T.ancestors(v) if T.is_atom_vertex(u)
-            )
-            expected = [
-                r
-                for r in supporting_rules(P, lbl, atoms, anc | {lbl})
-                if all(atom_buildable(b, anc | {lbl}) for b in r.body_pos)
-            ]
-            got = sorted(T.labels[c].text for c in kids)
-            if not all(T.is_rule_vertex(c) for c in kids):
-                raise ValueError("atom vertex %d has an atom child" % v)
-            if got != sorted(r.text for r in expected):
-                raise ValueError(
-                    "atom vertex %d: children are not the supporting rules" % v
-                )
-            if not kids:
-                raise ValueError("atom vertex %d is a leaf" % v)
-        else:
-            if not all(T.is_atom_vertex(c) for c in kids):
-                raise ValueError("rule vertex %d has a rule child" % v)
-            got = sorted(T.labels[c].text for c in kids)
-            if got != sorted(a.text for a in lbl.body_pos):
-                raise ValueError(
-                    "rule vertex %d: children differ from the positive body" % v
-                )
-
-
-def validate_explanation_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> None:
-    """Check that ``E`` embeds into the and-or tree ``T`` with the same
-    root label, every atom vertex choosing exactly one rule and every
-    rule vertex keeping all its children. Matching is by label."""
-    if E.is_empty or T.is_empty:
-        raise ValueError("empty tree")
-
-    def embeds(ev: int, tv: int) -> bool:
-        if E.labels[ev].text != T.labels[tv].text:
-            return False
-        ekids = E.child_ids(ev)
-        tkids = T.child_ids(tv)
-        if E.is_atom_vertex(ev):
-            if len(ekids) != 1:
-                return False
-            return any(embeds(ekids[0], tc) for tc in tkids)
-        if len(ekids) != len(tkids):
-            return False
-        by_label: dict[str, list[int]] = {}
-        for tc in tkids:
-            by_label.setdefault(T.labels[tc].text, []).append(tc)
-        for ec in ekids:
-            cands = by_label.get(E.labels[ec].text, [])
-            if not any(embeds(ec, tc) for tc in cands):
-                return False
-        return True
-
-    if not embeds(E.root, T.root):
-        raise ValueError("tree does not embed into the and-or tree")
-    for v in E.preorder():
-        if E.is_atom_vertex(v) and len(E.child_ids(v)) != 1:
-            raise ValueError("atom vertex %d does not have out-degree 1" % v)

@@ -21,9 +21,6 @@ class PartialInterpretation:
         if self.plus & self.minus:
             raise ValueError("inconsistent interpretation")
 
-    def is_complete(self, base: frozenset[Atom]) -> bool:
-        return self.plus | self.minus == base
-
 
 def _require_normal(P: Program) -> None:
     if any(r.body_card for r in P.rules):

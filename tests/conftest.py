@@ -6,8 +6,10 @@ import pytest
 
 from aspexplain.ground import _check_groundable, _instance
 from aspexplain.model import (
-    Atom, Program, Rule, Term, least_model, reduct, satisfies_rule,
+    Atom, AtomSet, Program, Rule, Term, as_atom_set, least_model, reduct,
+    satisfies_rule, supports,
 )
+from aspexplain.trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,3 +192,138 @@ def exhaustive_verify(P: Program, I: frozenset[Atom]) -> tuple[bool, str]:
                     % ", ".join(a.text for a in sorted(sub))
                 )
     return True, ""
+
+
+def supporting_rules(
+    P: Program, p: Atom, Y: AtomSet, Z: AtomSet
+) -> tuple[Rule, ...]:
+    """The rules of ``P`` that support ``p`` w.r.t. ``Y`` but ``Z``,
+    deduplicated, in program order: a scan of the whole program, the
+    reference for :func:`aspexplain.ground.instantiate_for_head`."""
+    out = dict.fromkeys(r for r in P.rules if supports(r, p, Y, Z))
+    return tuple(out)
+
+
+def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -> None:
+    """Check the defining conditions of an and-or explanation tree for
+    ``p``; raises ValueError on the first violation.
+
+    The check is independent of how the tree was built: expected rule
+    children are recomputed from the support relation, keeping only
+    rules whose subtree is actually constructible under the ancestor
+    exclusion (a rule with an underivable body atom contributes no
+    child).
+    """
+    if T.is_empty:
+        raise ValueError("empty tree")
+    atoms = as_atom_set(X)
+
+    buildable_cache: dict[tuple[Atom, frozenset[Atom]], bool] = {}
+
+    def atom_buildable(a: Atom, excluded: frozenset[Atom]) -> bool:
+        key = (a, excluded)
+        if key in buildable_cache:
+            return buildable_cache[key]
+        buildable_cache[key] = False
+        ok = any(
+            all(atom_buildable(b, excluded | {a}) for b in r.body_pos)
+            for r in supporting_rules(P, a, atoms, excluded | {a})
+        )
+        buildable_cache[key] = ok
+        return ok
+
+    if T.labels[T.root] != p:
+        raise ValueError("root is not labeled by the queried atom")
+    for v in T.preorder():
+        lbl = T.labels[v]
+        kids = T.child_ids(v)
+        if isinstance(lbl, Atom):
+            if lbl not in atoms:
+                raise ValueError("atom vertex %d not in the answer set" % v)
+            anc = frozenset(
+                T.labels[u] for u in T.ancestors(v) if T.is_atom_vertex(u)
+            )
+            expected = [
+                r
+                for r in supporting_rules(P, lbl, atoms, anc | {lbl})
+                if all(atom_buildable(b, anc | {lbl}) for b in r.body_pos)
+            ]
+            got = sorted(T.labels[c].text for c in kids)
+            if not all(T.is_rule_vertex(c) for c in kids):
+                raise ValueError("atom vertex %d has an atom child" % v)
+            if got != sorted(r.text for r in expected):
+                raise ValueError(
+                    "atom vertex %d: children are not the supporting rules" % v
+                )
+            if not kids:
+                raise ValueError("atom vertex %d is a leaf" % v)
+        else:
+            if not all(T.is_atom_vertex(c) for c in kids):
+                raise ValueError("rule vertex %d has a rule child" % v)
+            got = sorted(T.labels[c].text for c in kids)
+            if got != sorted(a.text for a in lbl.body_pos):
+                raise ValueError(
+                    "rule vertex %d: children differ from the positive body" % v
+                )
+
+
+def validate_explanation_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> None:
+    """Check that ``E`` embeds into the and-or tree ``T`` with the same
+    root label, every atom vertex choosing exactly one rule and every
+    rule vertex keeping all its children. Matching is by label."""
+    if E.is_empty or T.is_empty:
+        raise ValueError("empty tree")
+
+    def embeds(ev: int, tv: int) -> bool:
+        if E.labels[ev].text != T.labels[tv].text:
+            return False
+        ekids = E.child_ids(ev)
+        tkids = T.child_ids(tv)
+        if E.is_atom_vertex(ev):
+            if len(ekids) != 1:
+                return False
+            return any(embeds(ekids[0], tc) for tc in tkids)
+        if len(ekids) != len(tkids):
+            return False
+        by_label: dict[str, list[int]] = {}
+        for tc in tkids:
+            by_label.setdefault(T.labels[tc].text, []).append(tc)
+        for ec in ekids:
+            cands = by_label.get(E.labels[ec].text, [])
+            if not any(embeds(ec, tc) for tc in cands):
+                return False
+        return True
+
+    if not embeds(E.root, T.root):
+        raise ValueError("tree does not embed into the and-or tree")
+    for v in E.preorder():
+        if E.is_atom_vertex(v) and len(E.child_ids(v)) != 1:
+            raise ValueError("atom vertex %d does not have out-degree 1" % v)
+
+
+def explanation_tree_of(e: Explanation, T: VertexLabeledTree) -> VertexLabeledTree:
+    """Rebuild the explanation tree (with atom vertices) that an
+    explanation extracted from ``T`` stands for."""
+    if e.is_empty:
+        return EMPTY_TREE
+    chosen = e.rule_vertex_ids
+    labels: dict[int, Label] = {}
+    children: dict[int, tuple[int, ...]] = {}
+
+    def walk(u: int) -> None:
+        labels[u] = T.labels[u]
+        if T.is_atom_vertex(u):
+            picked = [c for c in T.child_ids(u) if c in chosen]
+            children[u] = tuple(picked)
+        else:
+            children[u] = T.child_ids(u)
+        for c in children[u]:
+            walk(c)
+
+    walk(T.root)
+    return VertexLabeledTree(T.root, labels, children)
+
+
+def render_program(P: Program) -> str:
+    """Program text that parses back to an equal program."""
+    return "\n".join(r.text + "." for r in P.rules) + ("\n" if P.rules else "")

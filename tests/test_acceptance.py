@@ -31,7 +31,6 @@ from aspexplain.parser import (
     parse_lookup,
     parse_program,
 )
-from aspexplain.trees import validate_andor_tree
 from aspexplain.wellfounded import (
     PartialInterpretation,
     assumptions,
@@ -40,7 +39,9 @@ from aspexplain.wellfounded import (
 )
 
 import conftest
-from conftest import answer_sets, fixture_text, product_ground, random_program
+from conftest import (
+    answer_sets, fixture_text, product_ground, random_program, validate_andor_tree,
+)
 
 
 def criterion(number: int, title: str):
@@ -203,7 +204,7 @@ def test_criterion_08_conversions():
         frozenset([a, b, c, TOP]),
         frozenset([(a, b, "+"), (a, c, "+"), (b, c, "+"), (c, TOP, "+")]),
     )
-    T = justification_to_explanation(P, X, p, G)
+    T = justification_to_explanation(X, p, G)
     assert [T.labels[v].text for v in T.preorder()] == [
         "a", "a :- b, c", "b", "b :- c", "c", "c", "c", "c",
     ]
@@ -277,8 +278,7 @@ def test_criterion_10_round_trip():
                     if len(labels) < len(T):
                         continue
                     G = explanation_to_justification(P, X, p, T)
-                    R = reduct(P, X)
-                    T2 = justification_to_explanation(R, X, p, G)
+                    T2 = justification_to_explanation(X, p, G)
                     assert _shape(T2, T2.root) == _shape(T, T.root)
                     done += 1
     assert done >= 100

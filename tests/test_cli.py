@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from aspexplain.cli import main
-from aspexplain.parser import parse_program, render_program
+from aspexplain.parser import parse_program
 
-from conftest import FIXTURES, fixture_text, product_ground
+from conftest import (
+    FIXTURES, explanation_tree_of, fixture_text, product_ground, render_program,
+)
 
 
 def fx(name: str) -> str:
@@ -253,7 +260,6 @@ class TestConvert:
     )
     def test_exp2jst_reads_explain_json(self, tmp_path, capsys, name):
         import aspexplain as ax
-        from aspexplain.engine import explanation_tree_of
 
         P = ax.parse_program(fixture_text(name + ".lp"))
         X = ax.parse_answer_set(fixture_text(name + ".as"))
@@ -278,6 +284,68 @@ class TestConvert:
                 assert (code, err) == (2, "error: %s\n" % exc)
             else:
                 assert (code, out) == (0, want)
+
+    def test_egraph_error_independent_of_hash_seed(self):
+        """The e-graph of exp_tree.json has two atom sinks under q8; the
+        error names the smaller one whatever the set iteration order."""
+        import aspexplain as ax
+
+        src = str(Path(ax.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        argv = [
+            sys.executable, "-m", "aspexplain.cli", "convert", "exp2jst",
+            fx("q8.lp"), fx("q8.as"), 'start_gene("ADRB1")', fx("exp_tree.json"),
+        ]
+        for seed in ("0", "5"):
+            env["PYTHONHASHSEED"] = seed
+            r = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert (r.returncode, r.stdout, r.stderr) == (
+                2, "", "error: only assume/top/bot may be sinks: b+\n"
+            ), seed
+
+    def test_long_chain_both_ways(self, tmp_path, capsys):
+        """A 10^4-node chain justification converts to a tree and back
+        to the same e-graph. Each way takes about a second on a 2-vCPU
+        Xeon, most of it parsing, grounding and JSON; a per-node scan of
+        all edges would take minutes, and recursion fails near 5,000
+        nodes."""
+        import aspexplain as ax
+
+        n, seconds = 10**4, 5.0
+        prog = tmp_path / "chain.lp"
+        prog.write_text("c0.\n" + "".join(
+            "c%d :- c%d.\n" % (i + 1, i) for i in range(n - 1)
+        ))
+        ans = tmp_path / "chain.as"
+        ans.write_text(" ".join("c%d" % i for i in range(n)))
+        nodes = [ax.AnnotatedAtom(ax.Atom("c%d" % i), "+") for i in range(n)]
+        edges = [(nodes[i + 1], nodes[i], "+") for i in range(n - 1)]
+        egraph = ax.emit_json(ax.EGraph(
+            frozenset(nodes + ["top"]),
+            frozenset(edges + [(nodes[0], "top", "+")]),
+        ))
+        jst = tmp_path / "jst.json"
+        jst.write_text(egraph)
+        query = "c%d" % (n - 1)
+
+        t0 = time.perf_counter()
+        code, tree, err = run(
+            capsys, "convert", "jst2exp", str(prog), str(ans), query, str(jst)
+        )
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - t0 < seconds
+        assert len(json.loads(tree)["vertices"]) == 2 * n
+        exp = tmp_path / "exp.json"
+        exp.write_text(tree)
+
+        t0 = time.perf_counter()
+        assert run(
+            capsys, "convert", "exp2jst", str(prog), str(ans), query, str(exp)
+        ) == (0, egraph, "")
+        assert time.perf_counter() - t0 < seconds
 
     def test_duplicate_labels_exit_code(self, tmp_path, capsys):
         import aspexplain as ax

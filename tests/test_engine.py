@@ -11,10 +11,10 @@ from aspexplain.engine import (
     shortest_explanation,
 )
 from aspexplain.model import Atom, Rule
+from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
-from aspexplain.trees import validate_andor_tree
 
-from conftest import fixture_text
+from conftest import fixture_text, validate_andor_tree
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ class TestExtractExp:
         P, X, p = ex41
         T = create_tree(P, X, p)
         W = calculate_weight(T, T.root)
-        e = extract_exp(T, T.root, W, None, min)
+        e = extract_exp(T, T.root, W, min)
         assert e.size == 2
         assert rule_texts(e) == ["a :- d", "d"]
 
@@ -124,15 +124,31 @@ class TestExtractExp:
         P, X, p = ex41
         T = create_tree(P, X, p)
         D = calculate_difference(T, T.root, frozenset())
-        e = extract_exp(T, T.root, D, None, max)
+        e = extract_exp(T, T.root, D, max)
         assert e.size == 4
         assert rule_texts(e) == ["a :- b, c", "b :- c", "c", "c"]
+
+    def test_ties_broken_by_rule_text(self):
+        """Children of equal weight: the least rule text wins, whatever
+        the child order."""
+        P = parse_program("a :- b.  a :- c.  b.  c.")
+        T = create_tree(P, parse_answer_set("a b c"), parse_atom("a"))
+        children = dict(T.children)
+        children[T.root] = children[T.root][::-1]
+        T = VertexLabeledTree(T.root, T.labels, children)
+        assert [T.labels[c].text for c in T.child_ids(T.root)] == [
+            "a :- c", "a :- b",
+        ]
+        W = calculate_weight(T, T.root)
+        assert [W[c] for c in T.child_ids(T.root)] == [2, 2]
+        for op in (min, max):
+            assert rule_texts(extract_exp(T, T.root, W, op)) == ["a :- b", "b"]
 
     def test_single_fact(self):
         P = parse_program("p.")
         T = create_tree(P, parse_answer_set("p"), parse_atom("p"))
         W = calculate_weight(T, T.root)
-        e = extract_exp(T, T.root, W, None, min)
+        e = extract_exp(T, T.root, W, min)
         assert e.size == 1
         assert e.labels[e.root] == Rule(Atom("p"))
 
@@ -173,7 +189,7 @@ class TestCalculateDifference:
         P, X, p = ex41
         T = create_tree(P, X, p)
         D0 = calculate_difference(T, T.root, frozenset())
-        first = extract_exp(T, T.root, D0, None, max)
+        first = extract_exp(T, T.root, D0, max)
         D1 = calculate_difference(T, T.root, first.rule_vertex_ids)
         assert D1[T.root] == 2
 
@@ -259,3 +275,27 @@ class TestDeterminism:
         t2 = create_tree(P, X, p)
         assert t1 == t2
         assert k_different(P, X, p, 3) == k_different(P, X, p, 3)
+
+
+class TestDeepTrees:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        """Weights, differences and extraction on a hand-built chain of
+        2 * 10^4 vertices: c0 :- c1, c1 :- c2, ..., and the fact c9999."""
+        n = 10**4
+        atoms = [Atom("c%d" % i) for i in range(n)]
+        labels, children = {}, {}
+        for i, a in enumerate(atoms):
+            body = atoms[i + 1:i + 2]
+            labels[2 * i], labels[2 * i + 1] = a, Rule(a, tuple(body))
+            children[2 * i] = (2 * i + 1,)
+            children[2 * i + 1] = (2 * i + 2,) if body else ()
+        T = VertexLabeledTree(0, labels, children)
+        W = calculate_weight(T, T.root)
+        assert W[T.root] == n
+        shortest = extract_exp(T, T.root, W, op=min)
+        assert [shortest.labels[v] for v in shortest.preorder()] == [
+            labels[2 * i + 1] for i in range(n)
+        ]
+        D = calculate_difference(T, T.root, frozenset())
+        assert D[T.root] == n
+        assert extract_exp(T, T.root, D, op=max) == shortest

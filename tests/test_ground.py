@@ -8,7 +8,7 @@ from aspexplain.ground import (
     ground_program,
     instantiate_for_head,
 )
-from aspexplain.model import Atom, Term, supporting_rules, verify_answer_set
+from aspexplain.model import Atom, Term, verify_answer_set
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     product_ground,
     random_constraint_program,
     random_nonground_program,
+    supporting_rules,
 )
 
 FIXTURES = ("example41", "example44", "threerule", "q8")

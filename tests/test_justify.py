@@ -15,9 +15,9 @@ from aspexplain.justify import (
 )
 from aspexplain.model import reduct
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
-from aspexplain.trees import validate_explanation_tree
+from aspexplain.trees import VertexLabeledTree
 
-from conftest import fixture_text
+from conftest import fixture_text, validate_explanation_tree
 
 
 def ann(text: str, sign: str = "+") -> AnnotatedAtom:
@@ -76,6 +76,16 @@ class TestEGraph:
                 frozenset([a, b, TOP]),
                 frozenset([(a, TOP, "+"), (a, b, "+"), (b, TOP, "+")]),
             )
+
+    def test_out_edges_ordered_by_target(self):
+        a, b, cneg, d = ann("a"), ann("b"), ann("c", "-"), ann("d")
+        G = EGraph(
+            frozenset([a, b, cneg, d, TOP, ASSUME]),
+            frozenset([(a, d, "+"), (a, cneg, "-"), (a, b, "+"),
+                       (b, TOP, "+"), (d, TOP, "+"), (cneg, ASSUME, "-")]),
+        )
+        assert G.out_edges(a) == ((a, b, "+"), (a, cneg, "-"), (a, d, "+"))
+        assert G.out_edges(TOP) == ()
 
     def test_support_of_missing_node(self, chain_justification):
         with pytest.raises(ValueError, match="not in graph"):
@@ -160,7 +170,7 @@ class TestJustificationToExplanation:
     def test_chain_example(self, ex41, chain_justification):
         P, X = ex41
         p = parse_atom("a")
-        T = justification_to_explanation(P, X, p, chain_justification)
+        T = justification_to_explanation(X, p, chain_justification)
         texts = [T.labels[v].text for v in T.preorder()]
         assert texts == ["a", "a :- b, c", "b", "b :- c", "c", "c", "c", "c"]
         AO = create_tree(P, X, p)
@@ -171,7 +181,7 @@ class TestJustificationToExplanation:
         X = parse_answer_set("p")
         p = ann("p")
         G = EGraph(frozenset([p, TOP]), frozenset([(p, TOP, "+")]))
-        T = justification_to_explanation(P, X, parse_atom("p"), G)
+        T = justification_to_explanation(X, parse_atom("p"), G)
         assert len(T) == 2
 
     def test_malformed_cycle_rejected(self, ex41):
@@ -182,14 +192,14 @@ class TestJustificationToExplanation:
             frozenset([(a, b, "+"), (b, a, "+")]),
         )
         with pytest.raises(ValueError, match="positive cycle"):
-            justification_to_explanation(P, X, parse_atom("a"), G)
+            justification_to_explanation(X, parse_atom("a"), G)
 
     def test_missing_atom_rejected(self, ex41):
         P, X = ex41
         p = ann("d")
         G = EGraph(frozenset([p, TOP]), frozenset([(p, TOP, "+")]))
         with pytest.raises(ValueError, match="does not mention"):
-            justification_to_explanation(P, X, parse_atom("a"), G)
+            justification_to_explanation(X, parse_atom("a"), G)
 
 
 class TestExplanationToJustification:
@@ -215,6 +225,20 @@ class TestExplanationToJustification:
         G = explanation_to_justification(P, X, p, T)
         assert G.edges == frozenset([(ann("p"), TOP, "+")])
 
+    @pytest.mark.parametrize("b_rule", ["b :- not c", "b :- 1 {c}"])
+    def test_only_facts_of_the_reduct_point_to_top(self, b_rule):
+        """``b``'s rule has no positive body, but the reduct by {a, b, c}
+        drops it (``not c``) or keeps its cardinality part, so it is no
+        fact and ``b`` is left a sink."""
+        P = parse_program("a :- b.  %s.  c." % b_rule)
+        X = parse_answer_set("a b c")
+        labels = dict(enumerate(
+            [parse_atom("a"), P.rules[0], parse_atom("b"), P.rules[1]]
+        ))
+        T = VertexLabeledTree(0, labels, {0: (1,), 1: (2,), 2: (3,)})
+        with pytest.raises(ValueError, match="sinks: b"):
+            explanation_to_justification(P, X, parse_atom("a"), T)
+
     def test_duplicate_labels_rejected(self):
         P = parse_program(fixture_text("example41.lp"))
         X = parse_answer_set(fixture_text("example41.as"))
@@ -239,8 +263,7 @@ class TestExplanationToJustification:
         p = parse_atom("a")
         T = create_tree(P, X, p)
         G = explanation_to_justification(P, X, p, T)
-        R = reduct(P, X.atoms)
-        T2 = justification_to_explanation(R, X, p, G)
+        T2 = justification_to_explanation(X, p, G)
         shape = lambda t, v: (
             t.labels[v].text if t.is_atom_vertex(v) else "r",
             sorted(shape(t, c) for c in t.child_ids(v)),

@@ -14,7 +14,6 @@ from aspexplain.model import (
     least_model,
     reduct,
     satisfies_card,
-    supporting_rules,
     supports,
     verify_answer_set,
 )
@@ -22,6 +21,7 @@ from aspexplain.parser import parse_program
 
 from conftest import (
     answer_sets, exhaustive_verify, random_constraint_program, random_program,
+    supporting_rules,
 )
 
 

@@ -12,10 +12,9 @@ from aspexplain.parser import (
     parse_atom,
     parse_lookup,
     parse_program,
-    render_program,
 )
 
-from conftest import random_program
+from conftest import random_program, render_program
 
 
 class TestParseProgram:
@@ -222,12 +221,22 @@ ERROR_TABLE = [
     (parse_program, '% c\n\n  s("quoted % not a comment") :- t.\n  u :- v w.',
      "expected ., found 'w' (line 4, column 10)"),
     (parse_program, 'p("a\nb").', "unexpected character '\"' (line 1, column 3)"),
+    # Numbers with more digits than int() converts.
+    (parse_program, "a :- " + "1" * 5000 + " {b}.",
+     "number too large (line 1, column 6)"),
+    (parse_program, "p(1.." + "9" * 5000 + ").",
+     "number too large (line 1, column 6)"),
 ]
+
+
+def _case_id(parse, text: str) -> str:
+    shown = text if len(text) <= 80 else "%s...<%d chars>" % (text[:12], len(text))
+    return "%s:%r" % (parse.__name__, shown)
 
 
 @pytest.mark.parametrize(
     "parse, text, message", ERROR_TABLE,
-    ids=["%s:%r" % (f.__name__, t) for f, t, _ in ERROR_TABLE],
+    ids=[_case_id(f, t) for f, t, _ in ERROR_TABLE],
 )
 def test_error_message_and_position(parse, text, message):
     with pytest.raises(ParseError) as info:

@@ -18,10 +18,10 @@ from aspexplain.engine import (
 )
 from aspexplain.model import Rule
 from aspexplain.parser import parse_answer_set, parse_program
-from aspexplain.trees import validate_andor_tree
 
 from conftest import (
     answer_sets, fixture_text, product_ground, random_nonground_program, random_program,
+    validate_andor_tree,
 )
 
 N_PROGRAMS = 500
