@@ -6,7 +6,6 @@ The entry points are :func:`create_tree`, :func:`shortest_explanation`,
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterator, Optional, Union
 
@@ -15,27 +14,6 @@ from .model import Atom, Program, Rule, AtomSet, as_atom_set, supports
 from .trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
-
-_Node = tuple[Label, list]
-
-
-def _freeze(node: Optional[_Node]) -> VertexLabeledTree:
-    """Assign preorder ids to a nested (label, children) structure."""
-    if node is None:
-        return EMPTY_TREE
-    labels: dict[int, Label] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    counter = itertools.count()
-
-    def assign(n: _Node) -> int:
-        v = next(counter)
-        labels[v] = n[0]
-        children[v] = ()
-        children[v] = tuple(assign(c) for c in n[1])
-        return v
-
-    root = assign(node)
-    return VertexLabeledTree(root, labels, children)
 
 
 def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTree:
@@ -46,6 +24,9 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     vertex gets one atom child per positive body atom. Subtrees that
     cannot be completed are dropped, and the whole result is the empty
     tree when nothing remains.
+
+    One depth-first pass numbers the vertices in preorder. An incomplete
+    subtree is always the one numbered last, so dropping it truncates.
     """
     atoms = as_atom_set(X)
     if isinstance(d, Atom):
@@ -54,40 +35,54 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     elif d not in set(P.rules):
         raise ValueError("unknown explanandum: %s" % d.text)
     index = GroundingIndex(P, atoms)
-    candidates: dict[Atom, tuple[Rule, ...]] = {}
-
-    def supporting(a: Atom, excluded: frozenset[Atom]) -> list[Rule]:
-        if a not in candidates:
-            candidates[a] = instantiate_for_head(index, a)
-        return [r for r in candidates[a] if supports(r, a, atoms, excluded)]
-
-    build = _build_atom if isinstance(d, Atom) else _build_rule
-    return _freeze(build(d, frozenset(), supporting))
-
-
-# Module level, not nested in create_tree: nested functions that call
-# each other form a reference cycle, which would keep the grounding
-# index alive until the next garbage collection.
-def _build_atom(a: Atom, excluded: frozenset, supporting: Callable) -> Optional[_Node]:
-    if a in excluded:
-        return None
-    below = excluded | {a}
-    kids = []
-    for r in supporting(a, below):
-        sub = _build_rule(r, below, supporting)
-        if sub is not None:
-            kids.append(sub)
-    return (a, kids) if kids else None
-
-
-def _build_rule(r: Rule, excluded: frozenset, supporting: Callable) -> Optional[_Node]:
-    kids = []
-    for b in r.body_pos:
-        sub = _build_atom(b, excluded, supporting)
-        if sub is None:
-            return None
-        kids.append(sub)
-    return (r, kids)
+    # Per atom, its supporting rules with no ancestor atom excluded.
+    candidates: dict[Atom, list[Rule]] = {}
+    labels: list[Label] = []
+    children: list[list[int]] = []
+    path: set[Atom] = set()
+    stack: list[tuple[int, Iterator[Label]]] = []
+    todo: Optional[Label] = d
+    while True:
+        if todo is not None:  # open a vertex for todo
+            v = len(labels)
+            if stack:
+                children[stack[-1][0]].append(v)
+            labels.append(todo)
+            children.append([])
+            if isinstance(todo, Atom):
+                if todo not in candidates:
+                    candidates[todo] = [
+                        r for r in instantiate_for_head(index, todo)
+                        if supports(r, todo, atoms, frozenset())
+                    ]
+                path.add(todo)
+                kids = [r for r in candidates[todo] if path.isdisjoint(r.body_pos)]
+            else:
+                kids = todo.body_pos
+            stack.append((v, iter(kids)))
+        v, rest = stack[-1]
+        todo = next(rest, None)
+        if todo is not None:
+            continue
+        stack.pop()  # v has no child left to try
+        if isinstance(labels[v], Atom):
+            path.remove(labels[v])
+        complete = bool(children[v]) or not isinstance(labels[v], Atom)
+        while not complete:
+            # Drop v; a rule vertex that loses a body atom goes with it.
+            del labels[v:], children[v:]
+            if not stack:
+                return EMPTY_TREE
+            u = stack[-1][0]
+            children[u].pop()
+            complete = isinstance(labels[u], Atom)
+            if not complete:
+                stack.pop()
+                v = u
+        if not stack:
+            return VertexLabeledTree(
+                0, dict(enumerate(labels)), dict(enumerate(map(tuple, children)))
+            )
 
 
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
@@ -230,23 +225,27 @@ def enumerate_explanation_trees(
             "cap exceeded: more than %d explanation trees" % cap
         )
 
-    def choices(u: int) -> Iterator[dict[int, tuple[int, ...]]]:
-        kids = T.child_ids(u)
-        if T.is_atom_vertex(u):
-            for c in kids:
-                for sub in choices(c):
-                    yield {u: (c,), **sub}
-        else:
-            parts = [list(choices(c)) for c in kids]
-            for combo in itertools.product(*parts):
-                merged: dict[int, tuple[int, ...]] = {u: kids}
-                for d in combo:
-                    merged.update(d)
-                yield merged
-
-    for kept in choices(T.root):
-        labels = {u: T.labels[u] for u in kept}
-        yield VertexLabeledTree(T.root, labels, kept)
+    # An odometer over the reached atom vertices in preorder: the last one
+    # with another rule child advances, and the ones after it start over.
+    choice = dict.fromkeys(T.labels, 0)
+    while True:
+        kept: dict[int, tuple[int, ...]] = {}
+        reached: list[int] = []
+        stack = [T.root]
+        while stack:
+            u = stack.pop()
+            kids = T.child_ids(u)
+            if T.is_atom_vertex(u):
+                reached.append(u)
+                kids = (kids[choice[u]],)
+            kept[u] = kids
+            stack.extend(reversed(kids))
+        yield VertexLabeledTree(T.root, {u: T.labels[u] for u in kept}, kept)
+        while reached and choice[reached[-1]] + 1 == len(T.child_ids(reached[-1])):
+            choice[reached.pop()] = 0
+        if not reached:
+            return
+        choice[reached[-1]] += 1
 
 
 def explanation_of_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> Explanation:
@@ -269,10 +268,6 @@ def enumerate_explanations(
     if p not in as_atom_set(X):
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
-    seen: dict[frozenset[int], Explanation] = {}
-    for E in enumerate_explanation_trees(T, cap=cap):
-        e = explanation_of_tree(E, T)
-        seen.setdefault(e.rule_vertex_ids, e)
-    return tuple(
-        sorted(seen.values(), key=lambda e: (e.size, sorted(e.rule_vertex_ids)))
-    )
+    trees = enumerate_explanation_trees(T, cap=cap)
+    found = (explanation_of_tree(E, T) for E in trees)
+    return tuple(sorted(found, key=lambda e: (e.size, sorted(e.rule_vertex_ids))))

@@ -4,11 +4,13 @@ The program grammar is deliberately small: rules of the form
 ``head :- body.`` where body elements are atoms, ``not`` atoms, or
 cardinality expressions ``l {a; b} u`` with optional bounds. ``%``
 starts a line comment. Integer intervals ``1..n`` are accepted in facts
-only and desugared into one fact per value.
+only and desugared into one fact per value, at most
+:data:`MAX_INTERVAL_FACTS` per fact.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -22,6 +24,9 @@ from .model import (
     Rule,
     Term,
 )
+
+# Most facts one interval fact may expand to, checked before expanding.
+MAX_INTERVAL_FACTS = 100_000
 
 
 class ParseError(ValueError):
@@ -213,6 +218,10 @@ class _Parser:
             elif tuple in map(type, head_raw[1]):  # an interval
                 if body_pos or body_neg or body_card:
                     raise self.error("intervals are only allowed in facts", start)
+                spans = (a[1] - a[0] + 1 for a in head_raw[1] if isinstance(a, tuple))
+                if math.prod(spans) > MAX_INTERVAL_FACTS:
+                    msg = "cap exceeded: more than %d facts from one interval fact"
+                    raise self.error(msg % MAX_INTERVAL_FACTS, start)
                 for atom in self.expand_intervals(*head_raw):
                     yield Rule(atom, source_text=atom.text)
                 continue

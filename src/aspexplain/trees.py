@@ -45,26 +45,17 @@ class VertexLabeledTree:
         return self.children.get(v, ())
 
     @cached_property
-    def parent(self) -> dict[int, int]:
+    def _depths(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for v, kids in self.children.items():
-            for c in kids:
-                out[c] = v
+        stack = [] if self.root is None else [(self.root, 0)]
+        while stack:
+            u, d = stack.pop()
+            out[u] = d
+            stack.extend((c, d + 1) for c in self.child_ids(u))
         return out
 
     def depth(self, v: int) -> int:
-        d = 0
-        while v in self.parent:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def ancestors(self, v: int) -> tuple[int, ...]:
-        out = []
-        while v in self.parent:
-            v = self.parent[v]
-            out.append(v)
-        return tuple(out)
+        return self._depths[v]
 
     def preorder(self) -> tuple[int, ...]:
         if self.root is None:

@@ -38,6 +38,13 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+def chain_text(n: int) -> tuple[str, str]:
+    """Program and answer-set text of the chain ``c0.`` and
+    ``c_{i+1} :- c_i.`` for i < n, whose atom ``c_n`` is n steps deep."""
+    program = "c0.\n" + "".join("c%d :- c%d.\n" % (i + 1, i) for i in range(n))
+    return program, " ".join("c%d" % i for i in range(n + 1))
+
+
 def random_program(
     rng: random.Random,
     max_atoms: int = 8,
@@ -204,6 +211,16 @@ def supporting_rules(
     return tuple(out)
 
 
+def ancestors(T: VertexLabeledTree, v: int) -> tuple[int, ...]:
+    """The vertices on the path from ``v``'s parent up to the root."""
+    parent = {c: u for u, kids in T.children.items() for c in kids}
+    out = []
+    while v in parent:
+        v = parent[v]
+        out.append(v)
+    return tuple(out)
+
+
 def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -> None:
     """Check the defining conditions of an and-or explanation tree for
     ``p``; raises ValueError on the first violation.
@@ -241,7 +258,7 @@ def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -
             if lbl not in atoms:
                 raise ValueError("atom vertex %d not in the answer set" % v)
             anc = frozenset(
-                T.labels[u] for u in T.ancestors(v) if T.is_atom_vertex(u)
+                T.labels[u] for u in ancestors(T, v) if T.is_atom_vertex(u)
             )
             expected = [
                 r

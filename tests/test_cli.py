@@ -11,7 +11,8 @@ from aspexplain.cli import main
 from aspexplain.parser import parse_program
 
 from conftest import (
-    FIXTURES, explanation_tree_of, fixture_text, product_ground, render_program,
+    FIXTURES, chain_text, explanation_tree_of, fixture_text, product_ground,
+    render_program,
 )
 
 
@@ -424,3 +425,51 @@ class TestEnumerate:
         )
         assert code == 2
         assert "cap exceeded" in err
+
+
+CHAIN_STEPS = 10**4
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    program, answer_set = chain_text(CHAIN_STEPS)
+    d = tmp_path_factory.mktemp("chain")
+    (d / "chain.lp").write_text(program)
+    (d / "chain.as").write_text(answer_set)
+    return str(d / "chain.lp"), str(d / "chain.as"), "c%d" % CHAIN_STEPS
+
+
+class TestDeepChain:
+    """A 10^4-step chain through every output path. Each command takes
+    about a second on a 2-vCPU Xeon; a recursive tree builder fails at a
+    few hundred steps."""
+
+    SECONDS = 20.0
+
+    @pytest.mark.parametrize("mode", ["shortest", "kdiff"])
+    @pytest.mark.parametrize("fmt", ["text", "nl", "dot", "json"])
+    def test_explain(self, chain_files, capsys, mode, fmt):
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "explain", *chain_files, "--mode", mode, "--format", fmt
+        )
+        assert time.perf_counter() - t0 < self.SECONDS
+        assert (code, err) == (0, "")
+        n = CHAIN_STEPS
+        if fmt == "json":
+            assert len(json.loads(out)["vertices"]) == n + 1
+        elif fmt == "dot":
+            assert out.count(" -> ") == n
+        else:
+            lines = out.splitlines()
+            assert len(lines) == n + 1
+            assert lines[-1] == "  " * n + ("c0." if fmt == "text" else "c0")
+
+    def test_enumerate(self, chain_files, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", *chain_files)
+        assert time.perf_counter() - t0 < self.SECONDS
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "explanation 1 (size %d):" % (CHAIN_STEPS + 1)
+        assert lines[-2:] == ["  " * CHAIN_STEPS + "c0.", "1 explanation(s)"]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from aspexplain.engine import (
@@ -14,7 +16,7 @@ from aspexplain.model import Atom, Rule
 from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
-from conftest import fixture_text, validate_andor_tree
+from conftest import ancestors, chain_text, fixture_text, validate_andor_tree
 
 
 @pytest.fixture
@@ -82,7 +84,7 @@ class TestCreateTree:
         for v in T.vertices:
             if not T.is_atom_vertex(v):
                 continue
-            anc = [T.labels[u] for u in T.ancestors(v) if T.is_atom_vertex(u)]
+            anc = [T.labels[u] for u in ancestors(T, v) if T.is_atom_vertex(u)]
             assert T.labels[v] not in anc
 
 
@@ -299,3 +301,33 @@ class TestDeepTrees:
         D = calculate_difference(T, T.root, frozenset())
         assert D[T.root] == n
         assert extract_exp(T, T.root, D, op=max) == shortest
+
+    def test_chain_program_deeper_than_the_recursion_limit(self):
+        """Tree building, both explanation modes and enumeration on a
+        10^4-step chain program. Each call takes about half a second on
+        a 2-vCPU Xeon; a recursive walker fails at a few hundred steps."""
+        n, seconds = 10**4, 10.0
+        program, answer_set = chain_text(n)
+        P, X = parse_program(program), parse_answer_set(answer_set)
+        p = Atom("c%d" % n)
+
+        t0 = time.perf_counter()
+        T = create_tree(P, X, p)
+        assert time.perf_counter() - t0 < seconds
+        assert len(T) == 2 * (n + 1)
+        assert T.preorder() == tuple(range(len(T)))
+        assert T.labels[len(T) - 1] == P.rules[0]
+
+        t0 = time.perf_counter()
+        shortest = shortest_explanation(P, X, p)
+        assert time.perf_counter() - t0 < seconds
+        assert shortest.size == n + 1
+        assert shortest.depth(len(T) - 1) == n
+
+        t0 = time.perf_counter()
+        assert k_different(P, X, p, 3) == [shortest]
+        assert time.perf_counter() - t0 < seconds
+
+        t0 = time.perf_counter()
+        assert enumerate_explanations(P, X, p) == (shortest,)
+        assert time.perf_counter() - t0 < seconds

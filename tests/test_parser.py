@@ -226,6 +226,8 @@ ERROR_TABLE = [
      "number too large (line 1, column 6)"),
     (parse_program, "p(1.." + "9" * 5000 + ").",
      "number too large (line 1, column 6)"),
+    (parse_program, "x.\n  p(1..1000, a, 0..100).",
+     "cap exceeded: more than 100000 facts from one interval fact (line 2, column 3)"),
 ]
 
 

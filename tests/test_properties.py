@@ -82,6 +82,14 @@ def test_andor_tree_nonempty_and_wellformed(corpus):
         validate_andor_tree(T, P, X, p)
 
 
+def test_andor_tree_ids_are_preorder(corpus, fixture_cases):
+    """Vertex ids count up from 0 in preorder, with no gap left where an
+    incomplete subtree was dropped."""
+    for P, X, p in corpus + fixture_cases:
+        T = create_tree(P, X, p)
+        assert T.preorder() == tuple(range(len(T)))
+
+
 def test_shortest_matches_oracle_minimum(enumerated):
     for P, X, p, oracle in enumerated:
         e = shortest_explanation(P, X, p)
