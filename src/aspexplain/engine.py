@@ -14,6 +14,8 @@ from .model import Atom, Program, Rule, AtomSet, as_atom_set, supports
 from .trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
+# Most vertices an and-or tree may hold while it is built.
+MAX_TREE_VERTICES = 1_000_000
 
 
 def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTree:
@@ -23,7 +25,8 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     vertex's ancestor atoms (and the atom itself) excluded; a rule
     vertex gets one atom child per positive body atom. Subtrees that
     cannot be completed are dropped, and the whole result is the empty
-    tree when nothing remains.
+    tree when nothing remains. Raises ``ValueError`` ("cap exceeded")
+    once the tree holds more than :data:`MAX_TREE_VERTICES` vertices.
 
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
@@ -45,6 +48,11 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     while True:
         if todo is not None:  # open a vertex for todo
             v = len(labels)
+            if v >= MAX_TREE_VERTICES:
+                raise ValueError(
+                    "cap exceeded: more than %d and-or tree vertices"
+                    % MAX_TREE_VERTICES
+                )
             if stack:
                 children[stack[-1][0]].append(v)
             labels.append(todo)

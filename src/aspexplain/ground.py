@@ -36,7 +36,7 @@ Subst = dict[str, Term]
 def _subst_atom(atom: Atom, subst: Subst) -> Atom:
     if atom.is_ground:
         return atom
-    return Atom(atom.predicate, tuple(subst.get(t.name, t) for t in atom.args))
+    return Atom(atom.predicate, tuple(subst.get(t, t) for t in atom.args))
 
 
 def _expand_card(
@@ -97,9 +97,9 @@ def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
     out = dict(subst)
     for t, g in zip(pattern.args, ground.args):
         if t.is_variable:
-            bound = out.get(t.name)
+            bound = out.get(t)
             if bound is None:
-                out[t.name] = g
+                out[t] = g
             elif bound != g:
                 return None
         elif t != g:

@@ -129,46 +129,42 @@ def _body_literals(r: Rule) -> frozenset[Literal]:
 
 
 def _is_positive_lce(
-    P: Program, b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
+    rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
     minus_or_u: frozenset[Atom],
 ) -> bool:
+    """``rules`` are the rules of the program with head ``b``."""
     if b not in plus:
         return False
     pos = {l.atom for l in S if not l.negated}
     neg = {l.atom for l in S if l.negated}
     if not (pos <= plus and neg <= minus_or_u):
         return False
-    return any(
-        r.head == b and _body_literals(r) == S for r in P.rules
-    )
+    return any(_body_literals(r) == S for r in rules)
 
 
-def _falsifies_all(P: Program, b: Atom, pos: set[Atom], neg: set[Atom]) -> bool:
-    for r in P.rules:
-        if r.head != b:
-            continue
-        if not (set(r.body_pos) & pos) and not (set(r.body_neg) & neg):
-            return False
-    return True
+def _falsifies_all(rules: list[Rule], pos: set[Atom], neg: set[Atom]) -> bool:
+    return all(not pos.isdisjoint(r.body_pos) or not neg.isdisjoint(r.body_neg)
+               for r in rules)
 
 
 def _is_negative_lce(
-    P: Program, b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
+    rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
     minus_or_u: frozenset[Atom],
 ) -> bool:
+    """``rules`` are the rules of the program with head ``b``."""
     if b not in minus_or_u:
         return False
     pos = {l.atom for l in S if not l.negated}
     neg = {l.atom for l in S if l.negated}
     if not (pos <= minus_or_u and neg <= plus):
         return False
-    if not _falsifies_all(P, b, pos, neg):
+    if not _falsifies_all(rules, pos, neg):
         return False
     for l in S:
         rest = S - {l}
         rpos = {x.atom for x in rest if not x.negated}
         rneg = {x.atom for x in rest if x.negated}
-        if _falsifies_all(P, b, rpos, rneg):
+        if _falsifies_all(rules, rpos, rneg):
             return False
     return True
 
@@ -204,11 +200,12 @@ def is_offline_justification(
     reachability from ``b``, every node's support being a local
     consistent explanation, no positive cycle, no assumed true atom,
     and assume edges exactly for the atoms in ``U``."""
-    m = as_atom_set(M)
     u = as_atom_set(U)
-    base = P.herbrand_base
-    plus = frozenset(m)
-    minus = frozenset(base) - plus
+    plus = as_atom_set(M)
+    minus_or_u = (P.herbrand_base - plus) | u
+    by_head: dict[Atom, list[Rule]] = {}
+    for r in P.rules:
+        by_head.setdefault(r.head, []).append(r)
     if b not in G.nodes:
         return False
     reached = {b}
@@ -227,20 +224,21 @@ def is_offline_justification(
         if isinstance(n, str):
             continue
         sup = support_of(n, G)
+        rules = by_head.get(n.atom, [])
         if sup == ASSUME:
-            ok = n.atom in plus if n.sign == "+" else n.atom in minus | u
+            ok = n.atom in plus if n.sign == "+" else n.atom in minus_or_u
         elif sup == TOP:
             ok = n.sign == "+" and _is_positive_lce(
-                P, n.atom, frozenset(), plus, minus | u
+                rules, n.atom, frozenset(), plus, minus_or_u
             )
         elif sup == BOT:
             ok = n.sign == "-" and _is_negative_lce(
-                P, n.atom, frozenset(), plus, minus | u
+                rules, n.atom, frozenset(), plus, minus_or_u
             )
         elif n.sign == "+":
-            ok = _is_positive_lce(P, n.atom, sup, plus, minus | u)
+            ok = _is_positive_lce(rules, n.atom, sup, plus, minus_or_u)
         else:
-            ok = _is_negative_lce(P, n.atom, sup, plus, minus | u)
+            ok = _is_negative_lce(rules, n.atom, sup, plus, minus_or_u)
         if not ok:
             return False
     if _has_positive_cycle(G):

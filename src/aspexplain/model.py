@@ -9,47 +9,58 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True, order=True)
-class Term:
-    """A constant or a variable.
+class Term(str):
+    """A constant or a variable, as its surface text.
 
-    The surface text decides the kind: names starting with an uppercase
-    letter are variables; lowercase identifiers, integers and
-    double-quoted strings are constants.
+    The text decides the kind: names starting with an uppercase letter
+    are variables; lowercase identifiers, integers and double-quoted
+    strings are constants. A term is a ``str``, so it hashes, compares
+    and sorts as its text and equals the plain string.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "Term":
+        if not name:
             raise ValueError("empty term name")
+        return super().__new__(cls, name)
+
+    @property
+    def name(self) -> str:
+        return str.__str__(self)
 
     @property
     def is_variable(self) -> bool:
-        return self.name[0].isupper()
+        return self[0].isupper()
 
     @property
     def unquoted(self) -> str:
         """Constant text with surrounding double quotes stripped."""
-        if len(self.name) >= 2 and self.name[0] == '"' and self.name[-1] == '"':
-            return self.name[1:-1]
+        if len(self) >= 2 and self[0] == '"' and self[-1] == '"':
+            return self[1:-1]
         return self.name
 
-    def __str__(self) -> str:
-        return self.name
+    def __repr__(self) -> str:
+        return "Term(name=%s)" % str.__repr__(self)
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
+    """A predicate applied to terms. An atom is the tuple
+    ``(predicate, args)``, so it hashes, compares and sorts as one and
+    equals the plain tuple."""
+
     predicate: str
     args: tuple[Term, ...] = ()
 
     @property
     def is_ground(self) -> bool:
-        return all(not t.is_variable for t in self.args)
+        for t in self.args:
+            if t[0].isupper():  # Term.is_variable, inlined
+                return False
+        return True
 
     @property
     def arity(self) -> int:
@@ -59,10 +70,10 @@ class Atom:
     def text(self) -> str:
         if not self.args:
             return self.predicate
-        return "%s(%s)" % (self.predicate, ",".join(t.name for t in self.args))
+        return "%s(%s)" % (self.predicate, ",".join(self.args))
 
     def variables(self) -> frozenset[str]:
-        return frozenset(t.name for t in self.args if t.is_variable)
+        return frozenset(t for t in self.args if t.is_variable)
 
     def __str__(self) -> str:
         return self.text
@@ -175,7 +186,7 @@ def _atom_instantiations(atom: Atom, universe: tuple[Term, ...]) -> Iterator[Ato
     names = sorted(atom.variables())
     for combo in itertools.product(universe, repeat=len(names)):
         subst = dict(zip(names, combo))
-        args = tuple(subst.get(t.name, t) for t in atom.args)
+        args = tuple(subst.get(t, t) for t in atom.args)
         yield Atom(atom.predicate, args)
 
 

@@ -5,7 +5,7 @@ The program grammar is deliberately small: rules of the form
 cardinality expressions ``l {a; b} u`` with optional bounds. ``%``
 starts a line comment. Integer intervals ``1..n`` are accepted in facts
 only and desugared into one fact per value, at most
-:data:`MAX_INTERVAL_FACTS` per fact.
+:data:`MAX_INTERVAL_FACTS` per fact and per program.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .model import (
     Term,
 )
 
-# Most facts one interval fact may expand to, checked before expanding.
+# Most facts one interval fact, and all interval facts of one program
+# together, may expand to; checked before expanding.
 MAX_INTERVAL_FACTS = 100_000
 
 
@@ -187,6 +188,7 @@ class _Parser:
 
     def parse_rules(self) -> Iterator[Rule]:
         tokens = self.tokens
+        expanded = 0  # facts from interval facts so far
         while tokens[self.i][0] != "END":
             start = tokens[self.i]
             head_raw = None
@@ -219,8 +221,13 @@ class _Parser:
                 if body_pos or body_neg or body_card:
                     raise self.error("intervals are only allowed in facts", start)
                 spans = (a[1] - a[0] + 1 for a in head_raw[1] if isinstance(a, tuple))
-                if math.prod(spans) > MAX_INTERVAL_FACTS:
+                n = math.prod(spans)
+                if n > MAX_INTERVAL_FACTS:
                     msg = "cap exceeded: more than %d facts from one interval fact"
+                    raise self.error(msg % MAX_INTERVAL_FACTS, start)
+                expanded += n
+                if expanded > MAX_INTERVAL_FACTS:
+                    msg = "cap exceeded: more than %d facts from the interval facts of one program"
                     raise self.error(msg % MAX_INTERVAL_FACTS, start)
                 for atom in self.expand_intervals(*head_raw):
                     yield Rule(atom, source_text=atom.text)

@@ -45,6 +45,15 @@ def chain_text(n: int) -> tuple[str, str]:
     return program, " ".join("c%d" % i for i in range(n + 1))
 
 
+def complete_text(n: int) -> tuple[str, str]:
+    """Program and answer-set text of the complete support graph
+    ``K_n``: the fact ``p0.`` and ``p_i :- p_j.`` for all i != j."""
+    program = "p0.\n" + "".join(
+        "p%d :- p%d.\n" % (i, j) for i in range(n) for j in range(n) if i != j
+    )
+    return program, " ".join("p%d" % i for i in range(n))
+
+
 def random_program(
     rng: random.Random,
     max_atoms: int = 8,

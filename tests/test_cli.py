@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from aspexplain import engine
 from aspexplain.cli import main
 from aspexplain.parser import parse_program
 
 from conftest import (
-    FIXTURES, chain_text, explanation_tree_of, fixture_text, product_ground,
-    render_program,
+    FIXTURES, chain_text, complete_text, explanation_tree_of, fixture_text,
+    product_ground, render_program,
 )
 
 
@@ -100,6 +101,19 @@ class TestExplain:
             capsys, "explain", fx("nope.lp"), fx("example41.as"), "a"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["shortest", "kdiff"])
+    def test_vertex_cap_exit_code(self, tmp_path, capsys, monkeypatch, mode):
+        program, answer_set = complete_text(7)
+        prog, ans = tmp_path / "k7.lp", tmp_path / "k7.as"
+        prog.write_text(program)
+        ans.write_text(answer_set)
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 1000)
+        code, out, err = run(
+            capsys, "explain", str(prog), str(ans), "p1", "--mode", mode
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cap exceeded: more than 1000 and-or tree vertices\n"
 
 
 class TestVerify:
@@ -306,6 +320,43 @@ class TestConvert:
             assert (r.returncode, r.stdout, r.stderr) == (
                 2, "", "error: only assume/top/bot may be sinks: b+\n"
             ), seed
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        """Six commands print the same under two hash seeds."""
+        import aspexplain as ax
+
+        program, answer_set = complete_text(7)
+        (tmp_path / "k7.lp").write_text(program)
+        (tmp_path / "k7.as").write_text(answer_set)
+        k7 = [str(tmp_path / "k7.lp"), str(tmp_path / "k7.as")]
+        q8 = [fx("q8.lp"), fx("q8.as")]
+        commands = [
+            ["explain", *k7, "p3", "--mode", "kdiff", "-k", "3", "--format", "json"],
+            ["enumerate", fx("example41.lp"), fx("example41.as"), "a"],
+            ["explain", *q8, 'what_be_genes("CASK")', "--format", "nl",
+             "--lookup", fx("q8.lookup")],
+            ["verify", *q8],
+            ["convert", "exp2jst", fx("threerule.lp"), fx("threerule.as"), "a",
+             fx("exp_tree.json")],
+            ["convert", "jst2exp", fx("example41.lp"), fx("example41.as"), "a",
+             fx("fig_jst.json")],
+        ]
+        src = str(Path(ax.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        for argv in commands:
+            seen = []
+            for seed in ("0", "1"):
+                env["PYTHONHASHSEED"] = seed
+                r = subprocess.run(
+                    [sys.executable, "-m", "aspexplain.cli", *argv],
+                    env=env, capture_output=True, text=True,
+                )
+                seen.append((r.returncode, r.stdout, r.stderr))
+            assert seen[0][0] == 0 and seen[0][1], argv
+            assert seen[0] == seen[1], argv
 
     def test_long_chain_both_ways(self, tmp_path, capsys):
         """A 10^4-node chain justification converts to a tree and back

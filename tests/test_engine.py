@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from aspexplain import engine
 from aspexplain.engine import (
     calculate_difference,
     calculate_weight,
@@ -16,7 +17,9 @@ from aspexplain.model import Atom, Rule
 from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
-from conftest import ancestors, chain_text, fixture_text, validate_andor_tree
+from conftest import (
+    ancestors, chain_text, complete_text, fixture_text, validate_andor_tree,
+)
 
 
 @pytest.fixture
@@ -268,6 +271,32 @@ class TestEnumerate:
         P, X, p = ex41
         with pytest.raises(ValueError, match="cap exceeded"):
             enumerate_explanations(P, X, p, cap=1)
+
+
+class TestVertexCap:
+    def test_k7_tree_exceeds_a_lowered_cap(self, monkeypatch):
+        """The K_7 tree has 1,629 vertices; with the cap at 1,000 every
+        entry point that builds it fails cleanly."""
+        program, answer_set = complete_text(7)
+        P, X = parse_program(program), parse_answer_set(answer_set)
+        p = parse_atom("p1")
+        assert len(create_tree(P, X, p)) == 1629
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 1000)
+        msg = "cap exceeded: more than 1000 and-or tree vertices"
+        for build in (create_tree, shortest_explanation, enumerate_explanations):
+            with pytest.raises(ValueError, match=msg):
+                build(P, X, p)
+        with pytest.raises(ValueError, match=msg):
+            k_different(P, X, p, 2)
+
+    def test_tree_at_the_cap_is_built(self, monkeypatch):
+        P = parse_program(fixture_text("example41.lp"))
+        X = parse_answer_set(fixture_text("example41.as"))
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 11)
+        assert len(create_tree(P, X, parse_atom("a"))) == 11
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 10)
+        with pytest.raises(ValueError, match="more than 10 and-or"):
+            create_tree(P, X, parse_atom("a"))
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from aspexplain.model import (
     supports,
     verify_answer_set,
 )
-from aspexplain.parser import parse_program
+from aspexplain.parser import parse_atom, parse_program
 
 from conftest import (
     answer_sets, exhaustive_verify, random_constraint_program, random_program,
@@ -47,6 +47,13 @@ class TestTerm:
         assert Term('"ADRB1"').unquoted == "ADRB1"
         assert Term("x").unquoted == "x"
 
+    def test_a_term_is_its_text(self):
+        t = Term('"a b"')
+        assert isinstance(t, str) and t == '"a b"' and hash(t) == hash('"a b"')
+        assert type(t.name) is str and t.name == '"a b"'
+        assert repr(Term("a")) == "Term(name='a')"
+        assert repr(t) == "Term(name='\"a b\"')"
+
 
 class TestAtom:
     def test_text(self):
@@ -55,6 +62,46 @@ class TestAtom:
 
     def test_structural_identity(self):
         assert Atom("p", (Term("a"),)) == Atom("p", (Term("a"),))
+
+    def test_an_atom_is_its_tuple(self):
+        assert Atom("p") == ("p", ()) and hash(Atom("p")) == hash(("p", ()))
+        assert Atom("p", ()) != ("p", 0)
+        assert Atom("p", (Term("a"),)) == ("p", ("a",))
+        assert repr(Atom("p", (Term("a"),))) == (
+            "Atom(predicate='p', args=(Term(name='a'),))"
+        )
+
+
+_TERM_TEXTS = st.sampled_from(
+    ["a", "b", "ab", "a_1", "0", "1", "10", "-1", "-10", '"a"', '"B c"', '""',
+     "X", "Y1", "Z_"]
+)
+_ATOM_TEXTS = st.builds(
+    lambda pred, args: pred + ("(%s)" % ",".join(args) if args else ""),
+    st.sampled_from(["p", "q", "pq", "p_1"]),
+    st.lists(_TERM_TEXTS, max_size=3),
+)
+
+
+def _plain(atom: Atom) -> tuple:
+    return (atom.predicate, tuple(str(t) for t in atom.args))
+
+
+@given(st.lists(_ATOM_TEXTS, min_size=1, max_size=8))
+def test_atoms_hash_compare_and_sort_as_plain_tuples(texts):
+    """Parsed atoms agree with ``(predicate, texts of args)`` in ``==``,
+    ``hash`` and ``<``, and the Herbrand universe sorts as its texts."""
+    parsed = [parse_atom(t) for t in texts]
+    for x in parsed:
+        for y in parsed:
+            assert (x == y) == (_plain(x) == _plain(y))
+            assert (x < y) == (_plain(x) < _plain(y))
+        assert hash(x) == hash(_plain(x))
+    assert sorted(parsed) == sorted(parsed, key=_plain)
+    P = parse_program("".join("%s :- %s." % (t, t) for t in texts))
+    universe = sorted(P.herbrand_universe)
+    assert all(type(t) is Term for t in universe)
+    assert [str(t) for t in universe] == sorted(str(t) for t in universe)
 
 
 class TestRule:

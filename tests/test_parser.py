@@ -228,6 +228,9 @@ ERROR_TABLE = [
      "number too large (line 1, column 6)"),
     (parse_program, "x.\n  p(1..1000, a, 0..100).",
      "cap exceeded: more than 100000 facts from one interval fact (line 2, column 3)"),
+    (parse_program, "p(1..60000).\nq(a) :- p(a).\n q(1..201, 1..200).",
+     "cap exceeded: more than 100000 facts from the interval facts of one program"
+     " (line 3, column 2)"),
 ]
 
 
