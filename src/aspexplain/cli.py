@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from typing import Optional
 
 from . import engine
@@ -38,6 +39,20 @@ EXIT_INPUT_ERROR = 2
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
+
+
+def _read_lookup(path: Optional[str]) -> LookupTable:
+    """The look-up table in ``path``; each distinct warning raised while
+    reading it becomes one ``warning:`` line on stderr."""
+    if not path:
+        return LookupTable()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return parse_lookup(_read(path))
+        finally:
+            for msg in dict.fromkeys(str(w.message) for w in caught):
+                print("warning: %s" % msg, file=sys.stderr)
 
 
 def _load_inputs(args) -> tuple[Program, AnswerSet]:
@@ -79,9 +94,7 @@ def cmd_explain(args) -> int:
     p = parse_atom(args.atom)
     if not p.is_ground:
         raise ParseError("query atom must be ground", 1, 1)
-    table = (
-        parse_lookup(_read(args.lookup)) if args.lookup else LookupTable()
-    )
+    table = _read_lookup(args.lookup)
     if args.verify:
         G = ground_program(P, X)
         ok, reason = verify_answer_set(G, X)

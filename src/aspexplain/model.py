@@ -99,7 +99,10 @@ class CardinalityExpression:
 
     @property
     def is_ground(self) -> bool:
-        return all(a.is_ground for a in self.atoms)
+        for a in self.atoms:
+            if not a.is_ground:
+                return False
+        return True
 
     @property
     def text(self) -> str:
@@ -142,12 +145,18 @@ class Rule:
 
     @property
     def is_ground(self) -> bool:
-        return (
-            (self.head is None or self.head.is_ground)
-            and all(a.is_ground for a in self.body_pos)
-            and all(a.is_ground for a in self.body_neg)
-            and all(c.is_ground for c in self.body_card)
-        )
+        if self.head is not None and not self.head.is_ground:
+            return False
+        for a in self.body_pos:
+            if not a.is_ground:
+                return False
+        for a in self.body_neg:
+            if not a.is_ground:
+                return False
+        for c in self.body_card:
+            if not c.is_ground:
+                return False
+        return True
 
     @property
     def text(self) -> str:
@@ -211,7 +220,7 @@ class Program:
     def herbrand_universe(self) -> frozenset[Term]:
         """All constants occurring anywhere in the rules."""
         return frozenset(
-            t for a in self._atom_patterns() for t in a.args if not t.is_variable
+            {t for a in self._atom_patterns() for t in a.args if not t[0].isupper()}
         )
 
     @cached_property

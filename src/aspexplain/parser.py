@@ -6,6 +6,12 @@ cardinality expressions ``l {a; b} u`` with optional bounds. ``%``
 starts a line comment. Integer intervals ``1..n`` are accepted in facts
 only and desugared into one fact per value, at most
 :data:`MAX_INTERVAL_FACTS` per fact and per program.
+
+A text is read with atom tokens first: one regular-expression match
+reads a simple atom ``name(term, ..., term)`` whole, and everything else
+is read token by token. If that parse raises :class:`ParseError`, the
+text is parsed again token by token only, which raises the error; so
+every message, line and column is that of the token-level grammar.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .model import (
     AnswerSet,
@@ -24,6 +30,8 @@ from .model import (
     Rule,
     Term,
 )
+
+_T = TypeVar("_T")
 
 # Most facts one interval fact, and all interval facts of one program
 # together, may expand to; checked before expanding.
@@ -46,36 +54,60 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     )
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<SKIP>\s+|%[^\n]*)
+_TOKENS = r"""
+      (?P<SKIP>\s+|%%[^\n]*)
     | (?P<STRING>"[^"\n]*")
     | (?P<DOTS>\.\.)
     | (?P<NUMBER>-?\d+)
     | (?P<IMPL>:-)
-    | (?P<IDENT>[a-z_][A-Za-z0-9_]*)
+    | (?P<IDENT>[a-z_][A-Za-z0-9_]*)%s
     | (?P<VAR>[A-Z][A-Za-z0-9_]*)
     | (?P<SYM>[(){},;.])
     | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+"""
+_TOKEN_RE = re.compile(_TOKENS % "", re.VERBOSE | re.DOTALL)
+
+# One STRING, NUMBER, IDENT or VAR token.
+_TERM = r'"[^"\n]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*'
+_TERM_RE = re.compile(_TERM)
+
+# _TOKEN_RE with an optional argument list after IDENT, and with the
+# whitespace after each token folded into it. ``name(term, ..., term)``
+# with only whitespace between its tokens is one ATOM token, whose terms
+# are the very tokens the plain tokenizer reads: each is followed by
+# whitespace, "," or ")". A predicate ending in "not" takes no arguments
+# here, so ``not(a)`` is read token by token. Zero-arity atoms,
+# intervals, comments inside an atom and malformed atoms stay plain.
+_ARGS = r"""
+      (?: (?<!not) \s*\(\s* (?P<ARGS>(?:%s)(?:\s*,\s*(?:%s))*) \s* (?P<ATOM>\)) )?
+""" % (_TERM, _TERM)
+_ATOM_TOKEN_RE = re.compile(r"(?:%s)\s*" % (_TOKENS % _ARGS), re.VERBOSE | re.DOTALL)
+
 
 # (kind, value, offset). A token list ends with an END token whose offset
-# is just past the last token, where "unexpected end of input" points.
-Token = tuple[str, str, int]
+# is just past the last token, where "unexpected end of input" points. An
+# ATOM token's value is its (predicate, args) with the terms interned.
+Token = tuple[str, object, int]
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, token_re: re.Pattern, terms: _Terms) -> list[Token]:
     out: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
+    intern = terms.__getitem__
+    last = None
+    for m in token_re.finditer(text):
         kind = m.lastgroup
-        if kind != "SKIP":
-            if kind == "BAD":
-                raise _error("unexpected character %r" % m.group(), text, m.start())
-            out.append((kind, m.group(), m.start()))
-    _, value, offset = out[-1] if out else ("", "", 0)
-    out.append(("END", "", offset + len(value)))
+        if kind == "SKIP":
+            continue
+        last = m
+        if kind == "ATOM":
+            pred, args = m.group("IDENT", "ARGS")
+            args = tuple(map(intern, _TERM_RE.findall(args)))
+            out.append((kind, (pred, args), m.start()))
+        elif kind == "BAD":
+            raise _error("unexpected character %r" % m.group(kind), text, m.start())
+        else:
+            out.append((kind, m.group(kind), m.start()))
+    out.append(("END", "", last.end(last.lastgroup) if last else 0))
     return out
 
 
@@ -95,11 +127,11 @@ class _Parser:
     recognised by their value alone, which no other kind of token can
     have. Terms are interned per text."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, token_re: re.Pattern = _TOKEN_RE):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
         self.terms = _Terms()
+        self.tokens = _tokenize(text, token_re, self.terms)
+        self.i = 0
 
     def error(self, message: str, tok: Token) -> ParseError:
         return _error(message, self.text, tok[2])
@@ -128,7 +160,7 @@ class _Parser:
     def parse_term(self, allow_interval: bool):
         t = self.next()
         if t[0] not in _TERM_KINDS:
-            raise self.error("expected a term, found %r" % t[1], t)
+            raise self.error("expected a term, found %r" % (t[1],), t)
         if allow_interval and t[0] == "NUMBER" and self.tokens[self.i][0] == "DOTS":
             self.i += 1
             lo, hi = self.number(t), self.number(self.expect("NUMBER"))
@@ -138,8 +170,12 @@ class _Parser:
         return self.terms[t[1]]
 
     def parse_atom(self, allow_interval: bool = False) -> tuple[str, tuple]:
-        pred = self.expect("IDENT")[1]
         tokens = self.tokens
+        t = tokens[self.i]
+        if t[0] == "ATOM":
+            self.i += 1
+            return t[1]
+        pred = self.expect("IDENT")[1]
         if tokens[self.i][1] != "(":
             return pred, ()
         self.i += 1
@@ -238,21 +274,47 @@ class _Parser:
                 head, tuple(body_pos), tuple(body_neg), tuple(body_card), source
             )
 
+    def program(self) -> Program:
+        return Program(tuple(self.parse_rules()))
+
+    def single_atom(self) -> Atom:
+        atom = Atom(*self.parse_atom())
+        t = self.tokens[self.i]
+        if t[0] != "END":
+            raise self.error("trailing input after atom", t)
+        return atom
+
+    def answer_set(self) -> AnswerSet:
+        tokens = self.tokens
+        atoms: list[Atom] = []
+        while tokens[self.i][0] != "END":
+            start = tokens[self.i]
+            atom = Atom(*self.parse_atom())
+            if not atom.is_ground:
+                raise self.error("non-ground atom in answer set: %s" % atom.text, start)
+            atoms.append(atom)
+        return AnswerSet.of(atoms)
+
+
+def _parse(text: str, read: Callable[[_Parser], _T]) -> _T:
+    """``read`` a parser over atom tokens. On a :class:`ParseError` the
+    text is read again over plain tokens, which raises the error; so
+    every message and position is the plain grammar's."""
+    try:
+        return read(_Parser(text, _ATOM_TOKEN_RE))
+    except ParseError:
+        return read(_Parser(text))
+
 
 def parse_program(text: str) -> Program:
     """Parse rule text into a :class:`Program`, keeping each rule's
     verbatim source (without the trailing period) for display."""
-    return Program(tuple(_Parser(text).parse_rules()))
+    return _parse(text, _Parser.program)
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query argument."""
-    c = _Parser(text)
-    atom = Atom(*c.parse_atom())
-    t = c.tokens[c.i]
-    if t[0] != "END":
-        raise c.error("trailing input after atom", t)
-    return atom
+    return _parse(text, _Parser.single_atom)
 
 
 _HEADER_RE = re.compile(r"\s*Answer:\s*\d+\s*$")
@@ -262,23 +324,10 @@ def parse_answer_set(text: str) -> AnswerSet:
     """Whitespace-separated ground atoms. An ``Answer: N`` header line is
     skipped; error positions still count it, and count lines as
     :meth:`str.splitlines` does."""
-    c = _Parser(
-        "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines())
+    return _parse(
+        "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines()),
+        _Parser.answer_set,
     )
-    atoms: list[Atom] = []
-    interned = 0
-    while c.tokens[c.i][0] != "END":
-        start = c.tokens[c.i]
-        atom = Atom(*c.parse_atom())
-        # The first non-ground atom is the first to intern a variable.
-        if len(c.terms) > interned:
-            interned = len(c.terms)
-            if not atom.is_ground:
-                raise c.error(
-                    "non-ground atom in answer set: %s" % atom.text, start
-                )
-        atoms.append(atom)
-    return AnswerSet.of(atoms)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,17 @@ class TestExplain:
         assert code == 0
         assert "The distance of the gene CASK from the start gene is 2." in out
 
+    def test_duplicate_lookup_entry_warns_on_one_line(self, tmp_path, capsys):
+        lookup = tmp_path / "dup.lookup"
+        lookup.write_text("a/0: first.\na/0: second.\n")
+        code, out, err = run(
+            capsys, "explain", fx("example41.lp"), fx("example41.as"), "a",
+            "--format", "nl", "--lookup", str(lookup),
+        )
+        assert code == 0
+        assert err == "warning: duplicate look-up entry for a/0; the later one wins\n"
+        assert out.startswith("second.")
+
     def test_eager_matches_ondemand(self, tmp_path, capsys):
         """Explaining with the non-ground program prints, in every
         format, what explaining with its whole grounding prints."""

@@ -1,10 +1,12 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspexplain.model import Atom, Rule, Term
+from aspexplain import parser
+from aspexplain.model import AnswerSet, Atom, Program, Rule, Term
 from aspexplain.parser import (
     LookupTable,
     ParseError,
@@ -231,6 +233,13 @@ ERROR_TABLE = [
     (parse_program, "p(1..60000).\nq(a) :- p(a).\n q(1..201, 1..200).",
      "cap exceeded: more than 100000 facts from the interval facts of one program"
      " (line 3, column 2)"),
+    # Texts that look like atom tokens but are not atoms to the grammar.
+    (parse_program, ":- not(a) b.", "expected ident, found '(' (line 1, column 7)"),
+    (parse_program, ":- not(a).", "expected ident, found '(' (line 1, column 7)"),
+    (parse_program, "q(p(a)).", "expected ), found '(' (line 1, column 4)"),
+    (parse_program, "p(12abc).", "expected ), found 'abc' (line 1, column 5)"),
+    (parse_answer_set, "p(a) q(X)",
+     "non-ground atom in answer set: q(X) (line 1, column 6)"),
 ]
 
 
@@ -275,3 +284,30 @@ def test_any_text_parses_or_raises_parse_error(text, parse):
         lines = _lines(parse, text)
         assert 1 <= exc.line <= len(lines)
         assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+
+
+_ATOM_FRAGMENTS = st.sampled_from([
+    "not(", "p (a)", "q(p(a))", "12abc", '"x,y"', "%c\n", "1..3",
+])
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+    if isinstance(result, Program):
+        return [(r, r.source_text) for r in result.rules]
+    if isinstance(result, AnswerSet):
+        return result.atoms
+    return result
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_FRAGMENTS, _ATOM_FRAGMENTS, st.characters()),
+                max_size=30).map("".join),
+       st.sampled_from([parse_program, parse_answer_set, parse_atom]))
+def test_atom_tokens_parse_as_plain_tokens(text, parse):
+    with mock.patch.object(parser, "_ATOM_TOKEN_RE", parser._TOKEN_RE):
+        plain = _outcome(parse, text)
+    assert _outcome(parse, text) == plain
