@@ -260,6 +260,14 @@ class AnswerSet:
     def of(cls, atoms: Iterable[Atom]) -> "AnswerSet":
         return cls(frozenset(atoms))
 
+    @classmethod
+    def _of_ground(cls, atoms: Iterable[Atom]) -> "AnswerSet":
+        """An answer set of atoms the caller has already checked to be
+        ground, built without checking them again."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "atoms", frozenset(atoms))
+        return X
+
     def __contains__(self, atom: object) -> bool:
         return atom in self.atoms
 

@@ -7,11 +7,19 @@ starts a line comment. Integer intervals ``1..n`` are accepted in facts
 only and desugared into one fact per value, at most
 :data:`MAX_INTERVAL_FACTS` per fact and per program.
 
-A text is read with atom tokens first: one regular-expression match
-reads a simple atom ``name(term, ..., term)`` whole, and everything else
-is read token by token. If that parse raises :class:`ParseError`, the
-text is parsed again token by token only, which raises the error; so
-every message, line and column is that of the token-level grammar.
+There are two readers. One regular-expression match reads a whole
+statement: an optional head atom, then ``:-`` and a body of atoms,
+``not`` atoms and cardinality expressions with plain bounds, then the
+period, after any whitespace and whole-line comments. One ``split``
+around the atoms reads an answer set of ground atoms separated by
+whitespace, and one full match reads a query atom. Everything else goes
+to the token grammar, a recursive descent over tokens: a statement with
+an interval or a comment inside, or of more than 10,000 characters,
+that statement alone; an answer set with an ``Answer: N`` line, a
+variable or a comment, or an atom the match cannot read, whole. If
+either reader raises :class:`ParseError`, the token grammar reads the
+whole text again and raises the error, so every message, line and
+column is that grammar's.
 """
 from __future__ import annotations
 
@@ -54,61 +62,96 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     )
 
 
-_TOKENS = r"""
-      (?P<SKIP>\s+|%%[^\n]*)
+_TOKEN_RE = re.compile(r"""
+      (?P<SKIP>\s+|%[^\n]*)
     | (?P<STRING>"[^"\n]*")
     | (?P<DOTS>\.\.)
     | (?P<NUMBER>-?\d+)
     | (?P<IMPL>:-)
-    | (?P<IDENT>[a-z_][A-Za-z0-9_]*)%s
+    | (?P<IDENT>[a-z_][A-Za-z0-9_]*)
     | (?P<VAR>[A-Z][A-Za-z0-9_]*)
     | (?P<SYM>[(){},;.])
     | (?P<BAD>.)
-"""
-_TOKEN_RE = re.compile(_TOKENS % "", re.VERBOSE | re.DOTALL)
-
-# One STRING, NUMBER, IDENT or VAR token.
-_TERM = r'"[^"\n]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*'
-_TERM_RE = re.compile(_TERM)
-
-# _TOKEN_RE with an optional argument list after IDENT, and with the
-# whitespace after each token folded into it. ``name(term, ..., term)``
-# with only whitespace between its tokens is one ATOM token, whose terms
-# are the very tokens the plain tokenizer reads: each is followed by
-# whitespace, "," or ")". A predicate ending in "not" takes no arguments
-# here, so ``not(a)`` is read token by token. Zero-arity atoms,
-# intervals, comments inside an atom and malformed atoms stay plain.
-_ARGS = r"""
-      (?: (?<!not) \s*\(\s* (?P<ARGS>(?:%s)(?:\s*,\s*(?:%s))*) \s* (?P<ATOM>\)) )?
-""" % (_TERM, _TERM)
-_ATOM_TOKEN_RE = re.compile(r"(?:%s)\s*" % (_TOKENS % _ARGS), re.VERBOSE | re.DOTALL)
+""", re.VERBOSE | re.DOTALL)
 
 
 # (kind, value, offset). A token list ends with an END token whose offset
-# is just past the last token, where "unexpected end of input" points. An
-# ATOM token's value is its (predicate, args) with the terms interned.
-Token = tuple[str, object, int]
+# is just past the last token, where "unexpected end of input" points.
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str, token_re: re.Pattern, terms: _Terms) -> list[Token]:
+def _tokenize(text: str, pos: int = 0, one_statement: bool = False) -> list[Token]:
+    """The tokens of ``text`` from ``pos``: to its end, or with
+    ``one_statement`` through the first period only."""
     out: list[Token] = []
-    intern = terms.__getitem__
-    last = None
-    for m in token_re.finditer(text):
+    end = pos
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind == "SKIP":
             continue
-        last = m
-        if kind == "ATOM":
-            pred, args = m.group("IDENT", "ARGS")
-            args = tuple(map(intern, _TERM_RE.findall(args)))
-            out.append((kind, (pred, args), m.start()))
-        elif kind == "BAD":
-            raise _error("unexpected character %r" % m.group(kind), text, m.start())
-        else:
-            out.append((kind, m.group(kind), m.start()))
-    out.append(("END", "", last.end(last.lastgroup) if last else 0))
+        if kind == "BAD":
+            raise _error("unexpected character %r" % m.group(), text, m.start())
+        value = m.group()
+        out.append((kind, value, m.start()))
+        end = m.end()
+        if one_statement and value == ".":
+            break
+    out.append(("END", "", end))
     return out
+
+
+# The regular-expression reader. Each piece reads exactly the tokens the
+# token grammar reads there: a term is one STRING, NUMBER, IDENT or VAR
+# token, and every token ends where the next piece cannot continue it.
+# Each repetition is separated by a character that cannot start the
+# next piece, and a comment runs to the end of its line, so a failed
+# match backtracks in linear time and never reads a comment as atoms.
+_TERM = r'"[^"\n]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*'
+_TERM_RE = re.compile(_TERM)
+# Ground terms of an answer set: no VAR, and no line break of
+# str.splitlines in a string, as the token grammar reads answer sets by
+# those lines.
+_GROUND_TERM = r'"[^"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"|-?\d+|[a-z_][A-Za-z0-9_]*'
+_SKIP = r"(?:\s|%[^\n]*(?![^\n]))*"
+
+
+def _list(item: str, sep: str) -> str:
+    """One or more ``item`` separated by ``sep`` and optional whitespace."""
+    return r"(?:{i})(?:\s*{s}\s*(?:{i}))*".format(i=item, s=sep)
+
+
+def _atom(term: str, g: str = "?:") -> str:
+    """``name`` or ``name(term, ..., term)``; with ``g=""`` the name and
+    the argument text are its two groups."""
+    return r"({g}[a-z_][A-Za-z0-9_]*)(?:\s*\(\s*({g}{args})\s*\))?".format(
+        g=g, args=_list(term, ",")
+    )
+
+
+def _literal(g: str = "?:") -> str:
+    """A body literal; only a "not" literal starts with the token "not".
+    With ``g=""`` its groups are the "not", the atom's two, the lower
+    bound, the members and the upper bound."""
+    return (
+        r"({g}not\s+|(?!not(?![A-Za-z0-9_]))){a}"
+        r"|(?:({g}\d+)\s*)?\{{\s*({g}(?:{m}\s*)?)\}}(?:\s*({g}\d+))?"
+    ).format(g=g, a=_atom(_TERM, g), m=_list(_atom(_TERM), ";"))
+
+
+# Groups: source text, head name, head arguments, body. A statement
+# without a head starts with ":-" and has a body. A match keeps a
+# backtracking record of several hundred bytes per item of each list it
+# reads, so it is given at most _MAX_STATEMENT characters; a longer
+# statement, with the whitespace and comments before it, is read by the
+# token grammar.
+_STATEMENT_RE = re.compile(r"{s}((?:{h}|(?=:-))(?:\s*:-\s*({b}))?)\s*\.".format(
+    s=_SKIP, h=_atom(_TERM, ""), b=_list(_literal(), ",")
+))
+_MAX_STATEMENT = 10_000
+_END_RE = re.compile(_SKIP + r"\Z")
+_LITERAL_RE = re.compile(_literal(""))
+_ATOM_RE = re.compile(_atom(_TERM, ""))
+_GROUND_ATOM_RE = re.compile(_atom(_GROUND_TERM, ""))
 
 
 _TERM_KINDS = frozenset(("IDENT", "STRING", "VAR", "NUMBER"))
@@ -122,15 +165,71 @@ class _Terms(dict):
         return t
 
 
+def _atom_of(name: str, args: Optional[str], intern: Callable[[str], Term]) -> Atom:
+    """The atom of the two groups of :func:`_atom`, built as the tuple it
+    is, without the call of ``Atom.__new__``."""
+    terms = tuple(map(intern, _TERM_RE.findall(args))) if args else ()
+    return tuple.__new__(Atom, (name, terms))
+
+
+def _rule_of(source: str, name: Optional[str], args: Optional[str],
+             body: Optional[str], intern: Callable[[str], Term]) -> Rule:
+    """The rule of the groups of one :data:`_STATEMENT_RE` match. Raises
+    ValueError on a cardinality bound that int() cannot convert or on
+    bounds out of order."""
+    head = None if name is None else _atom_of(name, args, intern)
+    if body is None:
+        return Rule(head, source_text=source)
+    body_pos: list[Atom] = []
+    body_neg: list[Atom] = []
+    body_card: list[CardinalityExpression] = []
+    for neg, name, args, lower, members, upper in _LITERAL_RE.findall(body):
+        if name:
+            (body_neg if neg else body_pos).append(_atom_of(name, args, intern))
+        else:
+            body_card.append(CardinalityExpression(
+                int(lower or 0), int(upper) if upper else None,
+                tuple(_atom_of(n, a, intern) for n, a in _ATOM_RE.findall(members)),
+            ))
+    return Rule(head, tuple(body_pos), tuple(body_neg), tuple(body_card), source)
+
+
+def _read_program(text: str) -> Program:
+    """Read ``text`` a statement per match of :data:`_STATEMENT_RE`,
+    sending each statement it cannot read to the token grammar."""
+    terms = _Terms()
+    intern = terms.__getitem__
+    plain = _Parser(text, terms)
+    rules: list[Rule] = []
+    pos = 0
+    while True:
+        m = _STATEMENT_RE.match(text, pos, pos + _MAX_STATEMENT)
+        if m is not None:
+            try:
+                rules.append(_rule_of(*m.groups(), intern))
+                pos = m.end()
+                continue
+            except ValueError:  # a bound int() cannot convert, or bounds out of order
+                pass
+        elif _END_RE.match(text, pos):
+            return Program(tuple(rules))
+        pos = plain.statement(pos, rules)
+
+
 class _Parser:
     """Recursive descent over the tokens of one text. Symbols are
     recognised by their value alone, which no other kind of token can
     have. Terms are interned per text."""
 
-    def __init__(self, text: str, token_re: re.Pattern = _TOKEN_RE):
+    def __init__(self, text: str, terms: Optional[_Terms] = None):
         self.text = text
-        self.terms = _Terms()
-        self.tokens = _tokenize(text, token_re, self.terms)
+        self.terms = _Terms() if terms is None else terms
+        self.expanded = 0  # facts from the interval facts read so far
+        self.tokens: list[Token] = []
+        self.i = 0
+
+    def read(self, pos: int = 0, one_statement: bool = False) -> None:
+        self.tokens = _tokenize(self.text, pos, one_statement)
         self.i = 0
 
     def error(self, message: str, tok: Token) -> ParseError:
@@ -171,10 +270,6 @@ class _Parser:
 
     def parse_atom(self, allow_interval: bool = False) -> tuple[str, tuple]:
         tokens = self.tokens
-        t = tokens[self.i]
-        if t[0] == "ATOM":
-            self.i += 1
-            return t[1]
         pred = self.expect("IDENT")[1]
         if tokens[self.i][1] != "(":
             return pred, ()
@@ -224,7 +319,6 @@ class _Parser:
 
     def parse_rules(self) -> Iterator[Rule]:
         tokens = self.tokens
-        expanded = 0  # facts from interval facts so far
         while tokens[self.i][0] != "END":
             start = tokens[self.i]
             head_raw = None
@@ -261,8 +355,8 @@ class _Parser:
                 if n > MAX_INTERVAL_FACTS:
                     msg = "cap exceeded: more than %d facts from one interval fact"
                     raise self.error(msg % MAX_INTERVAL_FACTS, start)
-                expanded += n
-                if expanded > MAX_INTERVAL_FACTS:
+                self.expanded += n
+                if self.expanded > MAX_INTERVAL_FACTS:
                     msg = "cap exceeded: more than %d facts from the interval facts of one program"
                     raise self.error(msg % MAX_INTERVAL_FACTS, start)
                 for atom in self.expand_intervals(*head_raw):
@@ -274,10 +368,19 @@ class _Parser:
                 head, tuple(body_pos), tuple(body_neg), tuple(body_card), source
             )
 
+    def statement(self, pos: int, rules: list[Rule]) -> int:
+        """Read the statement at ``pos`` into ``rules``; return the offset
+        just past its period."""
+        self.read(pos, one_statement=True)
+        rules.extend(self.parse_rules())
+        return self.tokens[-1][2]
+
     def program(self) -> Program:
+        self.read()
         return Program(tuple(self.parse_rules()))
 
     def single_atom(self) -> Atom:
+        self.read()
         atom = Atom(*self.parse_atom())
         t = self.tokens[self.i]
         if t[0] != "END":
@@ -285,6 +388,12 @@ class _Parser:
         return atom
 
     def answer_set(self) -> AnswerSet:
+        # An "Answer: N" header line is blanked, and lines are counted as
+        # str.splitlines counts them.
+        self.text = "\n".join(
+            "" if _HEADER_RE.match(ln) else ln for ln in self.text.splitlines()
+        )
+        self.read()
         tokens = self.tokens
         atoms: list[Atom] = []
         while tokens[self.i][0] != "END":
@@ -293,41 +402,58 @@ class _Parser:
             if not atom.is_ground:
                 raise self.error("non-ground atom in answer set: %s" % atom.text, start)
             atoms.append(atom)
-        return AnswerSet.of(atoms)
+        return AnswerSet._of_ground(atoms)
 
 
-def _parse(text: str, read: Callable[[_Parser], _T]) -> _T:
-    """``read`` a parser over atom tokens. On a :class:`ParseError` the
-    text is read again over plain tokens, which raises the error; so
-    every message and position is the plain grammar's."""
+_HEADER_RE = re.compile(r"\s*Answer:\s*\d+\s*$")
+
+
+def _parse(text: str, fast: Callable[[str], Optional[_T]],
+           plain: Callable[[_Parser], _T]) -> _T:
+    """``fast`` reads the text by regular expressions. If it returns None
+    or raises :class:`ParseError`, the token grammar reads the whole text
+    with ``plain``, which raises the error; so every message and position
+    is that grammar's."""
     try:
-        return read(_Parser(text, _ATOM_TOKEN_RE))
+        result = fast(text)
     except ParseError:
-        return read(_Parser(text))
+        result = None
+    return plain(_Parser(text)) if result is None else result
 
 
 def parse_program(text: str) -> Program:
     """Parse rule text into a :class:`Program`, keeping each rule's
     verbatim source (without the trailing period) for display."""
-    return _parse(text, _Parser.program)
+    return _parse(text, _read_program, _Parser.program)
+
+
+def _read_atom(text: str) -> Optional[Atom]:
+    m = _ATOM_RE.fullmatch(text.strip())
+    return None if m is None else _atom_of(*m.groups(), _Terms().__getitem__)
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query argument."""
-    return _parse(text, _Parser.single_atom)
+    return _parse(text, _read_atom, _Parser.single_atom)
 
 
-_HEADER_RE = re.compile(r"\s*Answer:\s*\d+\s*$")
+def _read_answer_set(text: str) -> Optional[AnswerSet]:
+    # [text before the first atom, name, arguments, text before the next
+    # atom, ...]: an answer set if all text between the atoms is whitespace.
+    parts = _GROUND_ATOM_RE.split(text)
+    if "".join(parts[::3]).strip():
+        return None
+    intern = _Terms().__getitem__
+    return AnswerSet._of_ground(map(
+        _atom_of, parts[1::3], parts[2::3], itertools.repeat(intern)
+    ))
 
 
 def parse_answer_set(text: str) -> AnswerSet:
     """Whitespace-separated ground atoms. An ``Answer: N`` header line is
     skipped; error positions still count it, and count lines as
     :meth:`str.splitlines` does."""
-    return _parse(
-        "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines()),
-        _Parser.answer_set,
-    )
+    return _parse(text, _read_answer_set, _Parser.answer_set)
 
 
 @dataclass(frozen=True)

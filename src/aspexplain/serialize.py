@@ -110,8 +110,12 @@ def _parse_rule_text(text: str) -> Rule:
 
 def parse_json(text: str) -> Emittable:
     """Read back anything produced by :func:`emit_json`. A document of
-    any other shape raises :class:`ParseError`."""
-    doc = json.loads(text)
+    any other shape, or one nested too deeply to read, raises
+    :class:`ParseError`."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", 1, 1) from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", 1, 1)
     try:

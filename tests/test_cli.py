@@ -461,6 +461,20 @@ class TestConvert:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000,
+         '{"a": ' * 200_000 + "0" + "}" * 200_000],
+        ids=["arrays", "objects"],
+    )
+    def test_deeply_nested_json_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert run(
+            capsys, "convert", "exp2jst", fx("example41.lp"),
+            fx("example41.as"), "a", str(path),
+        ) == (2, "", "error: JSON nested too deeply (line 1, column 1)\n")
+
 
 class TestEnumerate:
     def test_example(self, capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -16,7 +17,7 @@ from aspexplain.parser import (
     parse_program,
 )
 
-from conftest import random_program, render_program
+from conftest import chain_text, fixture_text, random_program, render_program
 
 
 class TestParseProgram:
@@ -55,6 +56,10 @@ class TestParseProgram:
     def test_comments_skipped(self):
         P = parse_program("% comment\na. % trailing\nb.\n")
         assert len(P) == 2
+
+    def test_comment_text_is_not_read(self):
+        P = parse_program("% a. b :- c.\nd. % e.")
+        assert [r.source_text for r in P.rules] == ["d"]
 
     def test_string_and_number_terms(self):
         P = parse_program('drug_gene("Epinephrine","ADRB1"). p(1,x).')
@@ -288,6 +293,8 @@ def test_any_text_parses_or_raises_parse_error(text, parse):
 
 _ATOM_FRAGMENTS = st.sampled_from([
     "not(", "p (a)", "q(p(a))", "12abc", '"x,y"', "%c\n", "1..3",
+    "1 {a; b} 2", "{}", "-1 {a}", "cannot(a)", "a :- b, % c\n d.",
+    "\u0663", "\x1c", '"a.b"', "a..",
 ])
 
 
@@ -308,6 +315,91 @@ def _outcome(parse, text):
                 max_size=30).map("".join),
        st.sampled_from([parse_program, parse_answer_set, parse_atom]))
 def test_atom_tokens_parse_as_plain_tokens(text, parse):
-    with mock.patch.object(parser, "_ATOM_TOKEN_RE", parser._TOKEN_RE):
+    # The regular-expression reader must agree with the token grammar alone.
+    with mock.patch.object(parser, "_parse", lambda t, fast, plain: plain(parser._Parser(t))):
         plain = _outcome(parse, text)
     assert _outcome(parse, text) == plain
+
+
+def _padded_chain() -> tuple[str, str]:
+    """A 150-step chain shuffled among 1,000 unrelated facts."""
+    program, answer_set = chain_text(150)
+    lines = program.splitlines() + ["f%d." % i for i in range(1000)]
+    random.Random(7).shuffle(lines)
+    return "\n".join(lines) + "\n", answer_set + " " + " ".join("f%d" % i for i in range(1000))
+
+
+def _gene_reach() -> tuple[str, str]:
+    """Reachability over 300 genes and 1,200 edges, as in q8.lp."""
+    rng = random.Random(7)
+    edges = sorted({(rng.randrange(300), rng.randrange(300)) for _ in range(1200)})
+    facts = ['gene_gene_biogrid("G%04d","G%04d").' % e for e in edges]
+    rules = fixture_text("q8.lp").splitlines()[6:]
+    atoms = ['gene_gene_biogrid("G%04d","G%04d")' % e for e in edges]
+    atoms += ['gene_reachable_from("G%04d",1)' % a for a, _ in edges[:50]]
+    return "\n".join(facts + rules) + "\n", "\n".join(atoms)
+
+
+_FAST_INPUTS = {
+    "q8": (fixture_text("q8.lp"), fixture_text("q8.as")),
+    "example44": (fixture_text("example44.lp"), fixture_text("example44.as")),
+    "example41": (fixture_text("example41.lp"), fixture_text("example41.as")),
+    "threerule": (fixture_text("threerule.lp"), fixture_text("threerule.as")),
+    "chain": _padded_chain(),
+    "gene": _gene_reach(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_INPUTS))
+def test_regex_reader_needs_no_token_grammar(name):
+    program, answer_set = _FAST_INPUTS[name]
+    with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
+        P = parse_program(program)
+        X = parse_answer_set(answer_set)
+        parse_atom(" p(a, X, 1) ")
+    assert len(P) > 0 and len(X) > 0
+    assert tokenize.call_count == 0
+
+
+_LONG_BODY = ", ".join("b%d" % i for i in range(3000))
+
+
+@pytest.mark.parametrize("statement, source", [
+    ("b :- a, % why\n  c.", "b :- a, % why\n  c"),
+    ("b :- %s." % _LONG_BODY, "b :- %s" % _LONG_BODY),
+    ("b(1..2).", "b(2)"),
+], ids=["comment inside", "over 10,000 characters", "interval"])
+def test_statement_the_regex_cannot_read_takes_one_token_read(statement, source):
+    with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
+        P = parse_program("a.\n%s\nc :- a.\n" % statement)
+    assert [r.source_text for r in P.rules[-2:]] == [source, "c :- a"]
+    assert tokenize.call_count == 1
+
+
+_N = 10**5
+# Inputs on which a regular expression with nested or adjacent ambiguous
+# repetitions would backtrack for hours.
+BACKTRACK_TABLE = [
+    (parse_program, "a :- " + ", ".join("b%d" % i for i in range(_N))),
+    (parse_program, "a :- b, %" + "c, " * (_N // 3) + "\n d."),
+    (parse_program, "a :- b" + " " * _N + "."),
+    (parse_program, "a" + " " * _N + "."),
+    (parse_program, " " * _N + "."),
+    (parse_program, "a :- {" + " " * _N + "."),
+    (parse_program, "p(" + " " * _N + "a" + " " * _N + "b)."),
+    (parse_answer_set, " ".join("p%d" % i for i in range(_N)) + " $"),
+    (parse_program, " ".join("p%d" % i for i in range(_N)) + " $"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text", BACKTRACK_TABLE,
+    ids=[_case_id(f, t) for f, t in BACKTRACK_TABLE],
+)
+def test_regex_reader_time_is_linear(parse, text):
+    t0 = time.perf_counter()
+    try:
+        parse(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - t0 < 5

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspexplain.engine import create_tree, shortest_explanation
 from aspexplain.justify import TOP, AnnotatedAtom, EGraph
-from aspexplain.parser import parse_answer_set, parse_atom, parse_program
+from aspexplain.parser import ParseError, parse_answer_set, parse_atom, parse_program
 from aspexplain.serialize import emit_dot, emit_json, parse_json
 from aspexplain.trees import EMPTY_TREE, Explanation, VertexLabeledTree
 
@@ -104,3 +105,29 @@ class TestParseJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
             parse_json('{"kind": "nope", "vertices": [], "edges": []}')
+
+
+_KEYS = ["kind", "root", "vertices", "edges", "id", "label_kind", "label_text",
+         "from", "to", "sign"]
+_VALUES = ["tree", "explanation", "egraph", "atom", "rule", "pos_atom",
+           "neg_atom", "marker", "+", "-", "a", "a :- b", "p(X)", ""]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(_VALUES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=5),
+    max_leaves=25,
+)
+# Arrays or objects nested far deeper than the interpreter's recursion limit.
+_DEEP_JSON = st.builds(
+    lambda n, obj: '{"a": ' * n + "0" + "}" * n if obj else "[" * n + "]" * n,
+    st.integers(1, 200_000), st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON.map(json.dumps), _DEEP_JSON))
+def test_any_json_parses_or_raises_parse_error(text):
+    try:
+        parse_json(text)
+    except ParseError:
+        pass
