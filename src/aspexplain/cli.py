@@ -13,13 +13,13 @@ from typing import Optional
 
 from . import engine
 from .ground import GroundingError, ground_program
-from .model import Program, AnswerSet, verify_answer_set
+from .model import Atom, Program, AnswerSet, verify_answer_set
 from .justify import (
     EGraph,
     explanation_to_justification,
     justification_to_explanation,
 )
-from .nl import render_nl
+from .nl import indented, render_nl
 from .parser import (
     LookupTable,
     ParseError,
@@ -62,10 +62,15 @@ def _load_inputs(args) -> tuple[Program, AnswerSet]:
 
 
 def _format_text(e: Explanation) -> str:
-    lines = [
-        "  " * e.depth(v) + e.labels[v].display + "." for v in e.preorder()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return indented(e, lambda rule: rule.display + ".")
+
+
+def _query_atom(args) -> Atom:
+    """The queried atom, which must be ground."""
+    p = parse_atom(args.atom)
+    if not p.is_ground:
+        raise ParseError("query atom must be ground", 1, 1)
+    return p
 
 
 def _print_explanations(
@@ -91,9 +96,7 @@ def _print_explanations(
 
 def cmd_explain(args) -> int:
     P, X = _load_inputs(args)
-    p = parse_atom(args.atom)
-    if not p.is_ground:
-        raise ParseError("query atom must be ground", 1, 1)
+    p = _query_atom(args)
     table = _read_lookup(args.lookup)
     if args.verify:
         G = ground_program(P, X)
@@ -125,7 +128,7 @@ def cmd_verify(args) -> int:
 
 def cmd_convert(args) -> int:
     P, X = _load_inputs(args)
-    p = parse_atom(args.atom)
+    p = _query_atom(args)
     obj = parse_json(_read(args.input))
     # Grounded in both directions, so an ungroundable program exits 2 either way.
     G = ground_program(P, X)
@@ -146,7 +149,7 @@ def cmd_convert(args) -> int:
 
 def cmd_enumerate(args) -> int:
     P, X = _load_inputs(args)
-    p = parse_atom(args.atom)
+    p = _query_atom(args)
     if p not in X:
         print("atom not in answer set: %s" % p.text, file=sys.stderr)
         return EXIT_NOT_IN_ANSWER_SET

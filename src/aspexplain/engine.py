@@ -10,7 +10,7 @@ import math
 from typing import Callable, Iterator, Optional, Union
 
 from .ground import GroundingIndex, instantiate_for_head
-from .model import Atom, Program, Rule, AtomSet, as_atom_set, supports
+from .model import Atom, Program, Rule, AtomSet, supports
 from .trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
@@ -31,13 +31,12 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
     """
-    atoms = as_atom_set(X)
     if isinstance(d, Atom):
-        if d not in atoms:
+        if d not in X:
             raise ValueError("unknown explanandum: %s" % d.text)
     elif d not in set(P.rules):
         raise ValueError("unknown explanandum: %s" % d.text)
-    index = GroundingIndex(P, atoms)
+    index = GroundingIndex(P, X)
     # Per atom, its supporting rules with no ancestor atom excluded.
     candidates: dict[Atom, list[Rule]] = {}
     labels: list[Label] = []
@@ -61,7 +60,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 if todo not in candidates:
                     candidates[todo] = [
                         r for r in instantiate_for_head(index, todo)
-                        if supports(r, todo, atoms, frozenset())
+                        if supports(r, todo, X, frozenset())
                     ]
                 path.add(todo)
                 kids = [r for r in candidates[todo] if path.isdisjoint(r.body_pos)]
@@ -169,7 +168,7 @@ def _collapse(
 def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
     """A smallest explanation for ``p``, or the empty explanation when
     the and-or tree is empty."""
-    if p not in as_atom_set(X):
+    if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
     if T.is_empty:
@@ -192,7 +191,7 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     extractable explanation is fully covered."""
     if k < 1:
         raise ValueError("k must be positive")
-    if p not in as_atom_set(X):
+    if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
     if T.is_empty:
@@ -273,7 +272,7 @@ def enumerate_explanations(
 ) -> tuple[Explanation, ...]:
     """Every explanation for ``p``, exactly once, smallest first. This
     is the brute-force oracle the fast paths are tested against."""
-    if p not in as_atom_set(X):
+    if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
     trees = enumerate_explanation_trees(T, cap=cap)

@@ -21,7 +21,6 @@ from .model import (
     Program,
     Rule,
     Term,
-    as_atom_set,
     AtomSet,
 )
 
@@ -130,7 +129,7 @@ class GroundingIndex:
                 key = r.head if r.head.is_ground else (r.head.predicate, r.head.arity)
                 self.rules.setdefault(key, []).append((i, r))
         self.atoms: dict[tuple[str, int], list[Atom]] = {}
-        for a in as_atom_set(X):
+        for a in X:
             if self.constants.issuperset(a.args):
                 self.atoms.setdefault((a.predicate, a.arity), []).append(a)
         # Built on first use: (predicate, arity, bound positions) ->

@@ -7,7 +7,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
-from .model import Atom, Program, Rule, AtomSet, as_atom_set
+from . import engine
+from .model import Atom, Program, Rule, AtomSet
 from .trees import Explanation, Label, VertexLabeledTree
 
 ASSUME = "assume"
@@ -200,9 +201,7 @@ def is_offline_justification(
     reachability from ``b``, every node's support being a local
     consistent explanation, no positive cycle, no assumed true atom,
     and assume edges exactly for the atoms in ``U``."""
-    u = as_atom_set(U)
-    plus = as_atom_set(M)
-    minus_or_u = (P.herbrand_base - plus) | u
+    minus_or_u = (P.herbrand_base - M) | U
     by_head: dict[Atom, list[Rule]] = {}
     for r in P.rules:
         by_head.setdefault(r.head, []).append(r)
@@ -226,19 +225,19 @@ def is_offline_justification(
         sup = support_of(n, G)
         rules = by_head.get(n.atom, [])
         if sup == ASSUME:
-            ok = n.atom in plus if n.sign == "+" else n.atom in minus_or_u
+            ok = n.atom in M if n.sign == "+" else n.atom in minus_or_u
         elif sup == TOP:
             ok = n.sign == "+" and _is_positive_lce(
-                rules, n.atom, frozenset(), plus, minus_or_u
+                rules, n.atom, frozenset(), M, minus_or_u
             )
         elif sup == BOT:
             ok = n.sign == "-" and _is_negative_lce(
-                rules, n.atom, frozenset(), plus, minus_or_u
+                rules, n.atom, frozenset(), M, minus_or_u
             )
         elif n.sign == "+":
-            ok = _is_positive_lce(rules, n.atom, sup, plus, minus_or_u)
+            ok = _is_positive_lce(rules, n.atom, sup, M, minus_or_u)
         else:
-            ok = _is_negative_lce(rules, n.atom, sup, plus, minus_or_u)
+            ok = _is_negative_lce(rules, n.atom, sup, M, minus_or_u)
         if not ok:
             return False
     if _has_positive_cycle(G):
@@ -249,7 +248,7 @@ def is_offline_justification(
         if n.sign == "+" and (n, ASSUME, "+") in G.edges:
             return False
         assumed = (n, ASSUME, "-") in G.edges
-        if n.sign == "-" and assumed != (n.atom in u):
+        if n.sign == "-" and assumed != (n.atom in U):
             return False
     return True
 
@@ -260,58 +259,52 @@ def justification_to_explanation(
     """Read an explanation tree off a justification of ``p``: each atom
     vertex gets one rule child whose rule has the atom as head and the
     node's support as body; each rule vertex gets one atom child per
-    positive body atom."""
-    atoms = as_atom_set(X)
-    if p not in atoms:
+    positive body atom. Raises ``ValueError`` ("cap exceeded") once the
+    tree holds more than :data:`engine.MAX_TREE_VERTICES` vertices.
+
+    One breadth-first pass numbers the vertices, so the children of
+    each vertex have consecutive ids.
+    """
+    if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     if AnnotatedAtom(p, "+") not in G.nodes:
         raise ValueError("justification does not mention %s" % p.text)
     if _has_positive_cycle(G):
         raise ValueError("malformed justification: positive cycle")
-    labels: dict[int, Label] = {}
-    children: dict[int, list[int]] = {}
-    counter = itertools.count()
-
-    root = next(counter)
-    labels[root] = p
-    children[root] = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        lbl = labels[v]
+    cap = engine.MAX_TREE_VERTICES
+    labels: list[Label] = [p]
+    first: list[int] = []  # per vertex, the id of its first child
+    rule_of: dict[Atom, Rule] = {}
+    for lbl in labels:  # labels grows while it is read
+        first.append(len(labels))
         if isinstance(lbl, Rule):
-            for a in lbl.body_pos:
-                v2 = next(counter)
-                labels[v2] = a
-                children[v2] = []
-                children[v].append(v2)
-                queue.append(v2)
-            continue
-        node = AnnotatedAtom(lbl, "+")
-        if node not in G.nodes:
-            raise ValueError("justification does not mention %s" % node.text)
-        sup = support_of(node, G)
-        if isinstance(sup, str):
-            if sup != TOP:
-                raise ValueError(
-                    "true atom %s rests on %s, not a rule" % (lbl.text, sup)
-                )
-            body: frozenset[Literal] = frozenset()
+            labels.extend(lbl.body_pos)
         else:
-            body = sup
-        r = Rule(
-            lbl,
-            tuple(sorted(l.atom for l in body if not l.negated)),
-            tuple(sorted(l.atom for l in body if l.negated)),
-        )
-        v2 = next(counter)
-        labels[v2] = r
-        children[v2] = []
-        children[v].append(v2)
-        queue.append(v2)
-    return VertexLabeledTree(
-        root, labels, {k: tuple(c) for k, c in children.items()}
-    )
+            if lbl not in rule_of:
+                node = AnnotatedAtom(lbl, "+")
+                if node not in G.nodes:
+                    raise ValueError("justification does not mention %s" % node.text)
+                body = support_of(node, G)
+                if isinstance(body, str):
+                    if body != TOP:
+                        raise ValueError(
+                            "true atom %s rests on %s, not a rule" % (lbl.text, body)
+                        )
+                    body = frozenset()
+                rule_of[lbl] = Rule(
+                    lbl,
+                    tuple(sorted(l.atom for l in body if not l.negated)),
+                    tuple(sorted(l.atom for l in body if l.negated)),
+                )
+            labels.append(rule_of[lbl])
+        if len(labels) > cap:
+            raise ValueError(
+                "cap exceeded: more than %d explanation tree vertices" % cap
+            )
+    first.append(len(labels))
+    return VertexLabeledTree(0, dict(enumerate(labels)), {
+        v: tuple(range(first[v], first[v + 1])) for v in range(len(labels))
+    })
 
 
 def _with_head_vertices(e: Explanation) -> VertexLabeledTree:
@@ -344,8 +337,7 @@ def explanation_to_justification(
     atoms point to the atoms below their rule. An :class:`Explanation`
     stands for the tree with each rule's head as the atom vertex above
     it. Vertex labels must be unique for the reading to be unambiguous."""
-    atoms = as_atom_set(X)
-    if p not in atoms:
+    if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     if isinstance(T, Explanation) and not T.is_empty:
         T = _with_head_vertices(T)
@@ -361,7 +353,7 @@ def explanation_to_justification(
     # The facts of the reduct P^X.
     fact_heads = frozenset(
         r.head for r in P.rules
-        if not r.body_pos and not r.body_card and atoms.isdisjoint(r.body_neg)
+        if not r.body_pos and not r.body_card and X.isdisjoint(r.body_neg)
     )
     nodes: set[Node] = set()
     edges: set[Edge] = set()

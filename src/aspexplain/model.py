@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 
 class Term(str):
@@ -245,46 +245,36 @@ class Program:
         return len(self.rules)
 
 
-@dataclass(frozen=True)
-class AnswerSet:
-    """A set of ground atoms, typically produced by a solver."""
+class AnswerSet(frozenset):
+    """A set of ground atoms, typically produced by a solver. It is a
+    ``frozenset`` that rejects non-ground atoms, so it equals and hashes
+    as the frozenset of the same atoms."""
 
-    atoms: frozenset[Atom]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for a in self.atoms:
+    def __new__(cls, atoms: Iterable[Atom] = ()) -> "AnswerSet":
+        X = frozenset.__new__(cls, atoms)
+        for a in X:
             if not a.is_ground:
                 raise ValueError("non-ground atom in answer set: %s" % a.text)
+        return X
 
     @classmethod
     def of(cls, atoms: Iterable[Atom]) -> "AnswerSet":
-        return cls(frozenset(atoms))
+        return cls(atoms)
 
     @classmethod
     def _of_ground(cls, atoms: Iterable[Atom]) -> "AnswerSet":
         """An answer set of atoms the caller has already checked to be
         ground, built without checking them again."""
-        X = object.__new__(cls)
-        object.__setattr__(X, "atoms", frozenset(atoms))
-        return X
+        return frozenset.__new__(cls, atoms)
 
-    def __contains__(self, atom: object) -> bool:
-        return atom in self.atoms
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
+    @property
+    def atoms(self) -> "AnswerSet":
+        return self
 
 
-AtomSet = Union[AnswerSet, frozenset, set]
-
-
-def as_atom_set(X: AtomSet) -> frozenset[Atom]:
-    if isinstance(X, AnswerSet):
-        return X.atoms
-    return frozenset(X)
+AtomSet = AbstractSet[Atom]
 
 
 def satisfies_card(X: AtomSet, C: CardinalityExpression) -> bool:
@@ -292,21 +282,20 @@ def satisfies_card(X: AtomSet, C: CardinalityExpression) -> bool:
     bounds."""
     if not C.is_ground:
         raise ValueError("non-ground cardinality expression: %s" % C.text)
-    n = len(frozenset(C.atoms) & as_atom_set(X))
+    n = len(X.intersection(C.atoms))
     return C.lower <= n and (C.upper is None or n <= C.upper)
 
 
 def satisfies_rule(I: AtomSet, r: Rule) -> bool:
     """Classical satisfaction of a single (possibly negated) rule."""
-    atoms = as_atom_set(I)
     body_holds = (
-        atoms.issuperset(r.body_pos)
-        and atoms.isdisjoint(r.body_neg)
-        and all(satisfies_card(atoms, c) for c in r.body_card)
+        I.issuperset(r.body_pos)
+        and I.isdisjoint(r.body_neg)
+        and all(satisfies_card(I, c) for c in r.body_card)
     )
     if not body_holds:
         return True
-    return r.head is not None and r.head in atoms
+    return r.head is not None and r.head in I
 
 
 def reduct(P: Program, I: AtomSet) -> Program:
@@ -314,10 +303,9 @@ def reduct(P: Program, I: AtomSet) -> Program:
     negative bodies from the rest; cardinality expressions are kept."""
     if not P.is_ground:
         raise ValueError("non-ground program")
-    atoms = as_atom_set(I)
     kept = []
     for r in P.rules:
-        if not atoms.isdisjoint(r.body_neg):
+        if not I.isdisjoint(r.body_neg):
             continue
         kept.append(Rule(r.head, r.body_pos, (), r.body_card))
     return Program(tuple(kept))
@@ -334,7 +322,6 @@ def least_model(P: Program, I: AtomSet) -> frozenset[Atom]:
     replaces recursion, and the cost is linear in the size of ``P``
     (Dowling & Gallier 1984). Only normal programs are accepted.
     """
-    blockers = as_atom_set(I)
     heads: list[Atom] = []
     missing: list[int] = []
     watchers: dict[Atom, list[int]] = {}
@@ -342,7 +329,7 @@ def least_model(P: Program, I: AtomSet) -> frozenset[Atom]:
     for r in P.rules:
         if r.body_card:
             raise ValueError("normal programs only")
-        if r.head is None or not blockers.isdisjoint(r.body_neg):
+        if r.head is None or not I.isdisjoint(r.body_neg):
             continue
         if not r.body_pos:
             queue.append(r.head)
@@ -389,13 +376,12 @@ def verify_answer_set(P: Program, I: AtomSet) -> tuple[bool, str]:
         raise ValueError("non-ground program")
     if any(r.body_card for r in P.rules):
         raise ValueError("cardinality expressions not supported in verification")
-    atoms = as_atom_set(I)
     R = reduct(P, I)
     for r in R.rules:
-        if not satisfies_rule(atoms, r):
+        if not satisfies_rule(I, r):
             return False, "unsatisfied rule: %s." % r.display
-    least = least_model(P, atoms)
-    if least != atoms:
+    least = least_model(P, I)
+    if least != I:
         return False, (
             "not subset-minimal: {%s} already satisfies the reduct"
             % ", ".join(a.text for a in sorted(least))
@@ -408,12 +394,10 @@ def supports(r: Rule, p: Atom, Y: AtomSet, Z: AtomSet) -> bool:
     ``Z``: the head is ``p``, the positive body lies in ``Y`` minus
     ``Z``, the negative body avoids ``Y`` and ``Y`` satisfies the body
     cardinality expressions."""
-    ys = as_atom_set(Y)
-    zs = as_atom_set(Z)
     return (
         r.head == p
-        and ys.issuperset(r.body_pos)
-        and zs.isdisjoint(r.body_pos)
-        and ys.isdisjoint(r.body_neg)
-        and all(satisfies_card(ys, c) for c in r.body_card)
+        and Y.issuperset(r.body_pos)
+        and Z.isdisjoint(r.body_pos)
+        and Y.isdisjoint(r.body_neg)
+        and all(satisfies_card(Y, c) for c in r.body_card)
     )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .model import Rule
 from .parser import LookupTable
@@ -16,6 +17,7 @@ def _apply_template(template: str, args: tuple[str, ...]) -> str:
 
 
 def _render_vertex(rule: Rule, table: LookupTable) -> str:
+    assert isinstance(rule, Rule)
     head = rule.head
     if head is not None:
         template = table.get(head.predicate, head.arity)
@@ -29,9 +31,11 @@ def render_nl(e: Explanation, t: LookupTable) -> str:
     """One line per rule vertex in pre-order, indented two spaces per
     tree level; each line verbalizes the rule's head through the look-up
     table, falling back to the rule text itself."""
-    lines = []
-    for v in e.preorder():
-        rule = e.labels[v]
-        assert isinstance(rule, Rule)
-        lines.append("  " * e.depth(v) + _render_vertex(rule, t))
+    return indented(e, lambda rule: _render_vertex(rule, t))
+
+
+def indented(e: Explanation, line: Callable[[Rule], str]) -> str:
+    """``line`` of each rule vertex in pre-order, indented two spaces
+    per tree level, one per line."""
+    lines = ["  " * e.depth(v) + line(e.labels[v]) for v in e.preorder()]
     return "\n".join(lines) + ("\n" if lines else "")

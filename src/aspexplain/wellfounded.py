@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import Atom, Program, AtomSet, as_atom_set, least_model
+from .model import Atom, Program, AtomSet, least_model
 
 ASSUMPTION_SEARCH_CAP = 2**16
 
@@ -33,14 +33,12 @@ def immediate_consequence(
     """Heads derivable from ``S`` in one step, treating the atoms in
     ``V`` as false blockers for negative bodies."""
     _require_normal(P)
-    vs = as_atom_set(V)
-    ss = as_atom_set(S)
     return frozenset(
         r.head
         for r in P.rules
         if r.head is not None
-        and ss.issuperset(r.body_pos)
-        and vs.isdisjoint(r.body_neg)
+        and S.issuperset(r.body_pos)
+        and V.isdisjoint(r.body_neg)
     )
 
 
@@ -78,15 +76,13 @@ def tentative_assumptions(P: Program, M: AtomSet) -> frozenset[Atom]:
     the well-founded model."""
     _require_normal(P)
     wf = well_founded_model(P)
-    m = as_atom_set(M)
-    false_in_m = P.herbrand_base - m
+    false_in_m = P.herbrand_base - M
     return frozenset(nant(P) & false_in_m - wf.plus - wf.minus)
 
 
 def negative_reduct(P: Program, U: AtomSet) -> Program:
     """Drop every rule whose head is in ``U``."""
-    us = as_atom_set(U)
-    return Program(tuple(r for r in P.rules if r.head not in us))
+    return Program(tuple(r for r in P.rules if r.head not in U))
 
 
 def assumptions(
@@ -96,14 +92,13 @@ def assumptions(
     has well-founded model exactly ``M`` (as a complete interpretation
     over the program's base)."""
     _require_normal(P)
-    m = as_atom_set(M)
     base = P.herbrand_base
     ta = sorted(tentative_assumptions(P, M))
     if 2 ** len(ta) > cap:
         raise ValueError(
             "cap exceeded: %d candidate assumption sets" % 2 ** len(ta)
         )
-    target = PartialInterpretation(frozenset(m), base - m)
+    target = PartialInterpretation(frozenset(M), base - M)
     out = []
     for k in range(len(ta) + 1):
         for combo in itertools.combinations(ta, k):

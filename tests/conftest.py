@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from aspexplain.ground import _check_groundable, _instance
+from aspexplain.justify import TOP, AnnotatedAtom, EGraph
 from aspexplain.model import (
-    Atom, AtomSet, Program, Rule, Term, as_atom_set, least_model, reduct,
+    Atom, AtomSet, Program, Rule, Term, least_model, reduct,
     satisfies_rule, supports,
 )
 from aspexplain.trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
@@ -52,6 +53,23 @@ def complete_text(n: int) -> tuple[str, str]:
         "p%d :- p%d.\n" % (i, j) for i in range(n) for j in range(n) if i != j
     )
     return program, " ".join("p%d" % i for i in range(n))
+
+
+def ladder_justification(n: int) -> tuple[str, str, EGraph]:
+    """Program text, answer-set text and justification of ``x_n`` for
+    the ladder ``x0.``, ``x_{i+1} :- x_i, y_i.`` and ``y_i :- x_i.``
+    for i < n. The e-graph has 2n + 2 nodes; the explanation tree it
+    encodes has 6 * 2^n - 4 vertices, as each rung doubles it."""
+    program = "x0.\n" + "".join(
+        "x%d :- x%d, y%d.\ny%d :- x%d.\n" % (i + 1, i, i, i, i) for i in range(n)
+    )
+    xs = [AnnotatedAtom(Atom("x%d" % i), "+") for i in range(n + 1)]
+    ys = [AnnotatedAtom(Atom("y%d" % i), "+") for i in range(n)]
+    edges = [(xs[0], TOP, "+")]
+    for i in range(n):
+        edges += [(xs[i + 1], xs[i], "+"), (xs[i + 1], ys[i], "+"), (ys[i], xs[i], "+")]
+    G = EGraph(frozenset(xs + ys + [TOP]), frozenset(edges))
+    return program, " ".join(a.atom.text for a in xs + ys), G
 
 
 def random_program(
@@ -242,8 +260,6 @@ def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -
     """
     if T.is_empty:
         raise ValueError("empty tree")
-    atoms = as_atom_set(X)
-
     buildable_cache: dict[tuple[Atom, frozenset[Atom]], bool] = {}
 
     def atom_buildable(a: Atom, excluded: frozenset[Atom]) -> bool:
@@ -253,7 +269,7 @@ def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -
         buildable_cache[key] = False
         ok = any(
             all(atom_buildable(b, excluded | {a}) for b in r.body_pos)
-            for r in supporting_rules(P, a, atoms, excluded | {a})
+            for r in supporting_rules(P, a, X, excluded | {a})
         )
         buildable_cache[key] = ok
         return ok
@@ -264,14 +280,14 @@ def validate_andor_tree(T: VertexLabeledTree, P: Program, X: AtomSet, p: Atom) -
         lbl = T.labels[v]
         kids = T.child_ids(v)
         if isinstance(lbl, Atom):
-            if lbl not in atoms:
+            if lbl not in X:
                 raise ValueError("atom vertex %d not in the answer set" % v)
             anc = frozenset(
                 T.labels[u] for u in ancestors(T, v) if T.is_atom_vertex(u)
             )
             expected = [
                 r
-                for r in supporting_rules(P, lbl, atoms, anc | {lbl})
+                for r in supporting_rules(P, lbl, X, anc | {lbl})
                 if all(atom_buildable(b, anc | {lbl}) for b in r.body_pos)
             ]
             got = sorted(T.labels[c].text for c in kids)

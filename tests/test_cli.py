@@ -10,10 +10,11 @@ import pytest
 from aspexplain import engine
 from aspexplain.cli import main
 from aspexplain.parser import parse_program
+from aspexplain.serialize import emit_json
 
 from conftest import (
     FIXTURES, chain_text, complete_text, explanation_tree_of, fixture_text,
-    product_ground, render_program,
+    ladder_justification, product_ground, render_program,
 )
 
 
@@ -125,6 +126,24 @@ class TestExplain:
         )
         assert (code, out) == (2, "")
         assert err == "error: cap exceeded: more than 1000 and-or tree vertices\n"
+
+
+class TestNonGroundQuery:
+    """A query atom with a variable is an input error for every command
+    that takes one."""
+
+    ERR = "error: query atom must be ground (line 1, column 1)\n"
+
+    @pytest.mark.parametrize("command", [
+        ["explain"], ["explain", "--mode", "kdiff"], ["enumerate"],
+        ["convert", "jst2exp"], ["convert", "exp2jst"],
+    ], ids=["explain", "explain-kdiff", "enumerate", "jst2exp", "exp2jst"])
+    def test_exit_code(self, capsys, command):
+        argv = command + [fx("threerule.lp"), fx("threerule.as"), "a(X)"]
+        if command[0] == "convert":
+            jst = command[1] == "jst2exp"
+            argv.append(fx("fig_jst.json" if jst else "exp_tree.json"))
+        assert run(capsys, *argv) == (2, "", self.ERR)
 
 
 class TestVerify:
@@ -474,6 +493,40 @@ class TestConvert:
             capsys, "convert", "exp2jst", fx("example41.lp"),
             fx("example41.as"), "a", str(path),
         ) == (2, "", "error: JSON nested too deeply (line 1, column 1)\n")
+
+    def _ladder_files(self, tmp_path, n):
+        program, answer_set, G = ladder_justification(n)
+        (tmp_path / "ladder.lp").write_text(program)
+        (tmp_path / "ladder.as").write_text(answer_set)
+        (tmp_path / "jst.json").write_text(emit_json(G))
+        return [str(tmp_path / name) for name in ("ladder.lp", "ladder.as")] + [
+            "x%d" % n, str(tmp_path / "jst.json")
+        ]
+
+    def test_jst2exp_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        """The ladder of 5 rungs encodes a 188-vertex tree."""
+        argv = ["convert", "jst2exp"] + self._ladder_files(tmp_path, 5)
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 188)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["vertices"]) == 188
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 187)
+        assert run(capsys, *argv) == (
+            2, "", "error: cap exceeded: more than 187 explanation tree vertices\n"
+        )
+
+    def test_jst2exp_ladder_stops_at_the_cap(self, tmp_path, capsys):
+        """A 62-node ladder e-graph encodes a tree of about 6 * 10^9
+        vertices; the conversion stops at the cap of 10^6 within about
+        a second, where copying shared nodes without a cap would run out
+        of memory."""
+        argv = ["convert", "jst2exp"] + self._ladder_files(tmp_path, 30)
+        t0 = time.perf_counter()
+        assert run(capsys, *argv) == (
+            2, "", "error: cap exceeded: more than %d explanation tree vertices\n"
+            % engine.MAX_TREE_VERTICES,
+        )
+        assert time.perf_counter() - t0 < 20.0
 
 
 class TestEnumerate:

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from aspexplain import engine
 from aspexplain.engine import create_tree
 from aspexplain.justify import (
     ASSUME,
@@ -19,7 +20,9 @@ from aspexplain.model import reduct
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 from aspexplain.trees import VertexLabeledTree
 
-from conftest import chain_text, fixture_text, validate_explanation_tree
+from conftest import (
+    chain_text, fixture_text, ladder_justification, validate_explanation_tree,
+)
 
 
 def ann(text: str, sign: str = "+") -> AnnotatedAtom:
@@ -191,6 +194,31 @@ class TestJustificationToExplanation:
         assert texts == ["a", "a :- b, c", "b", "b :- c", "c", "c", "c", "c"]
         AO = create_tree(P, X, p)
         validate_explanation_tree(T, AO)
+
+    def test_vertices_numbered_breadth_first(self, ex41, chain_justification):
+        P, X = ex41
+        T = justification_to_explanation(X, parse_atom("a"), chain_justification)
+        assert [T.labels[v].text for v in range(8)] == [
+            "a", "a :- b, c", "b", "c", "b :- c", "c", "c", "c",
+        ]
+        assert T.children == {
+            0: (1,), 1: (2, 3), 2: (4,), 3: (5,), 4: (6,), 5: (), 6: (7,), 7: (),
+        }
+
+    def test_ladder_tree_exceeds_a_lowered_cap(self, monkeypatch):
+        """The ladder of 5 rungs encodes a 188-vertex tree: built with
+        the cap at 188, refused at 187."""
+        program, answer_set, G = ladder_justification(5)
+        X, p = parse_answer_set(answer_set), parse_atom("x5")
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 188)
+        T = justification_to_explanation(X, p, G)
+        assert len(T) == 188
+        validate_explanation_tree(T, create_tree(parse_program(program), X, p))
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 187)
+        with pytest.raises(
+            ValueError, match="cap exceeded: more than 187 explanation tree vertices"
+        ):
+            justification_to_explanation(X, p, G)
 
     def test_single_fact(self):
         P = parse_program("p.")

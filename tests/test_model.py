@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from aspexplain.engine import shortest_explanation
+from aspexplain.ground import ground_program
 from aspexplain.model import (
     AnswerSet,
     Atom,
@@ -14,10 +16,11 @@ from aspexplain.model import (
     least_model,
     reduct,
     satisfies_card,
+    satisfies_rule,
     supports,
     verify_answer_set,
 )
-from aspexplain.parser import parse_atom, parse_program
+from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
     answer_sets, exhaustive_verify, random_constraint_program, random_program,
@@ -83,6 +86,13 @@ _ATOM_TEXTS = st.builds(
 )
 
 
+_GROUND_ATOM_TEXTS = st.builds(
+    lambda pred, args: pred + ("(%s)" % ",".join(args) if args else ""),
+    st.sampled_from(["p", "q", "pq", "p_1"]),
+    st.lists(_TERM_TEXTS.filter(lambda t: not t[0].isupper()), max_size=3),
+)
+
+
 def _plain(atom: Atom) -> tuple:
     return (atom.predicate, tuple(str(t) for t in atom.args))
 
@@ -141,12 +151,65 @@ class TestProgram:
 
 class TestAnswerSet:
     def test_rejects_non_ground(self):
-        with pytest.raises(ValueError, match="non-ground atom"):
-            AnswerSet.of([Atom("p", (Term("Xv"),))])
+        for make in (AnswerSet.of, AnswerSet):
+            with pytest.raises(ValueError, match=r"non-ground atom in answer set: p\(Xv\)"):
+                make([Atom("p", (Term("Xv"),))])
 
     def test_membership(self):
         X = AnswerSet.of([a, b])
         assert a in X and c not in X and len(X) == 2
+
+    def test_is_a_frozenset_with_no_forwarding(self):
+        X = AnswerSet([a, b])
+        assert isinstance(X, frozenset) and X.atoms is X
+        assert X == frozenset([a, b]) and hash(X) == hash(frozenset([a, b]))
+        assert not {"__contains__", "__iter__", "__len__"} & set(vars(AnswerSet))
+
+
+_GROUND = [a, b, c, d, parse_atom("q(a)"), parse_atom('q("B c")')]
+_BODY = st.lists(st.sampled_from(_GROUND), max_size=3).map(tuple)
+_CARD = st.builds(
+    lambda lower, extra, members: CardinalityExpression(
+        lower, None if extra is None else lower + extra, members
+    ),
+    st.integers(0, 2), st.none() | st.integers(0, 2), _BODY,
+)
+_RULE = st.builds(
+    Rule, st.none() | st.sampled_from(_GROUND), _BODY, _BODY,
+    st.lists(_CARD, max_size=1).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RULE, max_size=6), st.frozensets(st.sampled_from(_GROUND)),
+       st.frozensets(st.sampled_from(_GROUND)), st.sampled_from(_GROUND))
+def test_answer_set_frozenset_and_set_give_the_same_results(rules, X, Z, p):
+    """Every function that takes a set of atoms answers the same for an
+    :class:`AnswerSet`, a ``frozenset`` and a ``set`` of the same atoms."""
+    P = Program(tuple(rules))
+    normal = Program(tuple(r for r in rules if not r.body_card))
+    results = []
+    for make in (AnswerSet, frozenset, set):
+        Y = make(X)
+        results.append([
+            [supports(r, p, Y, make(Z)) for r in P.rules],
+            [satisfies_card(Y, C) for r in P.rules for C in r.body_card],
+            [satisfies_rule(Y, r) for r in P.rules],
+            reduct(P, Y),
+            least_model(normal, Y),
+            verify_answer_set(normal, Y),
+            ground_program(P, Y),
+            shortest_explanation(P, Y, p) if p in Y else None,
+        ])
+    assert results[0] == results[1] == results[2]
+
+
+@given(st.lists(_GROUND_ATOM_TEXTS, max_size=8))
+def test_parsed_answer_set_is_the_frozenset_of_its_atoms(texts):
+    X = parse_answer_set(" ".join(texts))
+    atoms = frozenset(parse_atom(t) for t in texts)
+    assert type(X) is AnswerSet
+    assert X == atoms and hash(X) == hash(atoms)
 
 
 class TestSatisfiesCard:
