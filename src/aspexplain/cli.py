@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when the queried atom is not in the answer
-set (or verification fails), 2 on parse and I/O errors.
+Exit codes: 0 on success; 1 when the queried atom is not in the answer
+set or verification fails; 2 on input errors: parse, I/O and grounding
+errors, a non-ground query atom and "cap exceeded".
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import warnings
 from typing import Optional
 
 from . import engine
-from .ground import GroundingError, ground_program
+from .ground import ground_program
 from .model import Atom, Program, AnswerSet, verify_answer_set
 from .justify import (
     EGraph,
@@ -132,13 +133,16 @@ def cmd_convert(args) -> int:
     obj = parse_json(_read(args.input))
     # Grounded in both directions, so an ungroundable program exits 2 either way.
     G = ground_program(P, X)
+    if args.direction == "jst2exp" and not isinstance(obj, EGraph):
+        raise ParseError("expected an e-graph input", 1, 1)
+    if args.direction == "exp2jst" and not isinstance(obj, VertexLabeledTree):
+        raise ParseError("expected an explanation-tree input", 1, 1)
+    if p not in X:
+        print("error: atom not in answer set: %s" % p.text, file=sys.stderr)
+        return EXIT_NOT_IN_ANSWER_SET
     if args.direction == "jst2exp":
-        if not isinstance(obj, EGraph):
-            raise ParseError("expected an e-graph input", 1, 1)
         out = justification_to_explanation(X, p, obj)
     else:
-        if not isinstance(obj, VertexLabeledTree):
-            raise ParseError("expected an explanation-tree input", 1, 1)
         out = explanation_to_justification(G, X, p, obj)
     if args.format == "dot":
         sys.stdout.write(emit_dot(out))
@@ -217,14 +221,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GroundingError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError and GroundingError are ValueErrors.
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        msg = str(exc)
-        print("error: %s" % msg, file=sys.stderr)
-        if msg.startswith("atom not in answer set"):
-            return EXIT_NOT_IN_ANSWER_SET
         return EXIT_INPUT_ERROR
 
 

@@ -92,17 +92,26 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
             )
 
 
+def _fold(
+    T: VertexLabeledTree,
+    v: int,
+    at_atom: Callable[[list[int]], int],
+    at_rule: Callable[[int, list[int]], int],
+) -> dict[int, int]:
+    """One value per vertex of the subtree at ``v``, children first: an
+    atom vertex combines its children's values with ``at_atom``, a rule
+    vertex ``u`` with ``at_rule(u, values)``."""
+    F: dict[int, int] = {}
+    for u in reversed(T.preorder_from(v)):
+        values = [F[c] for c in T.child_ids(u)]
+        F[u] = at_atom(values) if T.is_atom_vertex(u) else at_rule(u, values)
+    return F
+
+
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
     """Weights for the subtree at ``v``: an atom vertex takes the
     minimum of its children, a rule vertex one plus their sum."""
-    W: dict[int, int] = {}
-    for u in reversed(T.preorder_from(v)):
-        kids = T.child_ids(u)
-        if T.is_atom_vertex(u):
-            W[u] = min(W[c] for c in kids)
-        else:
-            W[u] = 1 + sum(W[c] for c in kids)
-    return W
+    return _fold(T, v, min, lambda u, values: 1 + sum(values))
 
 
 def calculate_difference(
@@ -112,14 +121,7 @@ def calculate_difference(
     whose rule vertices are ``R``: an atom vertex takes the maximum of
     its children, a rule vertex the sum of its children plus one if it
     is not yet in ``R``."""
-    D: dict[int, int] = {}
-    for u in reversed(T.preorder_from(v)):
-        kids = T.child_ids(u)
-        if T.is_atom_vertex(u):
-            D[u] = max(D[c] for c in kids)
-        else:
-            D[u] = (0 if u in R else 1) + sum(D[c] for c in kids)
-    return D
+    return _fold(T, v, max, lambda u, values: (u not in R) + sum(values))
 
 
 def extract_exp(
@@ -209,14 +211,9 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
 
 
 def _tree_count(T: VertexLabeledTree) -> int:
-    counts: dict[int, int] = {}
-    for u in reversed(T.preorder()):
-        kids = T.child_ids(u)
-        if T.is_atom_vertex(u):
-            counts[u] = sum(counts[c] for c in kids)
-        else:
-            counts[u] = math.prod(counts[c] for c in kids)
-    return counts[T.root] if T.root is not None else 0
+    if T.root is None:
+        return 0
+    return _fold(T, T.root, sum, lambda u, values: math.prod(values))[T.root]
 
 
 def enumerate_explanation_trees(

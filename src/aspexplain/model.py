@@ -115,9 +115,6 @@ class CardinalityExpression:
             parts.append(str(self.upper))
         return " ".join(parts)
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(v for a in self.atoms for v in a.variables())
-
     def __str__(self) -> str:
         return self.text
 
@@ -173,16 +170,6 @@ class Rule:
     @property
     def display(self) -> str:
         return self.source_text or self.text
-
-    def variables(self) -> frozenset[str]:
-        vs: set[str] = set()
-        if self.head is not None:
-            vs |= self.head.variables()
-        for a in itertools.chain(self.body_pos, self.body_neg):
-            vs |= a.variables()
-        for c in self.body_card:
-            vs |= c.variables()
-        return frozenset(vs)
 
     def __str__(self) -> str:
         return self.text
@@ -376,9 +363,12 @@ def verify_answer_set(P: Program, I: AtomSet) -> tuple[bool, str]:
         raise ValueError("non-ground program")
     if any(r.body_card for r in P.rules):
         raise ValueError("cardinality expressions not supported in verification")
-    R = reduct(P, I)
-    for r in R.rules:
+    # A rule whose negative body meets I is satisfied classically, just
+    # as it is absent from the reduct; a failing rule is reported as it
+    # stands in the reduct.
+    for r in P.rules:
         if not satisfies_rule(I, r):
+            r = Rule(r.head, r.body_pos, (), r.body_card)
             return False, "unsatisfied rule: %s." % r.display
     least = least_model(P, I)
     if least != I:

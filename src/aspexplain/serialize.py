@@ -3,7 +3,7 @@ JSON reader used by the conversion commands."""
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Optional, Union
 
 from .justify import MARKER_DISPLAY, MARKERS, AnnotatedAtom, EGraph, Node
 from .model import Atom, Rule
@@ -17,87 +17,65 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_display(n: Node) -> str:
-    return MARKER_DISPLAY[n] if isinstance(n, str) else n.text
+_DOT_SHAPES = {"rule": "box", "marker": "plaintext"}
 
 
-def _egraph_ids(G: EGraph) -> dict[Node, int]:
-    def key(n: Node):
-        return (1, n, "") if isinstance(n, str) else (0, n.atom.text, n.sign)
-
-    return {n: i for i, n in enumerate(sorted(G.nodes, key=key))}
+def _view(t: Emittable) -> tuple[str, Optional[int], list, list]:
+    """``(kind, root, vertices, edges)`` of ``t`` in output order. A
+    vertex is ``(id, label_kind, label_text, dot_label)``, an edge
+    ``(from, to, sign)`` with ``sign`` None in a tree. An e-graph numbers
+    its atoms by text and sign, then its markers."""
+    if isinstance(t, EGraph):
+        nodes = sorted(t.nodes, key=lambda n: (1, n, "") if isinstance(n, str)
+                       else (0, n.atom.text, n.sign))
+        ids = {n: i for i, n in enumerate(nodes)}
+        vertices = [
+            (i, "marker", n, MARKER_DISPLAY[n]) if isinstance(n, str)
+            else (i, "pos_atom" if n.sign == "+" else "neg_atom",
+                  n.atom.text, n.text)
+            for i, n in enumerate(nodes)
+        ]
+        edges = sorted((ids[src], ids[dst], sign) for src, dst, sign in t.edges)
+        return "egraph", None, vertices, edges
+    vertices = []
+    for v, label in sorted(t.labels.items()):
+        text = label.text
+        vertices.append((v, "atom" if isinstance(label, Atom) else "rule",
+                         text, text))
+    edges = [(v, c, None) for v, *_ in vertices for c in t.child_ids(v)]
+    kind = "explanation" if isinstance(t, Explanation) else "tree"
+    return kind, t.root, vertices, edges
 
 
 def emit_dot(t: Emittable) -> str:
     """DOT text: atom vertices as ellipses, rule vertices as boxes,
-    e-graph edges labeled with their sign."""
+    markers as plain text, e-graph edges labeled with their sign."""
+    _, _, vertices, edges = _view(t)
     lines = ["digraph explanation {"]
-    if isinstance(t, EGraph):
-        ids = _egraph_ids(t)
-        for n, i in ids.items():
-            shape = "plaintext" if isinstance(n, str) else "ellipse"
-            lines.append(
-                '  n%d [label="%s", shape=%s];'
-                % (i, _dot_escape(_node_display(n)), shape)
-            )
-        for src, dst, sign in sorted(
-            t.edges, key=lambda e: (ids[e[0]], ids[e[1]], e[2])
-        ):
-            lines.append(
-                '  n%d -> n%d [label="%s"];' % (ids[src], ids[dst], sign)
-            )
-    else:
-        for v in sorted(t.labels):
-            lbl = t.labels[v]
-            shape = "ellipse" if isinstance(lbl, Atom) else "box"
-            lines.append(
-                '  n%d [label="%s", shape=%s];'
-                % (v, _dot_escape(lbl.text), shape)
-            )
-        for v in sorted(t.labels):
-            for c in t.child_ids(v):
-                lines.append("  n%d -> n%d;" % (v, c))
+    for i, kind, _, dot_label in vertices:
+        lines.append('  n%d [label="%s", shape=%s];' % (
+            i, _dot_escape(dot_label), _DOT_SHAPES.get(kind, "ellipse")))
+    for src, dst, sign in edges:
+        if sign is None:
+            lines.append("  n%d -> n%d;" % (src, dst))
+        else:
+            lines.append('  n%d -> n%d [label="%s"];' % (src, dst, sign))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def emit_json(t: Emittable) -> str:
     """The JSON envelope shared by trees, explanations and e-graphs."""
-    if isinstance(t, EGraph):
-        ids = _egraph_ids(t)
-        vertices = []
-        for n, i in sorted(ids.items(), key=lambda kv: kv[1]):
-            if isinstance(n, str):
-                kind = "marker"
-                text = n
-            else:
-                kind = "pos_atom" if n.sign == "+" else "neg_atom"
-                text = n.atom.text
-            vertices.append({"id": i, "label_kind": kind, "label_text": text})
-        edges = [
-            {"from": ids[src], "to": ids[dst], "sign": sign}
-            for src, dst, sign in sorted(
-                t.edges, key=lambda e: (ids[e[0]], ids[e[1]], e[2])
-            )
-        ]
-        doc = {"kind": "egraph", "root": None, "vertices": vertices,
-               "edges": edges}
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    kind = "explanation" if isinstance(t, Explanation) else "tree"
-    vertices = [
-        {
-            "id": v,
-            "label_kind": "atom" if isinstance(t.labels[v], Atom) else "rule",
-            "label_text": t.labels[v].text,
-        }
-        for v in sorted(t.labels)
-    ]
-    edges = [
-        {"from": v, "to": c}
-        for v in sorted(t.labels)
-        for c in t.child_ids(v)
-    ]
-    doc = {"kind": kind, "root": t.root, "vertices": vertices, "edges": edges}
+    kind, root, vertices, edges = _view(t)
+    doc = {
+        "kind": kind,
+        "root": root,
+        "vertices": [{"id": i, "label_kind": lk, "label_text": text}
+                     for i, lk, text, _ in vertices],
+        "edges": [{"from": src, "to": dst} if sign is None
+                  else {"from": src, "to": dst, "sign": sign}
+                  for src, dst, sign in edges],
+    }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

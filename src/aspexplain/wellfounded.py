@@ -22,17 +22,13 @@ class PartialInterpretation:
             raise ValueError("inconsistent interpretation")
 
 
-def _require_normal(P: Program) -> None:
-    if any(r.body_card for r in P.rules):
-        raise ValueError("normal programs only")
-
-
 def immediate_consequence(
     P: Program, V: AtomSet, S: AtomSet
 ) -> frozenset[Atom]:
     """Heads derivable from ``S`` in one step, treating the atoms in
     ``V`` as false blockers for negative bodies."""
-    _require_normal(P)
+    if any(r.body_card for r in P.rules):
+        raise ValueError("normal programs only")
     return frozenset(
         r.head
         for r in P.rules
@@ -52,7 +48,6 @@ def well_founded_model(
     removed rules can pass the original base to keep the false side
     complete.
     """
-    _require_normal(P)
     if base is None:
         base = P.herbrand_base
     K = least_model(P, base)
@@ -74,7 +69,6 @@ def nant(P: Program) -> frozenset[Atom]:
 def tentative_assumptions(P: Program, M: AtomSet) -> frozenset[Atom]:
     """Negated atoms that are false in ``M`` but left undetermined by
     the well-founded model."""
-    _require_normal(P)
     wf = well_founded_model(P)
     false_in_m = P.herbrand_base - M
     return frozenset(nant(P) & false_in_m - wf.plus - wf.minus)
@@ -91,7 +85,6 @@ def assumptions(
     """All subsets of the tentative assumptions whose negative reduct
     has well-founded model exactly ``M`` (as a complete interpretation
     over the program's base)."""
-    _require_normal(P)
     base = P.herbrand_base
     ta = sorted(tentative_assumptions(P, M))
     if 2 ** len(ta) > cap:

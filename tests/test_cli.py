@@ -300,6 +300,17 @@ class TestConvert:
         assert doc["kind"] == "egraph"
         assert len(doc["edges"]) == 4
 
+    @pytest.mark.parametrize("direction, name, structure", [
+        ("jst2exp", "example41", "fig_jst.json"),
+        ("exp2jst", "threerule", "exp_tree.json"),
+    ])
+    def test_atom_not_in_answer_set(self, capsys, direction, name, structure):
+        got = run(
+            capsys, "convert", direction, fx(name + ".lp"), fx(name + ".as"),
+            "zz", fx(structure),
+        )
+        assert got == (1, "", "error: atom not in answer set: zz\n")
+
     @pytest.mark.parametrize(
         "name", ["example41", "example44", "q8", "threerule"]
     )
@@ -602,3 +613,27 @@ class TestDeepChain:
         lines = out.splitlines()
         assert lines[0] == "explanation 1 (size %d):" % (CHAIN_STEPS + 1)
         assert lines[-2:] == ["  " * CHAIN_STEPS + "c0.", "1 explanation(s)"]
+
+
+def _readme_block(text: str, after: str, lang: str) -> str:
+    """The first fenced ``lang`` block after the line ``after``."""
+    rest = text[text.index(after + "\n"):]
+    start = rest.index("```%s\n" % lang) + len("```%s\n" % lang)
+    return rest[start:rest.index("```\n", start)]
+
+
+def test_readme_quick_start(tmp_path, capsys):
+    """Each quick-start command in README.md prints what README shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "program.lp").write_text(
+        _readme_block(readme, "`program.lp`:", "prolog"))
+    (tmp_path / "program.as").write_text(_readme_block(
+        readme, "`program.as` (one answer set, whitespace-separated atoms):", ""))
+    session = _readme_block(readme, "## Quick start", "sh")
+    commands = session.split("$ aspexplain ")[1:]
+    assert len(commands) == 3
+    for command in commands:
+        line, shown = command.split("\n", 1)
+        argv = [str(tmp_path / a) if a.startswith("program.") else a
+                for a in line.split()]
+        assert run(capsys, *argv) == (0, shown.rstrip("\n") + "\n", "")

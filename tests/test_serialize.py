@@ -131,3 +131,301 @@ def test_any_json_parses_or_raises_parse_error(text):
         parse_json(text)
     except ParseError:
         pass
+
+
+# Exact output, so that any byte change in DOT or JSON fails.
+GOLDEN = {
+    ("ex41_tree", "dot"): """\
+digraph explanation {
+  n0 [label="a", shape=ellipse];
+  n1 [label="a :- b, c", shape=box];
+  n2 [label="b", shape=ellipse];
+  n3 [label="b :- c", shape=box];
+  n4 [label="c", shape=ellipse];
+  n5 [label="c", shape=box];
+  n6 [label="c", shape=ellipse];
+  n7 [label="c", shape=box];
+  n8 [label="a :- d", shape=box];
+  n9 [label="d", shape=ellipse];
+  n10 [label="d", shape=box];
+  n0 -> n1;
+  n0 -> n8;
+  n1 -> n2;
+  n1 -> n6;
+  n2 -> n3;
+  n3 -> n4;
+  n4 -> n5;
+  n6 -> n7;
+  n8 -> n9;
+  n9 -> n10;
+}
+""",
+    ("ex41_tree", "json"): """\
+{
+  "kind": "tree",
+  "root": 0,
+  "vertices": [
+    {
+      "id": 0,
+      "label_kind": "atom",
+      "label_text": "a"
+    },
+    {
+      "id": 1,
+      "label_kind": "rule",
+      "label_text": "a :- b, c"
+    },
+    {
+      "id": 2,
+      "label_kind": "atom",
+      "label_text": "b"
+    },
+    {
+      "id": 3,
+      "label_kind": "rule",
+      "label_text": "b :- c"
+    },
+    {
+      "id": 4,
+      "label_kind": "atom",
+      "label_text": "c"
+    },
+    {
+      "id": 5,
+      "label_kind": "rule",
+      "label_text": "c"
+    },
+    {
+      "id": 6,
+      "label_kind": "atom",
+      "label_text": "c"
+    },
+    {
+      "id": 7,
+      "label_kind": "rule",
+      "label_text": "c"
+    },
+    {
+      "id": 8,
+      "label_kind": "rule",
+      "label_text": "a :- d"
+    },
+    {
+      "id": 9,
+      "label_kind": "atom",
+      "label_text": "d"
+    },
+    {
+      "id": 10,
+      "label_kind": "rule",
+      "label_text": "d"
+    }
+  ],
+  "edges": [
+    {
+      "from": 0,
+      "to": 1
+    },
+    {
+      "from": 0,
+      "to": 8
+    },
+    {
+      "from": 1,
+      "to": 2
+    },
+    {
+      "from": 1,
+      "to": 6
+    },
+    {
+      "from": 2,
+      "to": 3
+    },
+    {
+      "from": 3,
+      "to": 4
+    },
+    {
+      "from": 4,
+      "to": 5
+    },
+    {
+      "from": 6,
+      "to": 7
+    },
+    {
+      "from": 8,
+      "to": 9
+    },
+    {
+      "from": 9,
+      "to": 10
+    }
+  ]
+}
+""",
+    ("ex41_shortest", "dot"): """\
+digraph explanation {
+  n8 [label="a :- d", shape=box];
+  n10 [label="d", shape=box];
+  n8 -> n10;
+}
+""",
+    ("ex41_shortest", "json"): """\
+{
+  "kind": "explanation",
+  "root": 8,
+  "vertices": [
+    {
+      "id": 8,
+      "label_kind": "rule",
+      "label_text": "a :- d"
+    },
+    {
+      "id": 10,
+      "label_kind": "rule",
+      "label_text": "d"
+    }
+  ],
+  "edges": [
+    {
+      "from": 8,
+      "to": 10
+    }
+  ]
+}
+""",
+    ("small_egraph", "dot"): """\
+digraph explanation {
+  n0 [label="a+", shape=ellipse];
+  n1 [label="c-", shape=ellipse];
+  n2 [label="⊤", shape=plaintext];
+  n0 -> n1 [label="-"];
+  n1 -> n2 [label="-"];
+}
+""",
+    ("small_egraph", "json"): """\
+{
+  "kind": "egraph",
+  "root": null,
+  "vertices": [
+    {
+      "id": 0,
+      "label_kind": "pos_atom",
+      "label_text": "a"
+    },
+    {
+      "id": 1,
+      "label_kind": "neg_atom",
+      "label_text": "c"
+    },
+    {
+      "id": 2,
+      "label_kind": "marker",
+      "label_text": "top"
+    }
+  ],
+  "edges": [
+    {
+      "from": 0,
+      "to": 1,
+      "sign": "-"
+    },
+    {
+      "from": 1,
+      "to": 2,
+      "sign": "-"
+    }
+  ]
+}
+""",
+    ("fig_jst", "dot"): """\
+digraph explanation {
+  n0 [label="a+", shape=ellipse];
+  n1 [label="b+", shape=ellipse];
+  n2 [label="c+", shape=ellipse];
+  n3 [label="⊤", shape=plaintext];
+  n0 -> n1 [label="+"];
+  n0 -> n2 [label="+"];
+  n1 -> n2 [label="+"];
+  n2 -> n3 [label="+"];
+}
+""",
+    ("fig_jst", "json"): """\
+{
+  "kind": "egraph",
+  "root": null,
+  "vertices": [
+    {
+      "id": 0,
+      "label_kind": "pos_atom",
+      "label_text": "a"
+    },
+    {
+      "id": 1,
+      "label_kind": "pos_atom",
+      "label_text": "b"
+    },
+    {
+      "id": 2,
+      "label_kind": "pos_atom",
+      "label_text": "c"
+    },
+    {
+      "id": 3,
+      "label_kind": "marker",
+      "label_text": "top"
+    }
+  ],
+  "edges": [
+    {
+      "from": 0,
+      "to": 1,
+      "sign": "+"
+    },
+    {
+      "from": 0,
+      "to": 2,
+      "sign": "+"
+    },
+    {
+      "from": 1,
+      "to": 2,
+      "sign": "+"
+    },
+    {
+      "from": 2,
+      "to": 3,
+      "sign": "+"
+    }
+  ]
+}
+""",
+    ("empty_tree", "dot"): """\
+digraph explanation {
+}
+""",
+    ("empty_tree", "json"): """\
+{
+  "kind": "tree",
+  "root": null,
+  "vertices": [],
+  "edges": []
+}
+""",
+}
+
+
+def _golden_object(name, request):
+    if name == "fig_jst":
+        return parse_json(fixture_text("fig_jst.json"))
+    if name == "empty_tree":
+        return EMPTY_TREE
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name, fmt", list(GOLDEN))
+def test_golden_output(name, fmt, request):
+    emit = emit_dot if fmt == "dot" else emit_json
+    assert emit(_golden_object(name, request)) == GOLDEN[name, fmt]

@@ -37,10 +37,17 @@ class TestImmediateConsequence:
         got = immediate_consequence(P, atom_set("d"), atom_set("b"))
         assert got == frozenset()
 
-    def test_rejects_cardinality(self):
+    @pytest.mark.parametrize("call", [
+        lambda P: immediate_consequence(P, frozenset(), frozenset()),
+        well_founded_model,
+        lambda P: tentative_assumptions(P, frozenset()),
+        lambda P: assumptions(P, frozenset()),
+    ], ids=["immediate_consequence", "well_founded_model",
+            "tentative_assumptions", "assumptions"])
+    def test_rejects_cardinality(self, call):
         P = parse_program("a :- 1 {b; c} 2.")
         with pytest.raises(ValueError, match="normal programs only"):
-            immediate_consequence(P, frozenset(), frozenset())
+            call(P)
 
 
 class TestWellFoundedModel:
