@@ -30,6 +30,18 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
 
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
+
+    The subtree under an atom vertex depends only on the atom and the
+    set of its ancestor atoms, so it is built once per such state: a
+    completed one is a contiguous range of ids, and a repeat copies that
+    range with its ids shifted; a state that cannot be completed is not
+    expanded again. Only atoms in two or more positive-body positions of
+    the rules found so far are keyed, which keeps chains linear; the
+    subtree of any other atom repeats only inside a repeat of a keyed
+    ancestor. The keys hold at most :data:`MAX_TREE_VERTICES` atoms in
+    all; past that, states are expanded as they come. The cap counts
+    the vertices this walk holds, copies included, which on the way can
+    be fewer than a walk expanding every repeat would hold.
     """
     if isinstance(d, Atom):
         if d not in X:
@@ -37,47 +49,83 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     elif d not in set(P.rules):
         raise ValueError("unknown explanandum: %s" % d.text)
     index = GroundingIndex(P, X)
-    # Per atom, its supporting rules with no ancestor atom excluded.
+    # Per atom, its supporting rules with no ancestor atom excluded; the
+    # atoms seen in one, and in two or more, body positions of those.
     candidates: dict[Atom, list[Rule]] = {}
+    once: set[Atom] = set()
+    shared: set[Atom] = set()
+    # Keyed by (atom, ancestor atoms): the id range of each completed
+    # subtree, in completion order, and the states that cannot complete.
+    spans: dict[tuple[Atom, frozenset[Atom]], tuple[int, int]] = {}
+    dead: set[tuple[Atom, frozenset[Atom]]] = set()
+    # Atoms the keys may still hold: as many as the tree may hold
+    # vertices, so that deep paths with no repeats cost bounded memory.
+    room = MAX_TREE_VERTICES
     labels: list[Label] = []
     children: list[list[int]] = []
     path: set[Atom] = set()
-    stack: list[tuple[int, Iterator[Label]]] = []
+    # Per open vertex: its id, the children left to try and its key.
+    stack: list[tuple[int, Iterator[Label], Optional[tuple]]] = []
     todo: Optional[Label] = d
     while True:
-        if todo is not None:  # open a vertex for todo
+        if todo is not None:  # open a vertex for todo, or copy its subtree
             v = len(labels)
-            if v >= MAX_TREE_VERTICES:
+            key = None
+            if isinstance(todo, Atom) and todo in shared and len(path) < room:
+                room -= len(path)
+                key = (todo, frozenset(path))
+            s, e = spans.get(key, (v, v + 1))
+            if v + e - s > MAX_TREE_VERTICES:
                 raise ValueError(
                     "cap exceeded: more than %d and-or tree vertices"
                     % MAX_TREE_VERTICES
                 )
             if stack:
                 children[stack[-1][0]].append(v)
-            labels.append(todo)
-            children.append([])
-            if isinstance(todo, Atom):
-                if todo not in candidates:
-                    candidates[todo] = [
-                        r for r in instantiate_for_head(index, todo)
-                        if supports(r, todo, X, frozenset())
-                    ]
-                path.add(todo)
-                kids = [r for r in candidates[todo] if path.isdisjoint(r.body_pos)]
+            if key in spans:
+                shift = v - s
+                labels.extend(labels[s:e])
+                children.extend([c + shift for c in kids] for kids in children[s:e])
             else:
-                kids = todo.body_pos
-            stack.append((v, iter(kids)))
-        v, rest = stack[-1]
+                labels.append(todo)
+                children.append([])
+                if isinstance(todo, Atom):
+                    if todo not in candidates:
+                        candidates[todo] = [
+                            r for r in instantiate_for_head(index, todo)
+                            if supports(r, todo, X, frozenset())
+                        ]
+                        for r in candidates[todo]:
+                            for a in r.body_pos:
+                                (shared if a in once else once).add(a)
+                    path.add(todo)
+                    kids = [] if key in dead else [
+                        r for r in candidates[todo] if path.isdisjoint(r.body_pos)
+                    ]
+                else:
+                    kids = todo.body_pos
+                stack.append((v, iter(kids), key))
+        v, rest, key = stack[-1]
         todo = next(rest, None)
         if todo is not None:
             continue
         stack.pop()  # v has no child left to try
         if isinstance(labels[v], Atom):
             path.remove(labels[v])
+        if key is not None:
+            if children[v]:
+                spans[key] = (v, len(labels))
+            else:
+                dead.add(key)
         complete = bool(children[v]) or not isinstance(labels[v], Atom)
         while not complete:
             # Drop v; a rule vertex that loses a body atom goes with it.
             del labels[v:], children[v:]
+            while spans:  # forget the ranges that were dropped
+                key, (s, e) = spans.popitem()
+                if s < v:
+                    spans[key] = (s, e)
+                    break
             if not stack:
                 return EMPTY_TREE
             u = stack[-1][0]
@@ -100,11 +148,13 @@ def _fold(
 ) -> dict[int, int]:
     """One value per vertex of the subtree at ``v``, children first: an
     atom vertex combines its children's values with ``at_atom``, a rule
-    vertex ``u`` with ``at_rule(u, values)``."""
+    vertex ``u`` with ``at_rule(u, values)``. From the root, the tree's
+    one preorder walk is reused."""
+    children, labels = T.children, T.labels
     F: dict[int, int] = {}
-    for u in reversed(T.preorder_from(v)):
-        values = [F[c] for c in T.child_ids(u)]
-        F[u] = at_atom(values) if T.is_atom_vertex(u) else at_rule(u, values)
+    for u in reversed(T.preorder() if v == T.root else T.preorder_from(v)):
+        values = [F[c] for c in children.get(u, ())]
+        F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
 
 

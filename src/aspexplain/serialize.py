@@ -64,19 +64,38 @@ def emit_dot(t: Emittable) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One JSON value as ``json.dumps(x, ensure_ascii=False)`` writes it.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_id(x) -> str:
+    # Ids read back by parse_json may be any JSON value; an int skips the
+    # encoder, which is slow on anything but a string.
+    return "%d" % x if type(x) is int else _encode(x)
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def emit_json(t: Emittable) -> str:
-    """The JSON envelope shared by trees, explanations and e-graphs."""
+    """The JSON envelope shared by trees, explanations and e-graphs,
+    laid out as ``json.dumps(doc, indent=2, ensure_ascii=False)`` does,
+    one string per vertex and per edge."""
     kind, root, vertices, edges = _view(t)
-    doc = {
-        "kind": kind,
-        "root": root,
-        "vertices": [{"id": i, "label_kind": lk, "label_text": text}
-                     for i, lk, text, _ in vertices],
-        "edges": [{"from": src, "to": dst} if sign is None
-                  else {"from": src, "to": dst, "sign": sign}
-                  for src, dst, sign in edges],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    items = [
+        '    {\n      "id": %s,\n      "label_kind": %s,\n      "label_text": %s\n    }'
+        % (_json_id(i), _encode(lk), _encode(text))
+        for i, lk, text, _ in vertices
+    ]
+    links = [
+        '    {\n      "from": %s,\n      "to": %s%s\n    }' % (
+            _json_id(src), _json_id(dst),
+            "" if sign is None else ',\n      "sign": %s' % _encode(sign))
+        for src, dst, sign in edges
+    ]
+    return '{\n  "kind": %s,\n  "root": %s,\n  "vertices": %s,\n  "edges": %s\n}\n' % (
+        _encode(kind), _json_id(root), _json_list(items), _json_list(links))
 
 
 def _parse_rule_text(text: str) -> Rule:

@@ -1,10 +1,13 @@
 import itertools
 import random
 from pathlib import Path
+from typing import Iterator, Optional, Union
 
 import pytest
 
-from aspexplain.ground import _check_groundable, _instance
+from aspexplain.ground import (
+    GroundingIndex, _check_groundable, _instance, instantiate_for_head,
+)
 from aspexplain.justify import TOP, AnnotatedAtom, EGraph
 from aspexplain.model import (
     Atom, AtomSet, Program, Rule, Term, least_model, reduct,
@@ -236,6 +239,67 @@ def supporting_rules(
     reference for :func:`aspexplain.ground.instantiate_for_head`."""
     out = dict.fromkeys(r for r in P.rules if supports(r, p, Y, Z))
     return tuple(out)
+
+
+def reference_create_tree(
+    P: Program, X: AtomSet, d: Union[Atom, Rule]
+) -> VertexLabeledTree:
+    """The and-or tree of :func:`aspexplain.engine.create_tree`, built
+    by one depth-first pass that expands every vertex, repeated states
+    included, with no vertex cap: the reference for the builder that
+    copies repeated subtrees."""
+    if isinstance(d, Atom):
+        if d not in X:
+            raise ValueError("unknown explanandum: %s" % d.text)
+    elif d not in set(P.rules):
+        raise ValueError("unknown explanandum: %s" % d.text)
+    index = GroundingIndex(P, X)
+    candidates: dict[Atom, list[Rule]] = {}
+    labels: list[Label] = []
+    children: list[list[int]] = []
+    path: set[Atom] = set()
+    stack: list[tuple[int, Iterator[Label]]] = []
+    todo: Optional[Label] = d
+    while True:
+        if todo is not None:
+            v = len(labels)
+            if stack:
+                children[stack[-1][0]].append(v)
+            labels.append(todo)
+            children.append([])
+            if isinstance(todo, Atom):
+                if todo not in candidates:
+                    candidates[todo] = [
+                        r for r in instantiate_for_head(index, todo)
+                        if supports(r, todo, X, frozenset())
+                    ]
+                path.add(todo)
+                kids = [r for r in candidates[todo] if path.isdisjoint(r.body_pos)]
+            else:
+                kids = todo.body_pos
+            stack.append((v, iter(kids)))
+        v, rest = stack[-1]
+        todo = next(rest, None)
+        if todo is not None:
+            continue
+        stack.pop()
+        if isinstance(labels[v], Atom):
+            path.remove(labels[v])
+        complete = bool(children[v]) or not isinstance(labels[v], Atom)
+        while not complete:
+            del labels[v:], children[v:]
+            if not stack:
+                return EMPTY_TREE
+            u = stack[-1][0]
+            children[u].pop()
+            complete = isinstance(labels[u], Atom)
+            if not complete:
+                stack.pop()
+                v = u
+        if not stack:
+            return VertexLabeledTree(
+                0, dict(enumerate(labels)), dict(enumerate(map(tuple, children)))
+            )
 
 
 def ancestors(T: VertexLabeledTree, v: int) -> tuple[int, ...]:

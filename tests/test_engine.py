@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,8 @@ from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
-    ancestors, chain_text, complete_text, fixture_text, validate_andor_tree,
+    ancestors, chain_text, complete_text, fixture_text, reference_create_tree,
+    validate_andor_tree,
 )
 
 
@@ -298,6 +300,45 @@ class TestVertexCap:
         with pytest.raises(ValueError, match="more than 10 and-or"):
             create_tree(P, X, parse_atom("a"))
 
+    def test_copied_subtrees_count_against_the_cap(self, monkeypatch):
+        """The chain under ``c3`` is built under the first rule for
+        ``top`` and copied under the second, as the last 8 vertices; a
+        cap one below the tree's size stops the copy before the lists
+        grow."""
+        program = chain_text(3)[0] + "top :- x, c3.\ntop :- y, c3.\nx.\ny.\n"
+        P = parse_program(program)
+        X = parse_answer_set(chain_text(3)[1] + " top x y")
+        p = Atom("top")
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 23)
+        T = create_tree(P, X, p)
+        assert len(T) == 23
+        assert [T.labels[v] for v in range(15, 23)] == [T.labels[v] for v in range(4, 12)]
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 22)
+        with pytest.raises(ValueError, match="more than 22 and-or"):
+            create_tree(P, X, p)
+
+    def test_keys_hold_no_more_atoms_than_the_cap(self, monkeypatch):
+        """``y`` derived from every atom of a 100-step chain: every chain
+        atom occurs in two bodies and no state repeats, so keying every
+        state would hold about 1.7 * 10^5 atoms in keys, four times the
+        tree's memory. Bounded by the cap, they add a fraction of it."""
+        n = 100
+        program = chain_text(n)[0] + "".join("y :- c%d.\n" % i for i in range(n + 1))
+        P = parse_program(program)
+        X = parse_answer_set(chain_text(n)[1] + " y")
+        monkeypatch.setattr(engine, "MAX_TREE_VERTICES", 12_000)
+        peaks = []
+        for build in (reference_create_tree, create_tree):
+            tracemalloc.start()
+            try:
+                T = build(P, X, Atom("y"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(T) == 1 + (n + 1) + (n + 1) * (n + 2)
+        assert T == reference_create_tree(P, X, Atom("y"))
+        assert peaks[1] < 2 * peaks[0]
+
 
 class TestDeterminism:
     def test_identical_runs(self, ex41):
@@ -360,3 +401,33 @@ class TestDeepTrees:
         t0 = time.perf_counter()
         assert enumerate_explanations(P, X, p) == (shortest,)
         assert time.perf_counter() - t0 < seconds
+
+    def test_chain_under_a_diamond_builds_in_linear_time(self):
+        """A chain below two rules for ``top``: its end ``c_n`` occurs in
+        two bodies and is keyed by its ancestor set, but the chain atoms
+        occur in one body each and are not. Keying them too would hold
+        about 10^6 atoms in keys on a 2 * 10^3-step chain, some 50 MB
+        against the tree's 5 MB, and cost about 1.2 GB at 5 * 10^3 steps
+        without the bound on the atoms the keys hold."""
+
+        def build(n):
+            program, answer_set = chain_text(n)
+            program += "top :- l.\ntop :- r.\nl :- c%d.\nr :- c%d.\n" % (n, n)
+            P = parse_program(program)
+            X = parse_answer_set(answer_set + " top l r")
+            T = create_tree(P, X, Atom("top"))
+            # top, then per side its rule, l or r, its rule and the chain.
+            assert len(T) == 1 + 2 * (3 + 2 * (n + 1))
+            assert T.preorder() == tuple(range(len(T)))
+
+        t0 = time.perf_counter()
+        build(10**4)
+        assert time.perf_counter() - t0 < 10.0
+
+        tracemalloc.start()
+        try:
+            build(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20

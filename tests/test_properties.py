@@ -2,8 +2,9 @@
 
 Each case pairs a normal program with one of its answer sets (found by
 exhaustive search) and a member atom; the fast algorithms are checked
-against the brute-force explanation enumerator, and the per-atom
-grounder against the whole ground program.
+against the brute-force explanation enumerator, the per-atom grounder
+against the whole ground program, and the tree builder, which copies
+repeated subtrees, against one that expands every vertex.
 """
 import random
 
@@ -16,12 +17,12 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
-from aspexplain.model import Rule
+from aspexplain.model import Atom, Program, Rule, least_model
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
-    answer_sets, fixture_text, product_ground, random_nonground_program, random_program,
-    validate_andor_tree,
+    answer_sets, complete_text, fixture_text, product_ground, random_nonground_program,
+    random_program, reference_create_tree, validate_andor_tree,
 )
 
 N_PROGRAMS = 500
@@ -122,3 +123,67 @@ def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
         ]
         validate_andor_tree(T, G, X, p)
         assert shortest_explanation(P, X, p) == shortest_explanation(G, X, p)
+
+
+def dense_program(rng: random.Random) -> Program:
+    """A positive program over 10 to 12 atoms: two facts and 20 to 30
+    rules of 2 or 3 body atoms each. Its atoms recur in many bodies, so
+    its trees repeat subtrees, and a subtree completed under one body
+    atom is often dropped with its rule when a later body atom fails."""
+    atoms = [Atom("p%d" % i) for i in range(rng.randint(10, 12))]
+    rules = [Rule(a) for a in rng.sample(atoms, 2)]
+    for _ in range(rng.randint(20, 30)):
+        head = rng.choice(atoms)
+        body = rng.sample([a for a in atoms if a != head], rng.randint(2, 3))
+        rules.append(Rule(head, tuple(body)))
+    return Program(tuple(rules)).deduplicated()
+
+
+def test_create_tree_matches_the_reference_builder(
+    corpus, nonground_corpus, fixture_cases
+):
+    """Copying repeated subtrees gives the tree that expanding every
+    vertex gives."""
+    for P, X, p in corpus + nonground_corpus + fixture_cases:
+        assert create_tree(P, X, p) == reference_create_tree(P, X, p)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_complete_graph_trees_match_the_reference_builder(n):
+    program, answer_set = complete_text(n)
+    P, X = parse_program(program), parse_answer_set(answer_set)
+    for p in sorted(X):
+        assert create_tree(P, X, p) == reference_create_tree(P, X, p)
+
+
+def test_dense_program_trees_match_the_reference_builder():
+    rng = random.Random(20261018)
+    cases = 0
+    for _ in range(300):
+        P = dense_program(rng)
+        X = least_model(P, frozenset())
+        for p in sorted(X):
+            assert create_tree(P, X, p) == reference_create_tree(P, X, p)
+            cases += 1
+    assert cases > 300
+
+
+def test_rule_explananda_match_the_reference_builder():
+    rng = random.Random(7)
+    programs = [
+        (parse_program(fixture_text(name + ".lp")),
+         parse_answer_set(fixture_text(name + ".as")))
+        for name in FIXTURES
+    ]
+    program, answer_set = complete_text(5)
+    programs.append((parse_program(program), parse_answer_set(answer_set)))
+    for _ in range(20):
+        P = dense_program(rng)
+        programs.append((P, least_model(P, frozenset())))
+    cases = 0
+    for P, X in programs:
+        for r in P.rules:
+            if r.is_ground:
+                assert create_tree(P, X, r) == reference_create_tree(P, X, r)
+                cases += 1
+    assert cases > 500
