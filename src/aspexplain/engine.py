@@ -30,6 +30,10 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
 
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
+    The supporting rules of an atom are instantiated when its first
+    vertex opens, through a :class:`~aspexplain.ground.GroundingIndex`
+    built for this call: it files the rules of ``P`` up front, and
+    groups ``X`` by predicate only if a non-ground rule is joined.
 
     The subtree under an atom vertex depends only on the atom and the
     set of its ancestor atoms, so it is built once per such state: a
@@ -272,6 +276,8 @@ def enumerate_explanation_trees(
     """All explanation trees inside the and-or tree ``T``: every atom
     vertex picks exactly one rule child, every rule vertex keeps all of
     its children. Vertex ids are shared with ``T``."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
     if T.is_empty:
         return
     if _tree_count(T) > cap:

@@ -13,7 +13,10 @@ whole grounding over the Herbrand universe is
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Optional
 
 from .model import (
     Atom,
@@ -30,6 +33,7 @@ class GroundingError(ValueError):
 
 
 Subst = dict[str, Term]
+_ARGS = itemgetter(1)
 
 
 def _subst_atom(atom: Atom, subst: Subst) -> Atom:
@@ -56,7 +60,7 @@ def _expand_card(
     return CardinalityExpression(card.lower, card.upper, tuple(dict.fromkeys(members)))
 
 
-def _check_groundable(r: Rule, universe: tuple[Term, ...]) -> None:
+def _check_groundable(r: Rule, constants: AbstractSet[Term]) -> None:
     """Every variable outside the cardinality expressions must occur in
     a positive body atom, and there must be constants to substitute;
     cardinality-expression variables not bound elsewhere are local and
@@ -75,7 +79,7 @@ def _check_groundable(r: Rule, universe: tuple[Term, ...]) -> None:
             "unsafe rule %r: variable %s does not occur in a positive body atom"
             % (r.display, unbound[0])
         )
-    if not universe:
+    if not constants:
         raise GroundingError(
             "cannot ground rule %r: the program has no constants" % r.display
         )
@@ -107,53 +111,82 @@ def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
 
 
 class GroundingIndex:
-    """The rules of ``P`` by head, the atoms of ``X`` by predicate and
-    arity, and the sorted Herbrand universe of ``P``, for
-    :func:`ground_program` and :func:`instantiate_for_head`. Atoms of
-    ``X`` with a constant outside the universe are left out, as no
-    instance over the universe holds them. Raises
+    """The rules of ``P`` by head, joined against the atoms of ``X`` by
+    :func:`ground_program` and :func:`instantiate_for_head`. Raises
     :class:`GroundingError` for the first rule, in program order, that
     is unsafe or has variables in a program without constants.
+
+    Only the rules are filed up front. A ground pattern, and the body of
+    a ground rule, is looked up in ``X``. ``X`` is grouped by predicate
+    and arity when a pattern with a variable is first joined, without
+    the atoms with a constant outside the universe, which no instance
+    holds; each table of bound positions is built on first use.
     """
 
     def __init__(self, P: Program, X: AtomSet):
-        self.universe = tuple(sorted(P.herbrand_universe))
+        self.X = X
         self.constants = P.herbrand_universe
         # Ground heads keyed by atom, others by predicate and arity; the
         # program position decides whose source text a duplicate keeps.
         self.rules: dict[object, list[tuple[int, Rule]]] = {}
+        self.nonground: set[int] = set()
+        variables = P.variables
         for i, r in enumerate(P.rules):
-            if not r.is_ground:
-                _check_groundable(r, self.universe)
-            if r.head is not None:
-                key = r.head if r.head.is_ground else (r.head.predicate, r.head.arity)
-                self.rules.setdefault(key, []).append((i, r))
-        self.atoms: dict[tuple[str, int], list[Atom]] = {}
-        for a in X:
-            if self.constants.issuperset(a.args):
-                self.atoms.setdefault((a.predicate, a.arity), []).append(a)
-        # Built on first use: (predicate, arity, bound positions) ->
-        # values at those positions -> atoms.
-        self._tables: dict[tuple, dict[tuple[Term, ...], list[Atom]]] = {}
+            head = r.head
+            if variables and not r.is_ground:
+                _check_groundable(r, self.constants)
+                self.nonground.add(i)
+                if head is not None and not head.is_ground:
+                    head = (head.predicate, head.arity)
+            if head is not None:
+                self.rules.setdefault(head, []).append((i, r))
+        # (predicate, arity, bound positions) -> values at those
+        # positions -> atoms.
+        self._tables: dict[tuple, dict[object, list[Atom]]] = {}
+
+    @cached_property
+    def universe(self) -> tuple[Term, ...]:
+        return tuple(sorted(self.constants))
+
+    @cached_property
+    def atoms(self) -> dict[tuple[str, int], list[Atom]]:
+        """The atoms of ``X`` by predicate and arity."""
+        atoms: Iterable[Atom] = self.X
+        if not self.constants.issuperset(chain.from_iterable(map(_ARGS, atoms))):
+            atoms = [a for a in atoms if self.constants.issuperset(a.args)]
+        by_predicate: dict[tuple[str, int], list[Atom]] = {}
+        for a in atoms:
+            by_predicate.setdefault((a.predicate, len(a.args)), []).append(a)
+        return by_predicate
 
     def candidates(self, pattern: Atom) -> list[Atom]:
         """The indexed atoms that agree with ``pattern`` on its constant
         arguments."""
-        bound = tuple(i for i, t in enumerate(pattern.args) if not t.is_variable)
-        key = (pattern.predicate, pattern.arity, bound)
+        args = pattern.args
+        bound = tuple(i for i, t in enumerate(args) if not t[0].isupper())
+        if len(bound) == len(args):
+            return [pattern] if pattern in self.X else []
+        atoms = self.atoms.get((pattern.predicate, len(args)), [])
+        if not bound:
+            return atoms
+        key = (pattern.predicate, len(args), bound)
+        get = itemgetter(*bound)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = {}
-            for a in self.atoms.get(key[:2], ()):
-                table.setdefault(tuple(a.args[i] for i in bound), []).append(a)
-        return table.get(tuple(pattern.args[i] for i in bound), [])
+            for a, k in zip(atoms, map(get, map(_ARGS, atoms))):
+                table.setdefault(k, []).append(a)
+        return table.get(get(args), [])
 
 
-def _join(index: GroundingIndex, r: Rule, subst: Subst) -> list[Rule]:
-    """The instances of ``r`` that extend ``subst`` and whose positive
-    body lies in the indexed atom set: the positive body is joined, left
-    to right, against the atom set, and variables local to a cardinality
+def _join(index: GroundingIndex, i: int, r: Rule, subst: Subst) -> list[Rule]:
+    """The instances of ``r``, the rule at position ``i`` of the
+    program, that extend ``subst`` and whose positive body lies in the
+    indexed atom set: the positive body is joined, left to right,
+    against the atom set, and variables local to a cardinality
     expression range over the universe."""
+    if i not in index.nonground:
+        return [r] if index.X.issuperset(r.body_pos) else []
     substs = [subst]
     for pattern in r.body_pos:
         substs = [
@@ -162,7 +195,12 @@ def _join(index: GroundingIndex, r: Rule, subst: Subst) -> list[Rule]:
             for a in index.candidates(_subst_atom(pattern, s))
             if (m := _match_atom(pattern, a, s)) is not None
         ]
-    return [r if r.is_ground else _instance(r, s, index.universe) for s in substs]
+    return [_instance(r, s, index.universe) for s in substs]
+
+
+def _by_text(rules: list[Rule]) -> list[Rule]:
+    """``rules`` sorted by text, which is not built for a single rule."""
+    return sorted(rules, key=lambda g: g.text) if len(rules) > 1 else rules
 
 
 def ground_program(P: Program, X: AtomSet) -> Program:
@@ -177,8 +215,8 @@ def ground_program(P: Program, X: AtomSet) -> Program:
     """
     index = GroundingIndex(P, X)
     rules: list[Rule] = []
-    for r in P.rules:
-        rules.extend(sorted(_join(index, r, {}), key=lambda g: g.text))
+    for i, r in enumerate(P.rules):
+        rules.extend(_by_text(_join(index, i, r, {})))
     return Program(tuple(rules)).deduplicated()
 
 
@@ -198,8 +236,8 @@ def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
         return ()
     out: list[Rule] = []
     rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
-    for _, r in sorted(rules):
+    for i, r in sorted(rules):
         head = _match_atom(r.head, p, {})
         if head is not None:
-            out.extend(_join(index, r, head))
-    return tuple(sorted(dict.fromkeys(out), key=lambda g: g.text))
+            out.extend(_join(index, i, r, head))
+    return tuple(_by_text(list(dict.fromkeys(out))))

@@ -7,8 +7,10 @@ spelled in the input (``source_text`` is carried for display only).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 
@@ -119,18 +121,32 @@ class CardinalityExpression:
         return self.text
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A rule ``head :- body``; ``head is None`` encodes a constraint.
-
-    Equality and hashing are structural and ignore ``source_text``.
-    """
-
+class _RuleFields(NamedTuple):
     head: Optional[Atom]
     body_pos: tuple[Atom, ...] = ()
     body_neg: tuple[Atom, ...] = ()
     body_card: tuple[CardinalityExpression, ...] = ()
-    source_text: str = field(default="", compare=False)
+
+
+class Rule(_RuleFields):
+    """A rule ``head :- body``; ``head is None`` encodes a constraint.
+
+    A rule is the tuple ``(head, body_pos, body_neg, body_card)``, so it
+    hashes and compares as one and equals the plain tuple; an atom is a
+    2-tuple and never equals a rule. ``source_text`` is kept in the
+    instance ``__dict__``, outside equality and hashing.
+    """
+
+    source_text = ""
+
+    def __new__(cls, head: Optional[Atom], body_pos: tuple[Atom, ...] = (),
+                body_neg: tuple[Atom, ...] = (),
+                body_card: tuple[CardinalityExpression, ...] = (),
+                source_text: str = "") -> "Rule":
+        self = tuple.__new__(cls, (head, body_pos, body_neg, body_card))
+        if source_text:
+            self.source_text = source_text
+        return self
 
     @property
     def is_fact(self) -> bool:
@@ -192,23 +208,31 @@ class Program:
 
     @property
     def is_ground(self) -> bool:
-        return all(r.is_ground for r in self.rules)
+        return not self.variables
 
     def _atom_patterns(self) -> Iterator[Atom]:
-        for r in self.rules:
-            if r.head is not None:
-                yield r.head
-            yield from r.body_pos
-            yield from r.body_neg
-            for c in r.body_card:
-                yield from c.atoms
+        rules = self.rules
+        cards = chain.from_iterable(map(itemgetter(3), rules))
+        return chain(
+            filter(None, map(itemgetter(0), rules)),
+            chain.from_iterable(map(itemgetter(1), rules)),
+            chain.from_iterable(map(itemgetter(2), rules)),
+            chain.from_iterable(map(attrgetter("atoms"), cards)),
+        )
+
+    @cached_property
+    def _terms(self) -> frozenset[Term]:
+        return frozenset(chain.from_iterable(map(itemgetter(1), self._atom_patterns())))
+
+    @cached_property
+    def variables(self) -> frozenset[Term]:
+        """All variables occurring anywhere in the rules."""
+        return frozenset([t for t in self._terms if t[0].isupper()])
 
     @cached_property
     def herbrand_universe(self) -> frozenset[Term]:
         """All constants occurring anywhere in the rules."""
-        return frozenset(
-            {t for a in self._atom_patterns() for t in a.args if not t[0].isupper()}
-        )
+        return self._terms.difference(self.variables)
 
     @cached_property
     def herbrand_base(self) -> frozenset[Atom]:

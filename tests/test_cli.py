@@ -566,6 +566,14 @@ class TestEnumerate:
         assert code == 2
         assert "cap exceeded" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exit_code(self, capsys, cap):
+        code, out, err = run(
+            capsys, "enumerate", fx("example41.lp"), fx("example41.as"), "a",
+            "--max-expl", cap,
+        )
+        assert (code, out, err) == (2, "", "error: cap must be positive\n")
+
 
 CHAIN_STEPS = 10**4
 

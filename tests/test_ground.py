@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aspexplain.cli import main
 from aspexplain.ground import (
     GroundingError,
     GroundingIndex,
@@ -225,3 +226,105 @@ class TestInstantiateForHead:
         index = GroundingIndex(P, frozenset())
         with pytest.raises(GroundingError, match="non-ground query"):
             instantiate_for_head(index, parse_atom("p(Xv)"))
+
+
+_CONSTANTS = ("a", "b", "1", '"s t"')
+_PREDICATES = (("q0", 1), ("q1", 2), ("q2", 0), ("q3", 1))
+
+
+def _atom_text(rng: random.Random, pool) -> str:
+    name, arity = rng.choice(_PREDICATES)
+    if not arity:
+        return name
+    return "%s(%s)" % (name, ",".join(rng.choice(pool) for _ in range(arity)))
+
+
+def _rule_text(head: str, pos: list, neg: list) -> str:
+    body = pos + ["not " + a for a in neg]
+    return "%s :- %s." % (head, ", ".join(body)) if body else head + "."
+
+
+def _respelled(statement: str) -> str:
+    """The same rule spelled differently: no blanks, or a comment and
+    extra blanks."""
+    if " " not in statement.replace("not ", "").replace('"s t"', ""):
+        return "  %s %% again" % statement.replace("(", " (", 1)
+    return statement.replace(" :- ", ":-").replace(", ", ",")
+
+
+def mixed_program(rng: random.Random) -> str:
+    """Program text with many ground facts and ground rules among a few
+    safe non-ground rules and constraints, in random order. Some
+    statements come twice, spelled differently, and some ground
+    instances of the non-ground rules are written out as ground rules."""
+    statements = [
+        _rule_text(_atom_text(rng, _CONSTANTS), [], [])
+        for _ in range(rng.randint(20, 60))
+    ]
+    for _ in range(rng.randint(5, 25)):
+        pos = [_atom_text(rng, _CONSTANTS) for _ in range(rng.randint(1, 2))]
+        neg = [_atom_text(rng, _CONSTANTS) for _ in range(rng.randint(0, 1))]
+        head = _atom_text(rng, _CONSTANTS) if rng.random() < 0.9 else ""
+        statements.append(_rule_text(head, pos, neg))
+    for _ in range(rng.randint(2, 6)):
+        pos = ["q1(V,%s)" % rng.choice(_CONSTANTS + ("W",))]
+        pos += [_atom_text(rng, _CONSTANTS + ("V", "W")) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(pos)
+        bound = list(_CONSTANTS) + sorted(
+            {t for a in pos for t in a[a.find("(") + 1:-1].split(",") if t in "VW"}
+        )
+        neg = [_atom_text(rng, bound) for _ in range(rng.randint(0, 1))]
+        head = _atom_text(rng, bound) if rng.random() < 0.8 else ""
+        rule = _rule_text(head, pos, neg)
+        statements.append(rule)
+        c = rng.choice(_CONSTANTS)
+        statements.append(rule.replace("V", c).replace("W", c))
+    statements += [_respelled(rng.choice(statements)) for _ in range(rng.randint(3, 8))]
+    rng.shuffle(statements)
+    return "\n".join(statements) + "\n"
+
+
+def test_mixed_programs_match_the_product_grounding():
+    """On programs that are mostly ground facts and ground rules, with
+    non-ground rules, constraints and differently spelled duplicates,
+    and on sets holding atoms with constants the program lacks in the
+    predicates the rules join, the grounding and the instances of each
+    atom of the set equal the whole grounding filtered by the set: same
+    rules, same order, same source text kept."""
+    rng = random.Random(20261019)
+    foreign = ["q0(z)", "q1(z,a)", "q1(a,z)", "q3(z)", "q1(z,z)"]
+    instances = 0
+    for _ in range(120):
+        P = parse_program(mixed_program(rng))
+        assert not P.is_ground and any(r.is_ground and r.body_pos for r in P.rules)
+        G = product_ground(P)
+        base = sorted(G.herbrand_base)
+        X = frozenset(a for a in base if rng.random() < 0.6)
+        X |= {parse_atom(t) for t in foreign}
+        expected = [r for r in G.rules if X.issuperset(r.body_pos)]
+        got = ground_program(P, X).rules
+        assert got == tuple(expected)
+        assert [r.display for r in got] == [r.display for r in expected]
+        index = GroundingIndex(P, X)
+        for p in sorted(X):
+            want = sorted((r for r in expected if r.head == p), key=lambda r: r.text)
+            rs = instantiate_for_head(index, p)
+            assert list(rs) == want
+            assert [r.display for r in rs] == [r.display for r in want]
+            instances += len(rs)
+    assert instances > 1000
+
+
+def test_unsafe_rule_after_many_facts_fails_explain(tmp_path, capsys):
+    """The index checks every rule when it is built, so an unsafe rule
+    after 10^3 facts fails ``explain`` although the query never reaches
+    it."""
+    facts = "".join("f(%d).\n" % i for i in range(1000))
+    (tmp_path / "p.lp").write_text(facts + "a.\nb :- a.\np(X) :- not f(X).\n")
+    (tmp_path / "p.as").write_text("a b\n")
+    code = main(["explain", str(tmp_path / "p.lp"), str(tmp_path / "p.as"), "b"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (
+        2, "", "error: unsafe rule 'p(X) :- not f(X)': variable X does not "
+        "occur in a positive body atom\n",
+    )

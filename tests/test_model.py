@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -129,6 +131,44 @@ class TestRule:
     def test_constraint_and_fact_flags(self):
         assert Rule(None, (b,)).is_constraint
         assert Rule(a).is_fact
+
+    def test_a_rule_is_its_tuple(self):
+        card = CardinalityExpression(1, None, (d,))
+        r = Rule(a, (b,), (c,), (card,), source_text="a :- b, not c, 1 {d}")
+        plain = (a, (b,), (c,), (card,))
+        assert r == plain and plain == r and hash(r) == hash(plain)
+        assert Rule(None, (b,)) == (None, (b,), (), ())
+        assert r != (a, (b,), (c,))
+        assert {r: 1}[plain] == 1 and plain in {r}
+
+    def test_source_text_is_outside_equality(self):
+        r = Rule(a, (b,), source_text="a:-b")
+        assert r == Rule(a, (b,)) == Rule(a, (b,), source_text="a :- b")
+        assert r.display == "a:-b" and Rule(a, (b,)).display == "a :- b"
+        assert tuple(r) == (a, (b,), (), ()) and "a:-b" not in repr(r)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_source_text(self, clone):
+        r = Rule(a, (b,), source_text="a:-b")
+        r2 = clone(r)
+        assert type(r2) is Rule and r2 == r and r2.source_text == "a:-b"
+        assert clone(Rule(a)).display == "a"
+
+    @pytest.mark.parametrize("field", ["head", "body_pos", "body_neg", "body_card"])
+    def test_fields_cannot_be_assigned(self, field):
+        r = Rule(a, (b,))
+        with pytest.raises(AttributeError):
+            setattr(r, field, ())
+        assert r == (a, (b,), (), ())
+
+    def test_an_atom_never_equals_a_rule(self):
+        for r in (Rule(a), Rule(a, (b,)), Rule(None, (a,))):
+            assert a != r and r != a and len({a, r}) == 2
+        assert Atom("p", (Term("a"),)) != Rule(Atom("p", (Term("a"),)))
 
 
 class TestProgram:
