@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 import warnings
 from typing import Optional
@@ -57,8 +58,18 @@ def _read_lookup(path: Optional[str]) -> LookupTable:
 
 
 def _load_inputs(args) -> tuple[Program, AnswerSet]:
-    P = parse_program(_read(args.program))
-    X = parse_answer_set(_read(args.answerset))
+    """The program and the answer set, read against the program's facts.
+    Parsing makes no reference cycles, so the cyclic collector, which
+    would only scan the atoms and rules as they are made, is off while
+    it runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        P = parse_program(_read(args.program))
+        X = parse_answer_set(_read(args.answerset), program=P)
+    finally:
+        if enabled:
+            gc.enable()
     return P, X
 
 

@@ -189,9 +189,10 @@ def extract_exp(
     def pick(u: int) -> int:
         kids = T.child_ids(u)
         best = op(W[c] for c in kids)
-        return min(
-            (c for c in kids if W[c] == best), key=lambda c: T.labels[c].text
-        )
+        tied = [c for c in kids if W[c] == best]
+        if len(tied) == 1:  # no rule text to build
+            return tied[0]
+        return min(tied, key=lambda c: T.labels[c].text)
 
     return _collapse(T, v, pick)
 

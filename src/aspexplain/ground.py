@@ -133,7 +133,12 @@ class GroundingIndex:
         variables = P.variables
         for i, r in enumerate(P.rules):
             head = r.head
-            if variables and not r.is_ground:
+            # A fact with a ground head, the bulk of a knowledge base, is
+            # told apart without the Rule.is_ground property.
+            if variables and not (
+                head is not None and not (r[1] or r[2] or r[3])
+                and variables.isdisjoint(head[1])
+            ) and not r.is_ground:
                 _check_groundable(r, self.constants)
                 self.nonground.add(i)
                 if head is not None and not head.is_ground:

@@ -235,6 +235,17 @@ class Program:
         return self._terms.difference(self.variables)
 
     @cached_property
+    def fact_heads(self) -> dict[str, Atom]:
+        """The head of each ground fact, keyed by the fact's source
+        text: the head as it is spelled in the program."""
+        variables = self.variables
+        return {
+            r.source_text: r[0] for r in self.rules
+            if not (r[1] or r[2] or r[3]) and r[0] is not None
+            and (not variables or variables.isdisjoint(r[0][1]))
+        }
+
+    @cached_property
     def herbrand_base(self) -> frozenset[Atom]:
         """All ground atoms obtained by instantiating the rules' atoms
         over the constants of the program."""

@@ -20,6 +20,14 @@ variable or a comment, or an atom the match cannot read, whole. If
 either reader raises :class:`ParseError`, the token grammar reads the
 whole text again and raises the error, so every message, line and
 column is that grammar's.
+
+An answer set read with its program is first looked up against the
+program's facts: :attr:`Program.fact_heads` maps the source text of
+each ground fact to its head. The text is split at whitespace; a piece
+found there is that head, and the other pieces, joined by line breaks,
+go to one ``split`` around atoms, in which no atom may hold a line
+break. A text with ``%``, or with a piece that is not such atoms, is
+read as above.
 """
 from __future__ import annotations
 
@@ -437,22 +445,52 @@ def parse_atom(text: str) -> Atom:
     return _parse(text, _read_atom, _Parser.single_atom)
 
 
-def _read_answer_set(text: str) -> Optional[AnswerSet]:
+def _split_atoms(text: str) -> tuple[str, Iterator[Atom]]:
+    """The text between the ground atoms of ``text``, joined, and the
+    atoms."""
     # [text before the first atom, name, arguments, text before the next
-    # atom, ...]: an answer set if all text between the atoms is whitespace.
+    # atom, ...].
     parts = _GROUND_ATOM_RE.split(text)
-    if "".join(parts[::3]).strip():
+    intern = itertools.repeat(_Terms().__getitem__)
+    return "".join(parts[::3]), map(_atom_of, parts[1::3], parts[2::3], intern)
+
+
+def _read_answer_set(text: str) -> Optional[AnswerSet]:
+    between, atoms = _split_atoms(text)
+    return None if between.strip() else AnswerSet._of_ground(atoms)
+
+
+def _read_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
+    """The atoms of ``text`` if each whitespace-separated token is a key
+    of ``heads`` or a run of ground atoms; None otherwise. The tokens
+    that are not keys are read joined by line breaks, and each break
+    must fall between two atoms, so no atom reaches across tokens. A
+    text with ``%`` is left to the other readers: a fact's source text
+    may end in a comment, which the same token would start in an answer
+    set."""
+    if "%" in text:
         return None
-    intern = _Terms().__getitem__
-    return AnswerSet._of_ground(map(
-        _atom_of, parts[1::3], parts[2::3], itertools.repeat(intern)
-    ))
+    tokens = text.split()
+    misses = list(itertools.filterfalse(heads.__contains__, tokens))
+    between, atoms = _split_atoms("\n".join(misses))
+    if between != "\n" * (len(misses) - 1):
+        return None
+    found = filter(None, map(heads.get, tokens))
+    return AnswerSet._of_ground(itertools.chain(found, atoms))
 
 
-def parse_answer_set(text: str) -> AnswerSet:
+def parse_answer_set(text: str, program: Optional[Program] = None) -> AnswerSet:
     """Whitespace-separated ground atoms. An ``Answer: N`` header line is
     skipped; error positions still count it, and count lines as
-    :meth:`str.splitlines` does."""
+    :meth:`str.splitlines` does.
+
+    With ``program``, an atom spelled as the source text of one of its
+    ground facts is that fact's head, read once by the parser of the
+    program; the result and every error are the same as without it."""
+    if program is not None:
+        X = _read_by_facts(text, program.fact_heads)
+        if X is not None:
+            return X
     return _parse(text, _read_answer_set, _Parser.answer_set)
 
 

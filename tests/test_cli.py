@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain import engine
+from aspexplain import cli, engine
 from aspexplain.cli import main
 from aspexplain.parser import parse_program
 from aspexplain.serialize import emit_json
@@ -126,6 +127,32 @@ class TestExplain:
         )
         assert (code, out) == (2, "")
         assert err == "error: cap exceeded: more than 1000 and-or tree vertices\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("answer_set, code", [
+    ("a b c d\n", 0), ("a b c(\n", 2), (None, 2),
+], ids=["ok", "parse-error", "missing-file"])
+def test_collector_off_while_parsing_and_restored(
+    tmp_path, capsys, monkeypatch, enabled, answer_set, code
+):
+    path = tmp_path / "x.as"
+    if answer_set is not None:
+        path.write_text(answer_set)
+    # Whether the collector ran while the program was parsed.
+    seen = []
+    parse = cli.parse_program
+    monkeypatch.setattr(
+        cli, "parse_program", lambda text: seen.append(gc.isenabled()) or parse(text)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, "explain", fx("example41.lp"), str(path), "a")[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 class TestNonGroundQuery:

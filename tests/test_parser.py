@@ -321,6 +321,75 @@ def test_atom_tokens_parse_as_plain_tokens(text, parse):
     assert _outcome(parse, text) == plain
 
 
+def _by_facts(program: str):
+    P = parse_program(program)
+    return lambda text: parse_answer_set(text, program=P)
+
+
+# (program, answer-set text): a set read against the facts of the program
+# must be the set read without them, and an error the same error.
+BY_FACTS_TABLE = [
+    ("p(a,b).", "p( a , b )"),
+    ("p( a , b ).", "p(a,b) q"),
+    ("p(a).", "Answer: 1\np(a)"),
+    ("p(a).", "p(a) % c q(b)\nr"),
+    ("p(a)%c\n.", "p(a)%c q(b)\nr"),
+    ('p("s t").', 'p("s t")'),
+    ('p("50%").', 'p("50%") q'),
+    ("p(a).", "q(b) r"),
+    ("p(X).", "p(X)"),
+    ("p(X). q(a).", "q(a) p(X)"),
+    ("p(a). q(b).", "p(a)q(b) r(c)s"),
+    ("p. q(b).", "p (a) q(b)"),
+    ("p(a). q(b).", "p( q(b) a)"),
+    ("p(1..2).", "p(1) p(2) p(3)"),
+    ("p(a).", "p(a) p(a,"),
+]
+
+
+@pytest.mark.parametrize("program, text", BY_FACTS_TABLE)
+def test_reading_against_facts_changes_nothing(program, text):
+    assert _outcome(_by_facts(program), text) == _outcome(parse_answer_set, text)
+
+
+_BY_FACTS_TERMS = st.sampled_from(
+    ["a", "b", "1", "-2", "_y", "X", '"s"', '"s t"', '"50%"', '"a,b)"']
+)
+
+
+@st.composite
+def _spelled_atom(draw) -> tuple[str, str]:
+    """The text of an atom without spaces, and a spelling of it."""
+    name = draw(st.sampled_from(["p", "q", "r"]))
+    args = draw(st.lists(_BY_FACTS_TERMS, max_size=2))
+    if not args:
+        return name, name
+    sep = draw(st.sampled_from([",", ", ", " , "]))
+    lpar, rpar = draw(st.sampled_from([("(", ")"), ("( ", " )"), (" (", ")")]))
+    return "%s(%s)" % (name, ",".join(args)), name + lpar + sep.join(args) + rpar
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_reading_against_generated_facts_changes_nothing(data):
+    facts = data.draw(st.lists(_spelled_atom(), max_size=6))
+    ends = st.sampled_from([".", " .", "%c\n."])
+    program = "".join(s + data.draw(ends) + "\n" for _, s in facts) + "r(X) :- p(X).\n"
+    # A fact as spelled in the program or respelled, an atom that may be
+    # absent from it, a header line or a comment; and the text between
+    # them, which may be none.
+    item = st.one_of(
+        _spelled_atom().map(lambda a: a[data.draw(st.integers(0, 1))]),
+        st.sampled_from(["Answer: 1", "% c", "p(a)q(b)"]
+                        + [text for fact in facts for text in fact]),
+    )
+    pieces = data.draw(st.lists(
+        st.tuples(item, st.sampled_from([" ", "\n", "", "\x85", "\r\n"])), max_size=8
+    ))
+    text = "".join(a + sep for a, sep in pieces)
+    assert _outcome(_by_facts(program), text) == _outcome(parse_answer_set, text)
+
+
 def _padded_chain() -> tuple[str, str]:
     """A 150-step chain shuffled among 1,000 unrelated facts."""
     program, answer_set = chain_text(150)
@@ -356,9 +425,19 @@ def test_regex_reader_needs_no_token_grammar(name):
     with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
         P = parse_program(program)
         X = parse_answer_set(answer_set)
+        by_facts = parse_answer_set(answer_set, program=P)
         parse_atom(" p(a, X, 1) ")
-    assert len(P) > 0 and len(X) > 0
+    assert len(P) > 0 and len(X) > 0 and by_facts == X
     assert tokenize.call_count == 0
+
+
+def test_atoms_spelled_as_facts_are_the_fact_heads():
+    program, answer_set = _gene_reach()
+    P = parse_program(program)
+    heads = {id(r.head) for r in P.rules if r.is_fact}
+    X = parse_answer_set(answer_set, program=P)
+    facts = [a for a in X if a.predicate == "gene_gene_biogrid"]
+    assert len(facts) > 1000 and all(id(a) in heads for a in facts)
 
 
 _LONG_BODY = ", ".join("b%d" % i for i in range(3000))
