@@ -58,19 +58,9 @@ def _read_lookup(path: Optional[str]) -> LookupTable:
 
 
 def _load_inputs(args) -> tuple[Program, AnswerSet]:
-    """The program and the answer set, read against the program's facts.
-    Parsing makes no reference cycles, so the cyclic collector, which
-    would only scan the atoms and rules as they are made, is off while
-    it runs."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        P = parse_program(_read(args.program))
-        X = parse_answer_set(_read(args.answerset), program=P)
-    finally:
-        if enabled:
-            gc.enable()
-    return P, X
+    """The program and the answer set, read against the program's facts."""
+    P = parse_program(_read(args.program))
+    return P, parse_answer_set(_read(args.answerset), program=P)
 
 
 def _format_text(e: Explanation) -> str:
@@ -229,13 +219,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command. A command leaves no cyclic garbage: what it
+    makes, from the parsed rules to the rendered output, is freed by
+    reference counting alone. So the cyclic collector, which would only
+    rescan those objects as they are made, is off while the command
+    runs, and its previous state is restored however the command ends."""
     args = _build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError and GroundingError are ValueErrors.
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

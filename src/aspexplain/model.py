@@ -222,6 +222,8 @@ class Program:
 
     @cached_property
     def _terms(self) -> frozenset[Term]:
+        """The distinct terms of the rules. ``parse_program`` fills it in
+        with the terms it interned, which are exactly these."""
         return frozenset(chain.from_iterable(map(itemgetter(1), self._atom_patterns())))
 
     @cached_property

@@ -21,6 +21,13 @@ either reader raises :class:`ParseError`, the token grammar reads the
 whole text again and raises the error, so every message, line and
 column is that grammar's.
 
+A fact the match reads is built inline as its atom and its rule, two
+tuples. Terms are interned once per text, and the program is given the
+interned terms as its :attr:`Program._terms`: every term interned is in
+a rule, as a statement that is not read into rules makes the whole text
+be read again, so the program's variables and constants take no pass
+over its atoms.
+
 An answer set read with its program is first looked up against the
 program's facts: :attr:`Program.fact_heads` maps the source text of
 each ground fact to its head. The text is split at whitespace; a piece
@@ -181,13 +188,11 @@ def _atom_of(name: str, args: Optional[str], intern: Callable[[str], Term]) -> A
 
 
 def _rule_of(source: str, name: Optional[str], args: Optional[str],
-             body: Optional[str], intern: Callable[[str], Term]) -> Rule:
-    """The rule of the groups of one :data:`_STATEMENT_RE` match. Raises
-    ValueError on a cardinality bound that int() cannot convert or on
-    bounds out of order."""
+             body: str, intern: Callable[[str], Term]) -> Rule:
+    """The rule of the groups of one :data:`_STATEMENT_RE` match with a
+    body. Raises ValueError on a cardinality bound that int() cannot
+    convert or on bounds out of order."""
     head = None if name is None else _atom_of(name, args, intern)
-    if body is None:
-        return Rule(head, source_text=source)
     body_pos: list[Atom] = []
     body_neg: list[Atom] = []
     body_card: list[CardinalityExpression] = []
@@ -204,23 +209,43 @@ def _rule_of(source: str, name: Optional[str], args: Optional[str],
 
 def _read_program(text: str) -> Program:
     """Read ``text`` a statement per match of :data:`_STATEMENT_RE`,
-    sending each statement it cannot read to the token grammar."""
+    sending each statement it cannot read to the token grammar. A fact
+    is built here as the two tuples it is; other statements by
+    :func:`_rule_of`."""
     terms = _Terms()
     intern = terms.__getitem__
+    findall = _TERM_RE.findall
+    new = tuple.__new__
     plain = _Parser(text, terms)
     rules: list[Rule] = []
+    append = rules.append
     pos = 0
     while True:
         m = _STATEMENT_RE.match(text, pos, pos + _MAX_STATEMENT)
         if m is not None:
+            source, name, args, body = groups = m.groups()
+            if body is None:  # a fact: a statement without a body has a head
+                rule = new(Rule, (
+                    new(Atom, (name, tuple(map(intern, findall(args))) if args else ())),
+                    (), (), (),
+                ))
+                rule.source_text = source
+                append(rule)
+                pos = m.end()
+                continue
             try:
-                rules.append(_rule_of(*m.groups(), intern))
+                append(_rule_of(*groups, intern))
                 pos = m.end()
                 continue
             except ValueError:  # a bound int() cannot convert, or bounds out of order
                 pass
         elif _END_RE.match(text, pos):
-            return Program(tuple(rules))
+            P = Program(tuple(rules))
+            # Each term interned here is in a rule: every statement read
+            # ended in rules holding each term read from it, since one
+            # that raises ParseError has the whole text read again.
+            P.__dict__["_terms"] = frozenset(terms.values())
+            return P
         pos = plain.statement(pos, rules)
 
 

@@ -155,6 +155,64 @@ def test_collector_off_while_parsing_and_restored(
     assert seen == [False]
 
 
+_Q8 = [fx("q8.lp"), fx("q8.as"), 'what_be_genes("CASK")', "--lookup", fx("q8.lookup")]
+# (argv, exit code) per command.
+_COMMANDS = {
+    **{"explain-%s-%s" % (mode, fmt): (["explain", *_Q8, "--mode", mode, "--format", fmt], 0)
+       for mode in ("shortest", "kdiff") for fmt in ("text", "nl", "json", "dot")},
+    "explain-verify": (["explain", fx("example41.lp"), fx("example41.as"), "a", "--verify"], 0),
+    "enumerate": (["enumerate", fx("example44.lp"), fx("example44.as"), "a"], 0),
+    "verify": (["verify", fx("example41.lp"), fx("example41.as")], 0),
+    "jst2exp": (["convert", "jst2exp", fx("example41.lp"), fx("example41.as"), "a",
+                 fx("fig_jst.json")], 0),
+    "exp2jst": (["convert", "exp2jst", fx("threerule.lp"), fx("threerule.as"), "a",
+                 fx("exp_tree.json")], 0),
+    "parse-error": (["explain", fx("example41.lp"), fx("q8.lookup"), "a"], 2),
+    "missing-file": (["explain", fx("nope.lp"), fx("example41.as"), "a"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", _COMMANDS.values(), ids=_COMMANDS.keys())
+def test_command_leaves_no_cyclic_garbage(capsys, argv, code):
+    # The collector is off while a command runs, which is safe only if
+    # reference counting frees all that the command makes.
+    main(list(argv))  # builds the argument parser and other one-time state
+    gc.collect()
+    assert main(list(argv)) == code
+    assert gc.collect() == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_collector_off_while_the_engine_runs_and_restored(capsys, monkeypatch, enabled):
+    seen = []
+    shortest = engine.shortest_explanation
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return shortest(*args)
+
+    def fail(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not caught by main")
+
+    argv = ["explain", fx("example41.lp"), fx("example41.as"), "a"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(engine, "shortest_explanation", spy)
+        assert run(capsys, *argv)[0] == 0
+        assert gc.isenabled() is enabled
+        # An exception main does not catch still restores the collector.
+        monkeypatch.setattr(engine, "shortest_explanation", fail)
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
 class TestNonGroundQuery:
     """A query atom with a variable is an input error for every command
     that takes one."""

@@ -358,10 +358,10 @@ _BY_FACTS_TERMS = st.sampled_from(
 
 
 @st.composite
-def _spelled_atom(draw) -> tuple[str, str]:
+def _spelled_atom(draw, terms=_BY_FACTS_TERMS) -> tuple[str, str]:
     """The text of an atom without spaces, and a spelling of it."""
     name = draw(st.sampled_from(["p", "q", "r"]))
-    args = draw(st.lists(_BY_FACTS_TERMS, max_size=2))
+    args = draw(st.lists(terms, max_size=2))
     if not args:
         return name, name
     sep = draw(st.sampled_from([",", ", ", " , "]))
@@ -438,6 +438,83 @@ def test_atoms_spelled_as_facts_are_the_fact_heads():
     X = parse_answer_set(answer_set, program=P)
     facts = [a for a in X if a.predicate == "gene_gene_biogrid"]
     assert len(facts) > 1000 and all(id(a) in heads for a in facts)
+
+
+def test_facts_are_built_as_the_token_grammar_builds_them():
+    text = 'p( "a b" ,  c ).\nq.\nr(X) :- p("a b", X), not q, s(c).\np(d, c)%c\n.\n'
+    with mock.patch.object(parser, "_rule_of", wraps=parser._rule_of) as rule_of:
+        P = parse_program(text)
+    assert rule_of.call_count == 1  # only the statement with a body
+    fact, bare, rule, commented = P.rules
+    for r in (fact, bare, commented):
+        assert type(r) is Rule and type(r.head) is Atom
+        assert all(type(t) is Term for t in r.head.args)
+    assert fact == Rule(Atom("p", (Term('"a b"'), Term("c"))))
+    assert vars(fact) == {"source_text": 'p( "a b" ,  c )'}
+    assert vars(bare) == {"source_text": "q"} and bare.head == Atom("q")
+    assert vars(commented) == {"source_text": "p(d, c)%c"}
+    # One term object per name, in facts and rule bodies alike.
+    assert fact.head.args[0] is rule.body_pos[0].args[0]
+    assert fact.head.args[1] is rule.body_pos[1].args[0] is commented.head.args[1]
+    plain = parser._Parser(text).program()
+    assert [(r, vars(r)) for r in P.rules] == [(r, vars(r)) for r in plain.rules]
+
+
+_TERM_POOL = st.sampled_from(["a", "b", "1", "-2", "_y", "X", "Y", '"s t"', '"a,b"',
+                              '"a.b"', '"50%"', '"a,b)"'])
+
+
+@st.composite
+def _statement(draw) -> str:
+    """One statement of the kinds each reader takes, ending in its period."""
+    def atom():
+        return draw(_spelled_atom(_TERM_POOL))[1]
+
+    kind = draw(st.sampled_from(
+        ["fact", "fact", "rule", "constraint", "interval", "comment", "long", "bound"]
+    ))
+    if kind == "fact":
+        return atom() + draw(st.sampled_from([".", " .", "%c\n."]))
+    if kind == "rule":
+        literals = {
+            "pos": atom, "neg": lambda: "not " + atom(),
+            "card": lambda: "1 {%s; %s} 2" % (atom(), atom()),
+        }
+        kinds = draw(st.lists(st.sampled_from(sorted(literals)), min_size=1, max_size=3))
+        return "%s :- %s." % (atom(), ", ".join(literals[k]() for k in kinds))
+    if kind == "constraint":
+        return ":- %s, not %s." % (atom(), atom())
+    if kind == "interval":
+        return draw(st.sampled_from(["p(1..3).", "q(a, 0..2).", 'r("s t", 2..3).']))
+    if kind == "comment":
+        return "%s :- %s, %% c\n %s." % (atom(), atom(), atom())
+    if kind == "long":  # longer than the regex is given
+        n = parser._MAX_STATEMENT // 6
+        return draw(st.sampled_from([
+            "s :- %s." % ", ".join("b%d" % i for i in range(n)),
+            'p("%s", a).' % ("x" * parser._MAX_STATEMENT),
+        ]))
+    # Bounds in order, out of order, or with more digits than int()
+    # converts; _rule_of rejects the last two, and so does the token grammar.
+    return draw(st.sampled_from(
+        ["t :- 3 {p(a); q} 2.", "t :- %s {p(a)}." % ("9" * 5000), "t :- 1 {p(a)} 2."]
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_statement(), max_size=8))
+def test_terms_from_the_parser_are_the_terms_of_the_rules(statements):
+    try:
+        P = parse_program("\n".join(statements))
+    except ParseError:
+        return
+    assert "_terms" in vars(P)  # filled by the parser, not computed
+    Q = Program(P.rules)
+    assert all(type(t) is Term for t in P._terms)
+    assert P._terms == Q._terms
+    assert P.variables == Q.variables
+    assert P.herbrand_universe == Q.herbrand_universe
+    assert P.fact_heads == Q.fact_heads
 
 
 _LONG_BODY = ", ".join("b%d" % i for i in range(3000))
