@@ -33,19 +33,22 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     The supporting rules of an atom are instantiated when its first
     vertex opens, through a :class:`~aspexplain.ground.GroundingIndex`
     built for this call: it files the rules of ``P`` up front, and
-    groups ``X`` by predicate only if a non-ground rule is joined.
+    groups ``X`` by predicate only if a non-ground rule is joined. The
+    tree returned carries its preorder, its ids in order, so
+    ``preorder()`` and a fold from its root take no walk.
 
     The subtree under an atom vertex depends only on the atom and the
     set of its ancestor atoms, so it is built once per such state: a
     completed one is a contiguous range of ids, and a repeat copies that
     range with its ids shifted; a state that cannot be completed is not
-    expanded again. Only atoms in two or more positive-body positions of
-    the rules found so far are keyed, which keeps chains linear; the
-    subtree of any other atom repeats only inside a repeat of a keyed
-    ancestor. The keys hold at most :data:`MAX_TREE_VERTICES` atoms in
-    all; past that, states are expanded as they come. The cap counts
-    the vertices this walk holds, copies included, which on the way can
-    be fewer than a walk expanding every repeat would hold.
+    opened again, and the rule vertex that needs it is dropped at once.
+    Only atoms in two or more positive-body positions of the rules found
+    so far are keyed, which keeps chains linear; the subtree of any
+    other atom repeats only inside a repeat of a keyed ancestor. The
+    keys hold at most :data:`MAX_TREE_VERTICES` atoms in all; past that,
+    states are expanded as they come. The cap counts the vertices this
+    walk holds, copies included, which on the way can be fewer than a
+    walk expanding every repeat would hold.
     """
     if isinstance(d, Atom):
         if d not in X:
@@ -71,6 +74,16 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     # Per open vertex: its id, the children left to try and its key.
     stack: list[tuple[int, Iterator[Label], Optional[tuple]]] = []
     todo: Optional[Label] = d
+
+    def drop(v: int) -> None:
+        """Drop ``v``, the vertices after it and their id ranges."""
+        del labels[v:], children[v:]
+        while spans:  # forget the ranges that were dropped
+            key, (s, e) = spans.popitem()
+            if s < v:
+                spans[key] = (s, e)
+                break
+
     while True:
         if todo is not None:  # open a vertex for todo, or copy its subtree
             v = len(labels)
@@ -84,13 +97,19 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                     "cap exceeded: more than %d and-or tree vertices"
                     % MAX_TREE_VERTICES
                 )
-            if stack:
+            if key in dead:
+                # It cannot complete, nor can the rule vertex above it,
+                # which has an atom vertex above it in turn.
+                drop(stack.pop()[0])
+                children[stack[-1][0]].pop()
+            elif key in spans:
                 children[stack[-1][0]].append(v)
-            if key in spans:
                 shift = v - s
                 labels.extend(labels[s:e])
                 children.extend([c + shift for c in kids] for kids in children[s:e])
             else:
+                if stack:
+                    children[stack[-1][0]].append(v)
                 labels.append(todo)
                 children.append([])
                 if isinstance(todo, Atom):
@@ -103,7 +122,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                             for a in r.body_pos:
                                 (shared if a in once else once).add(a)
                     path.add(todo)
-                    kids = [] if key in dead else [
+                    kids = [
                         r for r in candidates[todo] if path.isdisjoint(r.body_pos)
                     ]
                 else:
@@ -124,12 +143,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
         complete = bool(children[v]) or not isinstance(labels[v], Atom)
         while not complete:
             # Drop v; a rule vertex that loses a body atom goes with it.
-            del labels[v:], children[v:]
-            while spans:  # forget the ranges that were dropped
-                key, (s, e) = spans.popitem()
-                if s < v:
-                    spans[key] = (s, e)
-                    break
+            drop(v)
             if not stack:
                 return EMPTY_TREE
             u = stack[-1][0]
@@ -139,25 +153,30 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 stack.pop()
                 v = u
         if not stack:
-            return VertexLabeledTree(
+            T = VertexLabeledTree(
                 0, dict(enumerate(labels)), dict(enumerate(map(tuple, children)))
             )
+            # The ids are preorder positions, so the keys are the preorder.
+            T.__dict__["_preorder"] = tuple(T.labels)
+            return T
 
 
 def _fold(
     T: VertexLabeledTree,
     v: int,
-    at_atom: Callable[[list[int]], int],
-    at_rule: Callable[[int, list[int]], int],
+    at_atom: Callable[[Iterator[int]], int],
+    at_rule: Callable[[int, Iterator[int]], int],
 ) -> dict[int, int]:
     """One value per vertex of the subtree at ``v``, children first: an
-    atom vertex combines its children's values with ``at_atom``, a rule
-    vertex ``u`` with ``at_rule(u, values)``. From the root, the tree's
-    one preorder walk is reused."""
+    atom vertex combines an iterator over its children's values with
+    ``at_atom``, a rule vertex ``u`` with ``at_rule(u, values)``. From
+    the root, the tree's preorder is reused: an and-or tree from
+    :func:`create_tree` carries it, so that fold takes no walk."""
     children, labels = T.children, T.labels
     F: dict[int, int] = {}
+    value = F.__getitem__
     for u in reversed(T.preorder() if v == T.root else T.preorder_from(v)):
-        values = [F[c] for c in children.get(u, ())]
+        values = map(value, children.get(u, ()))
         F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
 
@@ -186,13 +205,15 @@ def extract_exp(
     children at every rule vertex. Rule vertices keep their and-or-tree
     ids."""
 
+    children, labels = T.children, T.labels
+
     def pick(u: int) -> int:
-        kids = T.child_ids(u)
-        best = op(W[c] for c in kids)
+        kids = children.get(u, ())
+        best = op(map(W.__getitem__, kids))
         tied = [c for c in kids if W[c] == best]
         if len(tied) == 1:  # no rule text to build
             return tied[0]
-        return min(tied, key=lambda c: T.labels[c].text)
+        return min(tied, key=lambda c: labels[c].text)
 
     return _collapse(T, v, pick)
 
@@ -204,8 +225,10 @@ def _collapse(
     vertex gives way to the rule child ``pick`` chooses, and every rule
     vertex keeps all of its children."""
 
+    tree_children, tree_labels = T.children, T.labels
+
     def rule_below(u: int) -> int:
-        while T.is_atom_vertex(u):
+        while isinstance(tree_labels[u], Atom):
             u = pick(u)
         return u
 
@@ -215,8 +238,8 @@ def _collapse(
     stack = [root]
     while stack:
         u = stack.pop()
-        labels[u] = T.labels[u]
-        kids = tuple(rule_below(c) for c in T.child_ids(u))
+        labels[u] = tree_labels[u]
+        kids = tuple(map(rule_below, tree_children.get(u, ())))
         children[u] = kids
         stack.extend(reversed(kids))
     return Explanation(root, labels, children, andor=T)
@@ -236,8 +259,8 @@ def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
 
 def distance(Z: frozenset[int], S: Explanation) -> int:
     """How many of ``S``'s rule vertices are not already in ``Z``."""
-    tree_ids = set(S.andor.labels)
-    if not (set(Z) <= tree_ids and set(S.rule_vertex_ids) <= tree_ids):
+    tree_ids = S.andor.labels.keys()
+    if not (tree_ids >= Z and tree_ids >= S.rule_vertex_ids):
         raise ValueError("mismatched trees")
     return len(S.rule_vertex_ids - Z)
 

@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import tracemalloc
 
@@ -19,8 +21,8 @@ from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
-    ancestors, chain_text, complete_text, fixture_text, reference_create_tree,
-    validate_andor_tree,
+    ancestors, answer_sets, chain_text, complete_text, fixture_text, random_program,
+    reference_create_tree, validate_andor_tree,
 )
 
 
@@ -252,6 +254,114 @@ class TestDistance:
             distance(frozenset([999]), e)
 
 
+def reference_fold(T, v, at_atom, at_rule):
+    """The values of the subtree at ``v``, by plain recursion over
+    ``child_ids``: the definition the folds are checked against."""
+    out = {}
+
+    def value(u):
+        values = [value(c) for c in T.child_ids(u)]
+        out[u] = at_atom(values) if T.is_atom_vertex(u) else at_rule(u, values)
+        return out[u]
+
+    value(v)
+    return out
+
+
+def shuffled(T, rng):
+    """``T`` with its ids permuted and rule vertices without children
+    left out of ``children``: a hand-built tree that carries no
+    preorder, and neither its ids nor its keys are in preorder."""
+    ids = list(T.labels)
+    new = dict(zip(ids, rng.sample(range(10 * len(ids)), len(ids))))
+    S = VertexLabeledTree(
+        new[T.root],
+        dict(sorted((new[u], label) for u, label in T.labels.items())),
+        {new[u]: tuple(new[c] for c in kids) for u, kids in T.children.items() if kids},
+    )
+    return S, new
+
+
+class TestFoldOrder:
+    """The folds read a tree in the preorder it carries when
+    :func:`create_tree` built it, and walk it otherwise."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        out = []
+        for name in ("example41", "example44", "threerule", "q8"):
+            P = parse_program(fixture_text(name + ".lp"))
+            X = parse_answer_set(fixture_text(name + ".as"))
+            out += [create_tree(P, X, p) for p in sorted(X)]
+        for n in (3, 4, 5):
+            program, answer_set = complete_text(n)
+            P, X = parse_program(program), parse_answer_set(answer_set)
+            out += [create_tree(P, X, Atom("p%d" % (n - 1)))]
+        rng = random.Random(20261019)
+        for _ in range(40):
+            P = random_program(rng)
+            for X in answer_sets(P):
+                out += [create_tree(P, X, p) for p in sorted(X)]
+        return [T for T in out if not T.is_empty]
+
+    def test_folds_equal_a_recursive_fold_on_trees_out_of_preorder(self, trees):
+        rng = random.Random(7)
+        out_of_order = 0
+        for T in trees:
+            S, new = shuffled(T, rng)
+            out_of_order += S.preorder() != tuple(S.labels)
+            rules = [u for u in S.labels if S.is_rule_vertex(u)]
+            R = frozenset(rng.sample(rules, len(rules) // 2))
+            in_T = frozenset(u for u in T.labels if new[u] in R)
+            for tree, seen in ((T, in_T), (S, R)):
+                for v in tree.labels:
+                    assert calculate_weight(tree, v) == reference_fold(
+                        tree, v, min, lambda u, values: 1 + sum(values)
+                    )
+                    assert calculate_difference(tree, v, seen) == reference_fold(
+                        tree, v, max, lambda u, values: (u not in seen) + sum(values)
+                    )
+                count = reference_fold(
+                    tree, tree.root, sum, lambda u, values: math.prod(values)
+                )
+                assert engine._tree_count(tree) == count[tree.root]
+            # Extraction reads labels and children alone, so it picks the
+            # same explanation under any ids.
+            for D, op in ((calculate_weight(T, T.root), min),
+                          (calculate_difference(T, T.root, frozenset()), max)):
+                e = extract_exp(T, T.root, D, op)
+                f = extract_exp(S, S.root, {new[u]: d for u, d in D.items()}, op)
+                assert f.root == new[e.root]
+                assert f.labels == {new[u]: label for u, label in e.labels.items()}
+                assert f.children == {
+                    new[u]: tuple(map(new.get, kids)) for u, kids in e.children.items()
+                }
+        assert out_of_order > len(trees) // 2
+
+    def test_explanations_walk_no_and_or_tree(self, monkeypatch):
+        """From the root, the folds of ``shortest_explanation`` and
+        ``k_different`` read the preorder the and-or tree carries."""
+        program, answer_set = complete_text(6)
+        P, X, p = parse_program(program), parse_answer_set(answer_set), Atom("p5")
+        walked = []
+        walk = VertexLabeledTree.preorder_from
+
+        def counted(self, v):
+            walked.append(self)
+            return walk(self, v)
+
+        monkeypatch.setattr(VertexLabeledTree, "preorder_from", counted)
+        e = shortest_explanation(P, X, p)
+        ks = k_different(P, X, p, 3)
+        assert len(e.andor) > 300 and len(ks) == 3
+        for T in [e.andor] + [k.andor for k in ks]:
+            assert not any(t is T for t in walked)
+        # A fold below the root still walks, so the count would show a walk.
+        T = e.andor
+        calculate_weight(T, T.child_ids(T.root)[0])
+        assert any(t is T for t in walked)
+
+
 class TestEnumerate:
     def test_example(self, ex41):
         P, X, p = ex41
@@ -385,7 +495,7 @@ class TestDeepTrees:
         T = create_tree(P, X, p)
         assert time.perf_counter() - t0 < seconds
         assert len(T) == 2 * (n + 1)
-        assert T.preorder() == tuple(range(len(T)))
+        assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
         assert T.labels[len(T) - 1] == P.rules[0]
 
         t0 = time.perf_counter()
@@ -418,7 +528,7 @@ class TestDeepTrees:
             T = create_tree(P, X, Atom("top"))
             # top, then per side its rule, l or r, its rule and the chain.
             assert len(T) == 1 + 2 * (3 + 2 * (n + 1))
-            assert T.preorder() == tuple(range(len(T)))
+            assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
 
         t0 = time.perf_counter()
         build(10**4)

@@ -85,10 +85,11 @@ def test_andor_tree_nonempty_and_wellformed(corpus):
 
 def test_andor_tree_ids_are_preorder(corpus, fixture_cases):
     """Vertex ids count up from 0 in preorder, with no gap left where an
-    incomplete subtree was dropped."""
+    incomplete subtree was dropped, and the preorder the tree carries is
+    the one a fresh walk finds."""
     for P, X, p in corpus + fixture_cases:
         T = create_tree(P, X, p)
-        assert T.preorder() == tuple(range(len(T)))
+        assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
 
 
 def test_shortest_matches_oracle_minimum(enumerated):
