@@ -7,7 +7,7 @@ The entry points are :func:`create_tree`, :func:`shortest_explanation`,
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
 from .ground import GroundingIndex, instantiate_for_head
 from .model import Atom, Program, Rule, AtomSet, supports
@@ -163,28 +163,47 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
 
 def _fold(
     T: VertexLabeledTree,
-    v: int,
+    vertices: Iterable[int],
     at_atom: Callable[[Iterator[int]], int],
     at_rule: Callable[[int, Iterator[int]], int],
+    F: Optional[dict[int, int]] = None,
 ) -> dict[int, int]:
-    """One value per vertex of the subtree at ``v``, children first: an
-    atom vertex combines an iterator over its children's values with
-    ``at_atom``, a rule vertex ``u`` with ``at_rule(u, values)``. From
-    the root, the tree's preorder is reused: an and-or tree from
-    :func:`create_tree` carries it, so that fold takes no walk."""
+    """One value per vertex of ``vertices``, which come children first:
+    an atom vertex combines an iterator over its children's values with
+    ``at_atom``, a rule vertex ``u`` with ``at_rule(u, values)``. The
+    values go into ``F``, a new map unless one is given to update; every
+    child of a vertex must be in ``vertices`` or already in ``F``.
+
+    The folds over a subtree pass it in reversed preorder. The update in
+    :func:`k_different` passes only the vertices above the explanation
+    it just took, to re-fold them in the map of its one difference fold."""
     children, labels = T.children, T.labels
-    F: dict[int, int] = {}
+    if F is None:
+        F = {}
     value = F.__getitem__
-    for u in reversed(T.preorder() if v == T.root else T.preorder_from(v)):
+    for u in vertices:
         values = map(value, children.get(u, ()))
         F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
 
 
+def _children_first(T: VertexLabeledTree, v: int) -> Iterator[int]:
+    """The subtree at ``v`` in reversed preorder. From the root the
+    tree's preorder is reused: an and-or tree from :func:`create_tree`
+    carries it, so that fold takes no walk."""
+    return reversed(T.preorder() if v == T.root else T.preorder_from(v))
+
+
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
     """Weights for the subtree at ``v``: an atom vertex takes the
     minimum of its children, a rule vertex one plus their sum."""
-    return _fold(T, v, min, lambda u, values: 1 + sum(values))
+    return _fold(T, _children_first(T, v), min, lambda u, values: 1 + sum(values))
+
+
+def _unseen(R: AbstractSet[int]) -> Callable[[int, Iterator[int]], int]:
+    """The difference at a rule vertex: one if it is not in ``R``, plus
+    the sum of its children."""
+    return lambda u, values: (u not in R) + sum(values)
 
 
 def calculate_difference(
@@ -194,7 +213,7 @@ def calculate_difference(
     whose rule vertices are ``R``: an atom vertex takes the maximum of
     its children, a rule vertex the sum of its children plus one if it
     is not yet in ``R``."""
-    return _fold(T, v, max, lambda u, values: (u not in R) + sum(values))
+    return _fold(T, _children_first(T, v), max, _unseen(R))
 
 
 def extract_exp(
@@ -268,7 +287,16 @@ def distance(Z: frozenset[int], S: Explanation) -> int:
 def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     """Up to ``k`` explanations, each maximizing the number of rule
     vertices unseen in the previous ones; stops early once every
-    extractable explanation is fully covered."""
+    extractable explanation is fully covered.
+
+    One difference fold over the whole tree is made per call, with
+    nothing seen. A vertex's difference depends only on its subtree, so
+    taking an explanation changes it only at the vertices above the
+    explanation's rule vertices: those rule vertices, their atom
+    children, each of which leads to one of them, and the root. Each
+    later round re-folds just these, in decreasing id order, which is
+    children first as the ids are preorder positions. The map then
+    equals a whole-tree fold with every explanation taken so far seen."""
     if k < 1:
         raise ValueError("k must be positive")
     if p not in X:
@@ -276,22 +304,27 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     T = create_tree(P, X, p)
     if T.is_empty:
         return []
-    out: list[Explanation] = []
-    R: frozenset[int] = frozenset()
-    for i in range(k):
-        D = calculate_difference(T, T.root, R)
-        if D[T.root] == 0 and out:
+    D = calculate_difference(T, T.root, frozenset())
+    R: set[int] = set()
+    out = [extract_exp(T, T.root, D, max)]
+    while len(out) < k:
+        taken = out[-1].rule_vertex_ids
+        R |= taken
+        above = {T.root, *taken}
+        for u in taken:
+            above.update(T.children.get(u, ()))
+        _fold(T, sorted(above, reverse=True), max, _unseen(R), D)
+        if D[T.root] == 0:
             break
-        e = extract_exp(T, T.root, D, max)
-        out.append(e)
-        R = R | e.rule_vertex_ids
+        out.append(extract_exp(T, T.root, D, max))
     return out
 
 
 def _tree_count(T: VertexLabeledTree) -> int:
     if T.root is None:
         return 0
-    return _fold(T, T.root, sum, lambda u, values: math.prod(values))[T.root]
+    counts = _fold(T, reversed(T.preorder()), sum, lambda u, values: math.prod(values))
+    return counts[T.root]
 
 
 def enumerate_explanation_trees(

@@ -37,9 +37,14 @@ def _view(t: Emittable) -> tuple[str, Optional[int], list, list]:
         ]
         edges = sorted((ids[src], ids[dst], sign) for src, dst, sign in t.edges)
         return "egraph", None, vertices, edges
+    # Equal labels have equal text, as text ignores source_text, so it is
+    # built once per distinct label.
+    texts: dict[Label, str] = {}
     vertices = []
     for v, label in sorted(t.labels.items()):
-        text = label.text
+        text = texts.get(label)
+        if text is None:
+            text = texts[label] = label.text
         vertices.append((v, "atom" if isinstance(label, Atom) else "rule",
                          text, text))
     edges = [(v, c, None) for v, *_ in vertices for c in t.child_ids(v)]
@@ -83,9 +88,12 @@ def emit_json(t: Emittable) -> str:
     laid out as ``json.dumps(doc, indent=2, ensure_ascii=False)`` does,
     one string per vertex and per edge."""
     kind, root, vertices, edges = _view(t)
+    # Each distinct label kind and text is encoded once.
+    distinct = {s for _, lk, text, _ in vertices for s in (lk, text)}
+    encoded = {s: _encode(s) for s in distinct}
     items = [
         '    {\n      "id": %s,\n      "label_kind": %s,\n      "label_text": %s\n    }'
-        % (_json_id(i), _encode(lk), _encode(text))
+        % (_json_id(i), encoded[lk], encoded[text])
         for i, lk, text, _ in vertices
     ]
     links = [

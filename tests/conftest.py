@@ -5,6 +5,7 @@ from typing import Iterator, Optional, Union
 
 import pytest
 
+from aspexplain.engine import calculate_difference, create_tree, extract_exp
 from aspexplain.ground import (
     GroundingIndex, _check_groundable, _instance, instantiate_for_head,
 )
@@ -300,6 +301,28 @@ def reference_create_tree(
             return VertexLabeledTree(
                 0, dict(enumerate(labels)), dict(enumerate(map(tuple, children)))
             )
+
+
+def reference_k_different(
+    P: Program, X: AtomSet, p: Atom, k: int
+) -> list[Explanation]:
+    """The explanations of :func:`aspexplain.engine.k_different`, by one
+    difference fold over the whole and-or tree per round: the reference
+    for the call that folds once and re-folds only the vertices above
+    each explanation it takes."""
+    T = create_tree(P, X, p)
+    if T.is_empty:
+        return []
+    out: list[Explanation] = []
+    R: frozenset[int] = frozenset()
+    for _ in range(k):
+        D = calculate_difference(T, T.root, R)
+        if D[T.root] == 0 and out:
+            break
+        e = extract_exp(T, T.root, D, max)
+        out.append(e)
+        R = R | e.rule_vertex_ids
+    return out
 
 
 def ancestors(T: VertexLabeledTree, v: int) -> tuple[int, ...]:

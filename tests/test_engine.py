@@ -240,6 +240,40 @@ class TestKDifferent:
         with pytest.raises(ValueError):
             k_different(P, X, parse_atom("z"), 2)
 
+    def test_one_difference_fold_per_call(self, monkeypatch):
+        """Later rounds re-fold only the vertices above the explanation
+        just taken: no second whole-tree fold, and no walk of the tree."""
+        program, answer_set = complete_text(6)
+        P, X, p = parse_program(program), parse_answer_set(answer_set), Atom("p5")
+        folds, walked = [], []
+        fold, walk = engine.calculate_difference, VertexLabeledTree.preorder_from
+
+        def counted_fold(T, v, R):
+            folds.append((T, v, R))
+            return fold(T, v, R)
+
+        def counted_walk(self, v):
+            walked.append(self)
+            return walk(self, v)
+
+        monkeypatch.setattr(engine, "calculate_difference", counted_fold)
+        monkeypatch.setattr(VertexLabeledTree, "preorder_from", counted_walk)
+        ks = k_different(P, X, p, 5)
+        assert len(ks) == 5
+        ((T, v, R),) = folds
+        assert T is ks[0].andor and v == T.root and R == frozenset()
+        assert not any(t is T for t in walked)
+
+    def test_one_explanation_for_k3(self):
+        P = parse_program("a :- b.\nb.\n")
+        (e,) = k_different(P, parse_answer_set("a b"), parse_atom("a"), 3)
+        assert e.size == 2
+
+    def test_covered_after_two_rounds_returns_two(self, ex41):
+        P, X, p = ex41
+        for k in (3, 5, 10):
+            assert [e.size for e in k_different(P, X, p, k)] == [4, 2]
+
 
 class TestDistance:
     def test_self_distance_zero(self, ex41):

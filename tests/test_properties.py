@@ -22,7 +22,7 @@ from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
     answer_sets, complete_text, fixture_text, product_ground, random_nonground_program,
-    random_program, reference_create_tree, validate_andor_tree,
+    random_program, reference_create_tree, reference_k_different, validate_andor_tree,
 )
 
 N_PROGRAMS = 500
@@ -108,6 +108,24 @@ def test_k_different_greedy_maximality(enumerated):
             R = R | e.rule_vertex_ids
         ids = [e.rule_vertex_ids for e in ks]
         assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5, 10))
+def test_k_different_matches_a_fold_per_round(k, corpus, nonground_corpus, fixture_cases):
+    """Folding the difference once and re-folding only the vertices
+    above each explanation taken picks the explanations, ids included,
+    and the count that a whole-tree fold per round picks."""
+    cases = corpus + nonground_corpus + fixture_cases
+    for n in range(3, 8):
+        program, answer_set = complete_text(n)
+        P, X = parse_program(program), parse_answer_set(answer_set)
+        cases += [(P, X, p) for p in sorted(X)]
+    stopped_early = 0
+    for P, X, p in cases:
+        expected = reference_k_different(P, X, p, k)
+        assert k_different(P, X, p, k) == expected
+        stopped_early += 0 < len(expected) < k
+    assert k == 1 or stopped_early > 100
 
 
 def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
