@@ -33,9 +33,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     The supporting rules of an atom are instantiated when its first
     vertex opens, through a :class:`~aspexplain.ground.GroundingIndex`
     built for this call: it files the rules of ``P`` up front, and
-    groups ``X`` by predicate only if a non-ground rule is joined. The
-    tree returned carries its preorder, its ids in order, so
-    ``preorder()`` and a fold from its root take no walk.
+    groups ``X`` by predicate only if a non-ground rule is joined.
 
     The subtree under an atom vertex depends only on the atom and the
     set of its ancestor atoms, so it is built once per such state: a
@@ -49,6 +47,14 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     states are expanded as they come. The cap counts the vertices this
     walk holds, copies included, which on the way can be fewer than a
     walk expanding every repeat would hold.
+
+    The tree returned carries ``completion``, the order in which its
+    vertices completed: each vertex opened and kept, and each copy as
+    one entry for its range. Dropping a vertex cuts the entries made
+    since it opened, those with ids from its own, as it cuts the ranges.
+    A fold from the root follows this order, and a copied range takes
+    its source's values, which is exact for a fold that ignores ids
+    (see :func:`_fold`).
     """
     if isinstance(d, Atom):
         if d not in X:
@@ -70,14 +76,21 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     room = MAX_TREE_VERTICES
     labels: list[Label] = []
     children: list[list[int]] = []
+    order: list[Union[int, tuple[int, int, int]]] = []
     path: set[Atom] = set()
     # Per open vertex: its id, the children left to try and its key.
     stack: list[tuple[int, Iterator[Label], Optional[tuple]]] = []
     todo: Optional[Label] = d
 
     def drop(v: int) -> None:
-        """Drop ``v``, the vertices after it and their id ranges."""
+        """Drop ``v``, the vertices after it, their id ranges and
+        their entries in the completion order."""
         del labels[v:], children[v:]
+        while order:  # the entries made since v opened have ids from v
+            last = order[-1]
+            if (last if last.__class__ is int else last[0]) < v:
+                break
+            order.pop()
         while spans:  # forget the ranges that were dropped
             key, (s, e) = spans.popitem()
             if s < v:
@@ -104,6 +117,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 children[stack[-1][0]].pop()
             elif key in spans:
                 children[stack[-1][0]].append(v)
+                order.append((v, s, e))
                 shift = v - s
                 labels.extend(labels[s:e])
                 children.extend([c + shift for c in kids] for kids in children[s:e])
@@ -133,6 +147,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
         if todo is not None:
             continue
         stack.pop()  # v has no child left to try
+        order.append(v)
         if isinstance(labels[v], Atom):
             path.remove(labels[v])
         if key is not None:
@@ -153,21 +168,21 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 stack.pop()
                 v = u
         if not stack:
-            T = VertexLabeledTree(
-                0, dict(enumerate(labels)), dict(enumerate(map(tuple, children)))
+            return VertexLabeledTree(
+                0,
+                dict(enumerate(labels)),
+                dict(enumerate(map(tuple, children))),
+                tuple(order),
             )
-            # The ids are preorder positions, so the keys are the preorder.
-            T.__dict__["_preorder"] = tuple(T.labels)
-            return T
 
 
 def _fold(
     T: VertexLabeledTree,
-    vertices: Iterable[int],
+    vertices: Iterable[Union[int, tuple[int, int, int]]],
     at_atom: Callable[[Iterator[int]], int],
     at_rule: Callable[[int, Iterator[int]], int],
-    F: Optional[dict[int, int]] = None,
-) -> dict[int, int]:
+    F: Union[dict[int, int], list[int], None] = None,
+) -> Union[dict[int, int], list[int]]:
     """One value per vertex of ``vertices``, which come children first:
     an atom vertex combines an iterator over its children's values with
     ``at_atom``, a rule vertex ``u`` with ``at_rule(u, values)``. The
@@ -176,28 +191,51 @@ def _fold(
 
     The folds over a subtree pass it in reversed preorder. The update in
     :func:`k_different` passes only the vertices above the explanation
-    it just took, to re-fold them in the map of its one difference fold."""
+    it just took, to re-fold them in the map of its one difference fold.
+    A fold over a whole tree from :func:`create_tree` passes its
+    completion order and a list indexed by id; there an entry
+    ``(v, s, e)``, a copy of the range ``s`` to ``e`` at ``v``, takes the
+    values of that range. This is exact only for a fold that ignores
+    ids, one whose value at a vertex depends on the labels and shape of
+    its subtree alone: a copy has its source's labels and shape, not
+    its ids."""
     children, labels = T.children, T.labels
     if F is None:
         F = {}
     value = F.__getitem__
     for u in vertices:
+        if u.__class__ is tuple:
+            v, s, e = u
+            F[v : v + e - s] = F[s:e]
+            continue
         values = map(value, children.get(u, ()))
         F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
 
 
-def _children_first(T: VertexLabeledTree, v: int) -> Iterator[int]:
-    """The subtree at ``v`` in reversed preorder. From the root the
-    tree's preorder is reused: an and-or tree from :func:`create_tree`
-    carries it, so that fold takes no walk."""
-    return reversed(T.preorder() if v == T.root else T.preorder_from(v))
+def _fold_from(
+    T: VertexLabeledTree,
+    v: int,
+    at_atom: Callable[[Iterator[int]], int],
+    at_rule: Callable[[int, Iterator[int]], int],
+    ignores_ids: bool = True,
+) -> dict[int, int]:
+    """:func:`_fold` over the subtree at ``v``. From the root of a tree
+    that carries its completion order, a fold that ignores ids follows
+    that order, computing a value only at each vertex
+    :func:`create_tree` built; any other fold walks the subtree and
+    passes it in reversed preorder."""
+    if v == T.root and T.completion and ignores_ids:
+        return dict(enumerate(_fold(T, T.completion, at_atom, at_rule, [0] * len(T))))
+    walk = T.preorder() if v == T.root else T.preorder_from(v)
+    return _fold(T, reversed(walk), at_atom, at_rule)
 
 
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
     """Weights for the subtree at ``v``: an atom vertex takes the
-    minimum of its children, a rule vertex one plus their sum."""
-    return _fold(T, _children_first(T, v), min, lambda u, values: 1 + sum(values))
+    minimum of its children, a rule vertex one plus their sum. From the
+    root of an and-or tree, a copied range takes its source's weights."""
+    return _fold_from(T, v, min, lambda u, values: 1 + sum(values))
 
 
 def _unseen(R: AbstractSet[int]) -> Callable[[int, Iterator[int]], int]:
@@ -212,8 +250,11 @@ def calculate_difference(
     """Per-vertex contribution to the distance from the explanations
     whose rule vertices are ``R``: an atom vertex takes the maximum of
     its children, a rule vertex the sum of its children plus one if it
-    is not yet in ``R``."""
-    return _fold(T, _children_first(T, v), max, _unseen(R))
+    is not yet in ``R``. From the root of an and-or tree with ``R``
+    empty, a copied range takes its source's differences; a non-empty
+    ``R`` names ids, which a copy does not share with its source, so
+    that fold walks the tree."""
+    return _fold_from(T, v, max, _unseen(R), not R)
 
 
 def extract_exp(
@@ -323,8 +364,7 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
 def _tree_count(T: VertexLabeledTree) -> int:
     if T.root is None:
         return 0
-    counts = _fold(T, reversed(T.preorder()), sum, lambda u, values: math.prod(values))
-    return counts[T.root]
+    return _fold_from(T, T.root, sum, lambda u, values: math.prod(values))[T.root]
 
 
 def enumerate_explanation_trees(
@@ -344,21 +384,22 @@ def enumerate_explanation_trees(
 
     # An odometer over the reached atom vertices in preorder: the last one
     # with another rule child advances, and the ones after it start over.
-    choice = dict.fromkeys(T.labels, 0)
+    children, labels = T.children, T.labels
+    choice = dict.fromkeys(labels, 0)
     while True:
         kept: dict[int, tuple[int, ...]] = {}
         reached: list[int] = []
         stack = [T.root]
         while stack:
             u = stack.pop()
-            kids = T.child_ids(u)
-            if T.is_atom_vertex(u):
+            kids = children.get(u, ())
+            if isinstance(labels[u], Atom):
                 reached.append(u)
                 kids = (kids[choice[u]],)
             kept[u] = kids
             stack.extend(reversed(kids))
-        yield VertexLabeledTree(T.root, {u: T.labels[u] for u in kept}, kept)
-        while reached and choice[reached[-1]] + 1 == len(T.child_ids(reached[-1])):
+        yield VertexLabeledTree(T.root, {u: labels[u] for u in kept}, kept)
+        while reached and choice[reached[-1]] + 1 == len(children.get(reached[-1], ())):
             choice[reached.pop()] = 0
         if not reached:
             return

@@ -20,12 +20,21 @@ Label = Union[Atom, Rule]
 class VertexLabeledTree:
     """A rooted tree whose vertices carry atom or rule labels.
 
-    ``root is None`` encodes the empty tree.
+    ``root is None`` encodes the empty tree. ``completion`` is empty but
+    on an and-or tree from :func:`aspexplain.engine.create_tree`, which
+    lists there the order in which its vertices completed: the id of
+    each vertex it built, and ``(first id, source start, source end)``
+    for each range of ids it copied from the range ``source start`` to
+    ``source end``. Children come before parents, and each copy after
+    its source, so a fold over the whole tree can follow it.
     """
 
     root: Optional[int]
     labels: dict[int, Label] = field(default_factory=dict)
     children: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    completion: tuple[Union[int, tuple[int, int, int]], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def is_empty(self) -> bool:

@@ -59,6 +59,32 @@ def complete_text(n: int) -> tuple[str, str]:
     return program, " ".join("p%d" % i for i in range(n))
 
 
+def dropped_copy_text() -> tuple[str, str]:
+    """Program and answer-set text in which :func:`create_tree` copies
+    subtrees into ones that are then dropped. The subtree of ``a`` below
+    ``top`` is built under ``top :- a, b`` and copied under the two rules
+    with ``f``; ``f`` needs its ancestor ``top``, so it cannot complete,
+    and each of those rule vertices goes with the copies in it: the
+    first once ``f`` is found to have no rule child, the second as soon
+    as ``f`` comes up, as a state known not to complete."""
+    program = "top :- a, b.\ntop :- a, f.\ntop :- a, b, f.\nf :- top.\na :- c.\nc.\nb.\n"
+    return program, "top a b c f"
+
+
+def reference_fold(T: VertexLabeledTree, v: int, at_atom, at_rule) -> dict[int, int]:
+    """The values of the subtree at ``v``, by plain recursion over
+    ``child_ids``: the definition the folds are checked against."""
+    out = {}
+
+    def value(u):
+        values = [value(c) for c in T.child_ids(u)]
+        out[u] = at_atom(values) if T.is_atom_vertex(u) else at_rule(u, values)
+        return out[u]
+
+    value(v)
+    return out
+
+
 def ladder_justification(n: int) -> tuple[str, str, EGraph]:
     """Program text, answer-set text and justification of ``x_n`` for
     the ladder ``x0.``, ``x_{i+1} :- x_i, y_i.`` and ``y_i :- x_i.``

@@ -21,8 +21,8 @@ from aspexplain.trees import VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
-    ancestors, answer_sets, chain_text, complete_text, fixture_text, random_program,
-    reference_create_tree, validate_andor_tree,
+    ancestors, answer_sets, chain_text, complete_text, dropped_copy_text, fixture_text,
+    random_program, reference_create_tree, reference_fold, validate_andor_tree,
 )
 
 
@@ -288,20 +288,6 @@ class TestDistance:
             distance(frozenset([999]), e)
 
 
-def reference_fold(T, v, at_atom, at_rule):
-    """The values of the subtree at ``v``, by plain recursion over
-    ``child_ids``: the definition the folds are checked against."""
-    out = {}
-
-    def value(u):
-        values = [value(c) for c in T.child_ids(u)]
-        out[u] = at_atom(values) if T.is_atom_vertex(u) else at_rule(u, values)
-        return out[u]
-
-    value(v)
-    return out
-
-
 def shuffled(T, rng):
     """``T`` with its ids permuted and rule vertices without children
     left out of ``children``: a hand-built tree that carries no
@@ -317,8 +303,9 @@ def shuffled(T, rng):
 
 
 class TestFoldOrder:
-    """The folds read a tree in the preorder it carries when
-    :func:`create_tree` built it, and walk it otherwise."""
+    """From the root, the folds that ignore ids read a tree in the
+    completion order it carries when :func:`create_tree` built it, and
+    every other fold walks the tree."""
 
     @pytest.fixture(scope="class")
     def trees(self):
@@ -327,10 +314,13 @@ class TestFoldOrder:
             P = parse_program(fixture_text(name + ".lp"))
             X = parse_answer_set(fixture_text(name + ".as"))
             out += [create_tree(P, X, p) for p in sorted(X)]
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6, 7):
             program, answer_set = complete_text(n)
             P, X = parse_program(program), parse_answer_set(answer_set)
             out += [create_tree(P, X, Atom("p%d" % (n - 1)))]
+        program, answer_set = dropped_copy_text()
+        P, X = parse_program(program), parse_answer_set(answer_set)
+        out += [create_tree(P, X, p) for p in sorted(X)]
         rng = random.Random(20261019)
         for _ in range(40):
             P = random_program(rng)
@@ -371,6 +361,32 @@ class TestFoldOrder:
                     new[u]: tuple(map(new.get, kids)) for u, kids in e.children.items()
                 }
         assert out_of_order > len(trees) // 2
+
+    def test_whole_tree_fold_combines_only_at_built_vertices(self, monkeypatch):
+        """On ``K_7``, 1,238 of the 1,629 vertices lie in copied ranges.
+        A weight fold from the root combines values only at the vertices
+        :func:`create_tree` built, and gives each copy its source's."""
+        program, answer_set = complete_text(7)
+        P, X = parse_program(program), parse_answer_set(answer_set)
+        T = create_tree(P, X, Atom("p6"))
+        combined = []
+        fold = engine._fold
+
+        def counted(T, vertices, at_atom, at_rule, F=None):
+            def atom(values):
+                combined.append(1)
+                return at_atom(values)
+
+            def rule(u, values):
+                combined.append(1)
+                return at_rule(u, values)
+
+            return fold(T, vertices, atom, rule, F)
+
+        monkeypatch.setattr(engine, "_fold", counted)
+        W = calculate_weight(T, T.root)
+        assert len(T) == 1629 and 0 < len(combined) < len(T) // 3
+        assert W == reference_fold(T, T.root, min, lambda u, values: 1 + sum(values))
 
     def test_explanations_walk_no_and_or_tree(self, monkeypatch):
         """From the root, the folds of ``shortest_explanation`` and

@@ -6,11 +6,15 @@ against the brute-force explanation enumerator, the per-atom grounder
 against the whole ground program, and the tree builder, which copies
 repeated subtrees, against one that expands every vertex.
 """
+import math
 import random
 
 import pytest
 
+from aspexplain import engine
 from aspexplain.engine import (
+    calculate_difference,
+    calculate_weight,
     create_tree,
     distance,
     enumerate_explanations,
@@ -21,8 +25,9 @@ from aspexplain.model import Atom, Program, Rule, least_model
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
-    answer_sets, complete_text, fixture_text, product_ground, random_nonground_program,
-    random_program, reference_create_tree, reference_k_different, validate_andor_tree,
+    answer_sets, complete_text, dropped_copy_text, fixture_text, product_ground,
+    random_nonground_program, random_program, reference_create_tree, reference_fold,
+    reference_k_different, validate_andor_tree,
 )
 
 N_PROGRAMS = 500
@@ -90,6 +95,57 @@ def test_andor_tree_ids_are_preorder(corpus, fixture_cases):
     for P, X, p in corpus + fixture_cases:
         T = create_tree(P, X, p)
         assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
+
+
+def check_completion_order(T):
+    """The completion order of ``T`` holds each vertex exactly once,
+    children before parents, and each copied range after its source,
+    with its source's labels and shape; the folds from the root that
+    follow it equal a recursive fold."""
+    done = [False] * len(T)
+    for entry in T.completion:
+        if entry.__class__ is int:
+            ids = [entry]
+            assert all(done[c] for c in T.children[entry])
+        else:
+            v, s, e = entry
+            assert 0 <= s < e <= v and all(done[s:e])
+            ids = range(v, v + e - s)
+            for u in range(s, e):
+                assert T.labels[u + v - s] == T.labels[u]
+                assert T.children[u + v - s] == tuple(c + v - s for c in T.children[u])
+        for u in ids:
+            assert 0 <= u < len(T) and not done[u]
+            done[u] = True
+    assert all(done)
+    R = frozenset(u for u in T.labels if T.is_rule_vertex(u) and u % 2)
+    assert calculate_weight(T, T.root) == reference_fold(
+        T, T.root, min, lambda u, values: 1 + sum(values)
+    )
+    for seen in (frozenset(), R):
+        assert calculate_difference(T, T.root, seen) == reference_fold(
+            T, T.root, max, lambda u, values: (u not in seen) + sum(values)
+        )
+    count = reference_fold(T, T.root, sum, lambda u, values: math.prod(values))
+    assert engine._tree_count(T) == count[T.root]
+
+
+def test_completion_order_is_children_first_and_copies_after_sources(
+    corpus, nonground_corpus, fixture_cases
+):
+    """The order :func:`create_tree` hands over with its tree covers the
+    tree, drops included: on the corpora, every fixture atom, every atom
+    of ``K_3``-``K_8`` and a program that copies into dropped subtrees."""
+    cases = corpus + nonground_corpus + fixture_cases
+    for text in [complete_text(n) for n in range(3, 9)] + [dropped_copy_text()]:
+        P, X = parse_program(text[0]), parse_answer_set(text[1])
+        cases += [(P, X, p) for p in sorted(X)]
+    copied = 0
+    for P, X, p in cases:
+        T = create_tree(P, X, p)
+        check_completion_order(T)
+        copied += any(entry.__class__ is tuple for entry in T.completion)
+    assert copied > 50
 
 
 def test_shortest_matches_oracle_minimum(enumerated):
