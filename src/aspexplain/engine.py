@@ -11,7 +11,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
 from .ground import GroundingIndex, instantiate_for_head
 from .model import Atom, Program, Rule, AtomSet, supports
-from .trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
+from .trees import EMPTY_TREE, Explanation, FrozenIdMap, IdMap, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
 # Most vertices an and-or tree may hold while it is built.
@@ -37,24 +37,30 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
 
     The subtree under an atom vertex depends only on the atom and the
     set of its ancestor atoms, so it is built once per such state: a
-    completed one is a contiguous range of ids, and a repeat copies that
-    range with its ids shifted; a state that cannot be completed is not
-    opened again, and the rule vertex that needs it is dropped at once.
+    completed one is a contiguous range of ids, and a repeat takes the
+    next ids as a copy of that range; a state that cannot be completed
+    is not opened again, and the rule vertex that needs it is dropped at
+    once.
     Only atoms in two or more positive-body positions of the rules found
     so far are keyed, which keeps chains linear; the subtree of any
     other atom repeats only inside a repeat of a keyed ancestor. The
     keys hold at most :data:`MAX_TREE_VERTICES` atoms in all; past that,
-    states are expanded as they come. The cap counts the vertices this
-    walk holds, copies included, which on the way can be fewer than a
-    walk expanding every repeat would hold.
+    states are expanded as they come. The cap counts the ids this walk
+    assigns, copies included, which on the way can be fewer than a walk
+    expanding every repeat would assign.
 
-    The tree returned carries ``completion``, the order in which its
-    vertices completed: each vertex opened and kept, and each copy as
-    one entry for its range. Dropping a vertex cuts the entries made
-    since it opened, those with ids from its own, as it cuts the ranges.
-    A fold from the root follows this order, and a copied range takes
-    its source's values, which is exact for a fold that ignores ids
-    (see :func:`_fold`).
+    A copied range is resolved, not stored: it costs one ``(v, s, e)``
+    entry, a copy at ``v`` of the range ``s`` to ``e``, and labels and
+    child ids are stored only for the vertices built. The tree's
+    ``labels`` and ``children`` are :class:`~aspexplain.trees.IdMap` s
+    over every id, which read a copied id at its source, with child ids
+    shifted. The tree also carries ``completion``, the order in which
+    its vertices completed: each vertex opened and kept, and each copy
+    as its entry. Dropping a vertex cuts the entries made since it
+    opened, those with ids from its own, from the stored vertices, the
+    order and the ranges. A fold from the root follows this order and
+    stores values only at built ids, which is exact for a fold that
+    ignores ids (see :func:`_fold`).
     """
     if isinstance(d, Atom):
         if d not in X:
@@ -74,19 +80,28 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     # Atoms the keys may still hold: as many as the tree may hold
     # vertices, so that deep paths with no repeats cost bounded memory.
     room = MAX_TREE_VERTICES
-    labels: list[Label] = []
-    children: list[list[int]] = []
+    # The label of each vertex built, added as it opens, and its child
+    # ids, added as it completes: in both, the entries made since a
+    # vertex opened are the last ones, those with ids from its own.
+    labels: dict[int, Label] = {}
+    children: dict[int, tuple[int, ...]] = {}
     order: list[Union[int, tuple[int, int, int]]] = []
+    size = 0  # the next id
     path: set[Atom] = set()
-    # Per open vertex: its id, the children left to try and its key.
-    stack: list[tuple[int, Iterator[Label], Optional[tuple]]] = []
+    # Per open vertex: its id, its child ids so far, the children left
+    # to try and its key.
+    stack: list[tuple[int, list[int], Iterator[Label], Optional[tuple]]] = []
     todo: Optional[Label] = d
 
     def drop(v: int) -> None:
         """Drop ``v``, the vertices after it, their id ranges and
         their entries in the completion order."""
-        del labels[v:], children[v:]
-        while order:  # the entries made since v opened have ids from v
+        nonlocal size
+        size = v
+        for built in (labels, children):
+            while built and next(reversed(built)) >= v:
+                built.popitem()
+        while order:  # the same holds for the completion order
             last = order[-1]
             if (last if last.__class__ is int else last[0]) < v:
                 break
@@ -99,7 +114,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
 
     while True:
         if todo is not None:  # open a vertex for todo, or copy its subtree
-            v = len(labels)
+            v = size
             key = None
             if isinstance(todo, Atom) and todo in shared and len(path) < room:
                 room -= len(path)
@@ -114,18 +129,16 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 # It cannot complete, nor can the rule vertex above it,
                 # which has an atom vertex above it in turn.
                 drop(stack.pop()[0])
-                children[stack[-1][0]].pop()
+                stack[-1][1].pop()
             elif key in spans:
-                children[stack[-1][0]].append(v)
+                stack[-1][1].append(v)
                 order.append((v, s, e))
-                shift = v - s
-                labels.extend(labels[s:e])
-                children.extend([c + shift for c in kids] for kids in children[s:e])
+                size += e - s
             else:
                 if stack:
-                    children[stack[-1][0]].append(v)
-                labels.append(todo)
-                children.append([])
+                    stack[-1][1].append(v)
+                labels[v] = todo
+                size += 1
                 if isinstance(todo, Atom):
                     if todo not in candidates:
                         candidates[todo] = [
@@ -141,37 +154,45 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                     ]
                 else:
                     kids = todo.body_pos
-                stack.append((v, iter(kids), key))
-        v, rest, key = stack[-1]
+                stack.append((v, [], iter(kids), key))
+        v, ids, rest, key = stack[-1]
         todo = next(rest, None)
         if todo is not None:
             continue
         stack.pop()  # v has no child left to try
+        children[v] = tuple(ids)
         order.append(v)
-        if isinstance(labels[v], Atom):
-            path.remove(labels[v])
+        label = labels[v]
+        if isinstance(label, Atom):
+            path.remove(label)
         if key is not None:
-            if children[v]:
-                spans[key] = (v, len(labels))
+            if ids:
+                spans[key] = (v, size)
             else:
                 dead.add(key)
-        complete = bool(children[v]) or not isinstance(labels[v], Atom)
+        complete = bool(ids) or not isinstance(label, Atom)
         while not complete:
             # Drop v; a rule vertex that loses a body atom goes with it.
             drop(v)
             if not stack:
                 return EMPTY_TREE
-            u = stack[-1][0]
-            children[u].pop()
+            u, ids = stack[-1][:2]
+            ids.pop()
             complete = isinstance(labels[u], Atom)
             if not complete:
                 stack.pop()
                 v = u
         if not stack:
+            copies = [c for c in order if c.__class__ is tuple]
+            table = (
+                [v for v, s, e in copies],
+                [v + e - s for v, s, e in copies],
+                [v - s for v, s, e in copies],
+            )
             return VertexLabeledTree(
                 0,
-                dict(enumerate(labels)),
-                dict(enumerate(map(tuple, children))),
+                FrozenIdMap(table, size, labels),
+                FrozenIdMap(table, size, children, shifted=True),
                 tuple(order),
             )
 
@@ -181,8 +202,8 @@ def _fold(
     vertices: Iterable[Union[int, tuple[int, int, int]]],
     at_atom: Callable[[Iterator[int]], int],
     at_rule: Callable[[int, Iterator[int]], int],
-    F: Union[dict[int, int], list[int], None] = None,
-) -> Union[dict[int, int], list[int]]:
+    F: Optional[dict[int, int]] = None,
+) -> dict[int, int]:
     """One value per vertex of ``vertices``, which come children first:
     an atom vertex combines an iterator over its children's values with
     ``at_atom``, a rule vertex ``u`` with ``at_rule(u, values)``. The
@@ -191,24 +212,23 @@ def _fold(
 
     The folds over a subtree pass it in reversed preorder. The update in
     :func:`k_different` passes only the vertices above the explanation
-    it just took, to re-fold them in the map of its one difference fold.
-    A fold over a whole tree from :func:`create_tree` passes its
-    completion order and a list indexed by id; there an entry
-    ``(v, s, e)``, a copy of the range ``s`` to ``e`` at ``v``, takes the
-    values of that range. This is exact only for a fold that ignores
-    ids, one whose value at a vertex depends on the labels and shape of
-    its subtree alone: a copy has its source's labels and shape, not
-    its ids."""
-    children, labels = T.children, T.labels
+    it just took, to re-fold them over the values of its one difference
+    fold. A fold over a whole tree from :func:`create_tree` passes its
+    completion order and an :class:`~aspexplain.trees.IdMap` of the
+    tree's copies, so it computes and stores a value only at each vertex
+    built: an entry ``(v, s, e)``, a copy of the range ``s`` to ``e`` at
+    ``v``, is skipped, and a copied id reads its source's value. This is
+    exact only for a fold that ignores ids, one whose value at a vertex
+    depends on the labels and shape of its subtree alone: a copy has
+    its source's labels and shape, not its ids."""
+    child_ids, labels = T.child_reader(), T.labels
     if F is None:
         F = {}
     value = F.__getitem__
     for u in vertices:
         if u.__class__ is tuple:
-            v, s, e = u
-            F[v : v + e - s] = F[s:e]
             continue
-        values = map(value, children.get(u, ()))
+        values = map(value, child_ids(u))
         F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
 
@@ -226,7 +246,8 @@ def _fold_from(
     :func:`create_tree` built; any other fold walks the subtree and
     passes it in reversed preorder."""
     if v == T.root and T.completion and ignores_ids:
-        return dict(enumerate(_fold(T, T.completion, at_atom, at_rule, [0] * len(T))))
+        values = IdMap(T.labels.copies, len(T))
+        return _fold(T, T.completion, at_atom, at_rule, values)
     walk = T.preorder() if v == T.root else T.preorder_from(v)
     return _fold(T, reversed(walk), at_atom, at_rule)
 
@@ -234,7 +255,8 @@ def _fold_from(
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:
     """Weights for the subtree at ``v``: an atom vertex takes the
     minimum of its children, a rule vertex one plus their sum. From the
-    root of an and-or tree, a copied range takes its source's weights."""
+    root of an and-or tree, weights are stored at built ids, and a
+    copied id reads its source's."""
     return _fold_from(T, v, min, lambda u, values: 1 + sum(values))
 
 
@@ -251,9 +273,9 @@ def calculate_difference(
     whose rule vertices are ``R``: an atom vertex takes the maximum of
     its children, a rule vertex the sum of its children plus one if it
     is not yet in ``R``. From the root of an and-or tree with ``R``
-    empty, a copied range takes its source's differences; a non-empty
-    ``R`` names ids, which a copy does not share with its source, so
-    that fold walks the tree."""
+    empty, differences are stored at built ids, and a copied id reads
+    its source's; a non-empty ``R`` names ids, which a copy does not
+    share with its source, so that fold walks the tree."""
     return _fold_from(T, v, max, _unseen(R), not R)
 
 
@@ -265,10 +287,10 @@ def extract_exp(
     children at every rule vertex. Rule vertices keep their and-or-tree
     ids."""
 
-    children, labels = T.children, T.labels
+    child_ids, labels = T.child_reader(), T.labels
 
     def pick(u: int) -> int:
-        kids = children.get(u, ())
+        kids = child_ids(u)
         best = op(map(W.__getitem__, kids))
         tied = [c for c in kids if W[c] == best]
         if len(tied) == 1:  # no rule text to build
@@ -285,7 +307,7 @@ def _collapse(
     vertex gives way to the rule child ``pick`` chooses, and every rule
     vertex keeps all of its children."""
 
-    tree_children, tree_labels = T.children, T.labels
+    tree_children, tree_labels = T.child_reader(), T.labels
 
     def rule_below(u: int) -> int:
         while isinstance(tree_labels[u], Atom):
@@ -299,7 +321,7 @@ def _collapse(
     while stack:
         u = stack.pop()
         labels[u] = tree_labels[u]
-        kids = tuple(map(rule_below, tree_children.get(u, ())))
+        kids = tuple(map(rule_below, tree_children(u)))
         children[u] = kids
         stack.extend(reversed(kids))
     return Explanation(root, labels, children, andor=T)
@@ -318,11 +340,25 @@ def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
 
 
 def distance(Z: frozenset[int], S: Explanation) -> int:
-    """How many of ``S``'s rule vertices are not already in ``Z``."""
-    tree_ids = S.andor.labels.keys()
-    if not (tree_ids >= Z and tree_ids >= S.rule_vertex_ids):
+    """How many of ``S``'s rule vertices are not already in ``Z``. Both
+    must name vertices of ``S``'s and-or tree, whose ids are ``0`` to
+    ``len(S.andor) - 1``."""
+    ids = Z | S.rule_vertex_ids
+    if ids and not (min(ids) >= 0 and max(ids) < len(S.andor)):
         raise ValueError("mismatched trees")
     return len(S.rule_vertex_ids - Z)
+
+
+class _Overlay(dict):
+    """Values written over ``base``, which gives every other one."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: dict[int, int]) -> None:
+        self.base = base
+
+    def __missing__(self, u: int) -> int:
+        return self.base[u]
 
 
 def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
@@ -337,7 +373,9 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     children, each of which leads to one of them, and the root. Each
     later round re-folds just these, in decreasing id order, which is
     children first as the ids are preorder positions. The map then
-    equals a whole-tree fold with every explanation taken so far seen."""
+    equals a whole-tree fold with every explanation taken so far seen.
+    The re-folded values go into an overlay over the shared ones, since
+    a copied vertex and its source may no longer agree."""
     if k < 1:
         raise ValueError("k must be positive")
     if p not in X:
@@ -345,7 +383,7 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     T = create_tree(P, X, p)
     if T.is_empty:
         return []
-    D = calculate_difference(T, T.root, frozenset())
+    D = _Overlay(calculate_difference(T, T.root, frozenset()))
     R: set[int] = set()
     out = [extract_exp(T, T.root, D, max)]
     while len(out) < k:
@@ -353,7 +391,7 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
         R |= taken
         above = {T.root, *taken}
         for u in taken:
-            above.update(T.children.get(u, ()))
+            above.update(T.children[u])
         _fold(T, sorted(above, reverse=True), max, _unseen(R), D)
         if D[T.root] == 0:
             break
@@ -384,26 +422,28 @@ def enumerate_explanation_trees(
 
     # An odometer over the reached atom vertices in preorder: the last one
     # with another rule child advances, and the ones after it start over.
-    children, labels = T.children, T.labels
-    choice = dict.fromkeys(labels, 0)
+    # An atom vertex not in choice takes its first rule child.
+    child_ids, labels = T.child_reader(), T.labels
+    choice: dict[int, int] = {}
     while True:
         kept: dict[int, tuple[int, ...]] = {}
         reached: list[int] = []
         stack = [T.root]
         while stack:
             u = stack.pop()
-            kids = children.get(u, ())
+            kids = child_ids(u)
             if isinstance(labels[u], Atom):
                 reached.append(u)
-                kids = (kids[choice[u]],)
+                kids = (kids[choice.get(u, 0)],)
             kept[u] = kids
             stack.extend(reversed(kids))
         yield VertexLabeledTree(T.root, {u: labels[u] for u in kept}, kept)
-        while reached and choice[reached[-1]] + 1 == len(children.get(reached[-1], ())):
-            choice[reached.pop()] = 0
+        while reached and choice.get(reached[-1], 0) + 1 == len(child_ids(reached[-1])):
+            choice.pop(reached.pop(), None)
         if not reached:
             return
-        choice[reached[-1]] += 1
+        u = reached[-1]
+        choice[u] = choice.get(u, 0) + 1
 
 
 def explanation_of_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> Explanation:

@@ -7,13 +7,89 @@ rules and may repeat across vertices.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .model import Atom, Rule
 
 Label = Union[Atom, Rule]
+
+
+class IdMap(dict):
+    """A map over the ids ``0`` to ``size - 1`` of an and-or tree that
+    stores entries only at the ids the tree built. Every other id lies
+    in a range the tree copied and reads its source's entry. ``copies``
+    holds the sorted first ids of those ranges, their ends and their
+    shifts: an id ``u`` in the range ``v`` to ``v + e - s``, copied from
+    ``s`` to ``e``, reads ``u - (v - s)``, resolved again while that id
+    is itself copied. With ``shifted``, an entry is a tuple of ids,
+    which a copied id reads shifted by the same amount. A stored id is
+    read as from a plain dict, with no Python-level call; every method
+    that a dict would answer from its stored entries alone answers for
+    all ids."""
+
+    __slots__ = ("copies", "size", "shifted")
+
+    def __init__(self, copies: tuple, size: int, entries=(), shifted=False) -> None:
+        dict.__init__(self, entries)
+        self.copies, self.size, self.shifted = copies, size, shifted
+
+    def __missing__(self, u: int):
+        starts, ends, shifts = self.copies
+        i, w = bisect_right(starts, u) - 1, u
+        while i >= 0 and w < ends[i]:  # a source lies before its copy
+            w -= shifts[i]
+            i = bisect_right(starts, w, 0, i) - 1
+        if w == u:
+            raise KeyError(u)
+        entry = self[w]
+        return tuple(map((u - w).__add__, entry)) if self.shifted else entry
+
+    def __iter__(self):
+        return iter(range(self.size))
+
+    def __reversed__(self):
+        return reversed(range(self.size))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __repr__(self) -> str:
+        return repr(self.copy())
+
+    def copy(self) -> dict:
+        return dict(self.items())
+
+    def __or__(self, other):
+        return self.copy() | other
+
+    def __ror__(self, other):
+        return other | self.copy()
+
+    def __reduce__(self):
+        return type(self), (self.copies, self.size, dict.copy(self), self.shifted)
+
+    __contains__, get, keys, items, values, __eq__ = (
+        Mapping.__contains__, Mapping.get, Mapping.keys, Mapping.items,
+        Mapping.values, Mapping.__eq__,
+    )
+    __ne__ = object.__ne__
+
+
+class FrozenIdMap(IdMap):
+    """An :class:`IdMap` that cannot be written: the labels and child
+    ids of an and-or tree."""
+
+    __slots__ = ()
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("the vertices of an and-or tree are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    clear = pop = popitem = setdefault = update = _frozen
 
 
 @dataclass(frozen=True)
@@ -26,7 +102,10 @@ class VertexLabeledTree:
     each vertex it built, and ``(first id, source start, source end)``
     for each range of ids it copied from the range ``source start`` to
     ``source end``. Children come before parents, and each copy after
-    its source, so a fold over the whole tree can follow it.
+    its source, so a fold over the whole tree can follow it. Such a
+    tree stores nothing for a copied range: its ``labels`` and
+    ``children`` are read-only :class:`IdMap` s that resolve a copied
+    id to its source, and it has an entry at every vertex.
     """
 
     root: Optional[int]
@@ -53,6 +132,12 @@ class VertexLabeledTree:
     def child_ids(self, v: int) -> tuple[int, ...]:
         return self.children.get(v, ())
 
+    def child_reader(self) -> Callable[[int], tuple[int, ...]]:
+        """:meth:`child_ids` as fast as the tree allows. An and-or tree
+        has an entry at every vertex, read with no Python-level call at
+        a built id; another tree may leave out a leaf's entry."""
+        return self.children.__getitem__ if self.completion else self.child_ids
+
     @cached_property
     def _depths(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -77,10 +162,11 @@ class VertexLabeledTree:
     def preorder_from(self, v: int) -> tuple[int, ...]:
         out: list[int] = []
         stack = [v]
+        child_ids = self.child_reader()
         while stack:
             u = stack.pop()
             out.append(u)
-            stack.extend(reversed(self.child_ids(u)))
+            stack.extend(reversed(child_ids(u)))
         return tuple(out)
 
     def __len__(self) -> int:

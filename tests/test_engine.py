@@ -17,7 +17,7 @@ from aspexplain.engine import (
     shortest_explanation,
 )
 from aspexplain.model import Atom, Rule
-from aspexplain.trees import VertexLabeledTree
+from aspexplain.trees import Explanation, VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
@@ -286,6 +286,35 @@ class TestDistance:
         e = shortest_explanation(P, X, p)
         with pytest.raises(ValueError, match="mismatched trees"):
             distance(frozenset([999]), e)
+
+    def test_k7_distances_in_copied_ranges_match_the_reference_tree(self):
+        """On ``K_7``, every explanation after the first has rule vertices
+        in copied ranges of the and-or tree. Their ids and labels, and
+        the distances between them, are those of the tree written out in
+        full, and an id past the tree's last is a mismatch."""
+        program, answer_set = complete_text(7)
+        P, X, p = parse_program(program), parse_answer_set(answer_set), Atom("p6")
+        ks = k_different(P, X, p, 5)
+        T, full = ks[0].andor, reference_create_tree(P, X, p)
+        copied = {
+            u for c in T.completion if c.__class__ is tuple
+            for u in range(c[0], c[0] + c[2] - c[1])
+        }
+        assert len(ks) == 5 and all(e.rule_vertex_ids & copied for e in ks[1:])
+        seen, distances = frozenset(), []
+        for e in ks:
+            on_full = Explanation(
+                e.root, {u: full.labels[u] for u in e.labels}, e.children, andor=full
+            )
+            assert on_full == e
+            distances.append(distance(seen, e))
+            assert distances[-1] == distance(seen, on_full) > 0
+            own = e.rule_vertex_ids
+            assert distance(own, e) == distance(own, on_full) == 0
+            seen |= e.rule_vertex_ids
+        assert distances[0] == ks[0].size
+        with pytest.raises(ValueError, match="mismatched trees"):
+            distance(frozenset([len(T)]), ks[0])
 
 
 def shuffled(T, rng):
