@@ -8,13 +8,15 @@ positive body, left to right, against those atoms, as a bottom-up
 grounder does. :func:`ground_program` grounds every rule this way and
 :func:`instantiate_for_head` only the rules for one head atom. The
 whole grounding over the Herbrand universe is
-``ground_program(P, P.herbrand_base)``.
+``ground_program(P, P.herbrand_base)``. The joins of one index make at
+most :data:`MAX_GROUND_INSTANCES` substitutions, so an input whose
+instances cannot fit fails with "cap exceeded" before they fill memory.
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Optional
 
@@ -26,6 +28,12 @@ from .model import (
     Term,
     AtomSet,
 )
+
+
+# Most substitutions the joins of one GroundingIndex may make, partial
+# ones included, together with the members that cardinality expressions
+# expand to over the universe; checked as they are made.
+MAX_GROUND_INSTANCES = 1_000_000
 
 
 class GroundingError(ValueError):
@@ -116,29 +124,38 @@ class GroundingIndex:
     :class:`GroundingError` for the first rule, in program order, that
     is unsafe or has variables in a program without constants.
 
-    Only the rules are filed up front. A ground pattern, and the body of
-    a ground rule, is looked up in ``X``. ``X`` is grouped by predicate
-    and arity when a pattern with a variable is first joined, without
-    the atoms with a constant outside the universe, which no instance
-    holds; each table of bound positions is built on first use.
+    Only the rules are filed up front. The ground facts, the bulk of a
+    knowledge base, are taken as :attr:`Program.filed_facts` files them
+    by head, where the parser put them as it read them; the other rules
+    are filed here, in program order, so the first unsafe one is the one
+    reported. A ground pattern, and the body of a ground rule, is looked
+    up in ``X``. ``X`` is grouped by predicate and arity when a pattern
+    with a variable is first joined, without the atoms with a constant
+    outside the universe, which no instance holds; each table of bound
+    positions is built on first use.
+
+    The joins of one index make at most :data:`MAX_GROUND_INSTANCES`
+    substitutions, partial ones and cardinality members included; one
+    more raises :class:`GroundingError` with "cap exceeded".
     """
 
     def __init__(self, P: Program, X: AtomSet):
         self.X = X
         self.constants = P.herbrand_universe
-        # Ground heads keyed by atom, others by predicate and arity; the
-        # program position decides whose source text a duplicate keeps.
+        filed = P.filed_facts
+        self.facts = filed.by_head
+        # The other rules: ground heads keyed by atom, others by
+        # predicate and arity; the program position decides whose
+        # source text a duplicate keeps.
         self.rules: dict[object, list[tuple[int, Rule]]] = {}
         self.nonground: set[int] = set()
+        self.room = MAX_GROUND_INSTANCES
         variables = P.variables
-        for i, r in enumerate(P.rules):
+        rules = P.rules
+        for i in filed.others:
+            r = rules[i]
             head = r.head
-            # A fact with a ground head, the bulk of a knowledge base, is
-            # told apart without the Rule.is_ground property.
-            if variables and not (
-                head is not None and not (r[1] or r[2] or r[3])
-                and variables.isdisjoint(head[1])
-            ) and not r.is_ground:
+            if variables and not r.is_ground:
                 _check_groundable(r, self.constants)
                 self.nonground.add(i)
                 if head is not None and not head.is_ground:
@@ -148,6 +165,14 @@ class GroundingIndex:
         # (predicate, arity, bound positions) -> values at those
         # positions -> atoms.
         self._tables: dict[tuple, dict[object, list[Atom]]] = {}
+
+    def spend(self, n: int) -> None:
+        """Take ``n`` substitutions from the budget."""
+        self.room -= n
+        if self.room < 0:
+            raise GroundingError(
+                "cap exceeded: more than %d ground instances" % MAX_GROUND_INSTANCES
+            )
 
     @cached_property
     def universe(self) -> tuple[Term, ...]:
@@ -194,12 +219,23 @@ def _join(index: GroundingIndex, i: int, r: Rule, subst: Subst) -> list[Rule]:
         return [r] if index.X.issuperset(r.body_pos) else []
     substs = [subst]
     for pattern in r.body_pos:
-        substs = [
+        # One past the budget is made at most, then spent, which raises.
+        substs = list(islice((
             m
             for s in substs
             for a in index.candidates(_subst_atom(pattern, s))
             if (m := _match_atom(pattern, a, s)) is not None
-        ]
+        ), index.room + 1))
+        index.spend(len(substs))
+    if r.body_card:
+        # Each instance expands the variables of its cardinality
+        # expressions that the positive body does not bind, and spends
+        # the expansion before it is made.
+        bound = frozenset(chain.from_iterable(map(_ARGS, r.body_pos)))
+        index.spend(len(substs) * sum(
+            len(index.universe) ** len(a.variables() - bound)
+            for c in r.body_card for a in c.atoms if not a.variables() <= bound
+        ))
     return [_instance(r, s, index.universe) for s in substs]
 
 
@@ -241,6 +277,9 @@ def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
         return ()
     out: list[Rule] = []
     rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
+    fact = index.facts.get(p)
+    if fact is not None:
+        rules.append(fact)
     for i, r in sorted(rules):
         head = _match_atom(r.head, p, {})
         if head is not None:

@@ -202,6 +202,60 @@ def _atom_instantiations(atom: Atom, universe: tuple[Term, ...]) -> Iterator[Ato
         yield Atom(atom.predicate, args)
 
 
+class FiledFacts:
+    """The ground facts of a program, each filed twice, and the
+    positions of its other rules.
+
+    ``heads`` maps the source text of each ground fact to its head, for
+    reading an answer set against the program. ``by_head`` maps each
+    head to the position and rule of the first fact with that head, for
+    the grounder: a later duplicate is the same rule, and grounding
+    keeps the first. ``others`` holds the positions of every other rule,
+    a fact with a variable in its head among them, in program order. A
+    knowledge base is mostly ground facts, so filing them once, as they
+    are read, spares each later use a pass over every rule.
+    """
+
+    __slots__ = ("heads", "by_head", "others")
+
+    def __init__(self) -> None:
+        self.heads: dict[str, Atom] = {}
+        self.by_head: dict[Atom, tuple[int, Rule]] = {}
+        self.others: list[int] = []
+
+    def file(self, i: int, r: Rule) -> None:
+        """File ``r``, the rule at position ``i``, as a fact if it is
+        one, whatever its head; else among the other rules."""
+        head = r[0]
+        if head is None or r[1] or r[2] or r[3]:
+            self.others.append(i)
+        else:
+            self.heads[r.source_text] = head
+            self.by_head.setdefault(head, (i, r))
+
+    def unfile_variable_heads(self, variables: AbstractSet[Term],
+                              rules: tuple[Rule, ...]) -> None:
+        """Move the facts among ``rules`` whose head holds one of
+        ``variables``, the program's, to the other rules. The heads are
+        checked in one pass, made only when the program has variables;
+        a test per fact as it is filed would cost what the pass costs.
+        The rules are walked only when such a fact exists."""
+        if not variables or variables.isdisjoint(
+            chain.from_iterable(map(itemgetter(1), self.by_head))
+        ):
+            return
+        unsafe = {h for h in self.by_head if not variables.isdisjoint(h[1])}
+        for head in unsafe:
+            del self.by_head[head]
+        for text in [t for t, h in self.heads.items() if h in unsafe]:
+            del self.heads[text]
+        self.others.extend(
+            i for i, r in enumerate(rules)
+            if r[0] in unsafe and not (r[1] or r[2] or r[3])
+        )
+        self.others.sort()
+
+
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...]
@@ -237,15 +291,23 @@ class Program:
         return self._terms.difference(self.variables)
 
     @cached_property
+    def filed_facts(self) -> FiledFacts:
+        """The ground facts, filed by source text and by head, and the
+        positions of the other rules. ``parse_program`` files each fact
+        as it reads it; this walk gives the same for a program built any
+        other way."""
+        filed = FiledFacts()
+        for i, r in enumerate(self.rules):
+            filed.file(i, r)
+        filed.unfile_variable_heads(self.variables, self.rules)
+        return filed
+
+    @property
     def fact_heads(self) -> dict[str, Atom]:
         """The head of each ground fact, keyed by the fact's source
-        text: the head as it is spelled in the program."""
-        variables = self.variables
-        return {
-            r.source_text: r[0] for r in self.rules
-            if not (r[1] or r[2] or r[3]) and r[0] is not None
-            and (not variables or variables.isdisjoint(r[0][1]))
-        }
+        text: the head as it is spelled in the program. An answer set
+        read with the program looks its atoms up here."""
+        return self.filed_facts.heads
 
     @cached_property
     def herbrand_base(self) -> frozenset[Atom]:

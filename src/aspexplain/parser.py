@@ -22,11 +22,20 @@ whole text again and raises the error, so every message, line and
 column is that grammar's.
 
 A fact the match reads is built inline as its atom and its rule, two
-tuples. Terms are interned once per text, and the program is given the
-interned terms as its :attr:`Program._terms`: every term interned is in
-a rule, as a statement that is not read into rules makes the whole text
-be read again, so the program's variables and constants take no pass
-over its atoms.
+tuples; its first two arguments are groups of the match, so only a
+third and further ones are read again. Terms are interned once per
+text, and the program is given the interned terms as its
+:attr:`Program._terms`: every term interned is in a rule, as a
+statement that is not read into rules makes the whole text be read
+again, so the program's variables and constants take no pass over its
+atoms.
+
+Each fact, whichever reader read it, is filed as it is built in the
+program's :attr:`Program.filed_facts`: by source text for the
+answer-set reader and by head for the grounder, which then take the
+facts as they are instead of walking every rule again. The heads are
+checked for variables in one pass at the end, only when the program has
+variables, and a fact with one is moved to the other rules.
 
 An answer set read with its program is first looked up against the
 program's facts: :attr:`Program.fact_heads` maps the source text of
@@ -49,6 +58,7 @@ from .model import (
     AnswerSet,
     Atom,
     CardinalityExpression,
+    FiledFacts,
     Program,
     Rule,
     Term,
@@ -153,14 +163,18 @@ def _literal(g: str = "?:") -> str:
     ).format(g=g, a=_atom(_TERM, g), m=_list(_atom(_TERM), ";"))
 
 
-# Groups: source text, head name, head arguments, body. A statement
+# Groups: source text, head name, first head argument, second head
+# argument, the text of the further head arguments, body. A statement
 # without a head starts with ":-" and has a body. A match keeps a
 # backtracking record of several hundred bytes per item of each list it
 # reads, so it is given at most _MAX_STATEMENT characters; a longer
 # statement, with the whitespace and comments before it, is read by the
 # token grammar.
+_HEAD = r"([a-z_][A-Za-z0-9_]*)(?:\s*\(\s*({t})(?:\s*,\s*({t})(?:\s*,\s*({a}))?)?\s*\))?".format(
+    t=_TERM, a=_list(_TERM, ",")
+)
 _STATEMENT_RE = re.compile(r"{s}((?:{h}|(?=:-))(?:\s*:-\s*({b}))?)\s*\.".format(
-    s=_SKIP, h=_atom(_TERM, ""), b=_list(_literal(), ",")
+    s=_SKIP, h=_HEAD, b=_list(_literal(), ",")
 ))
 _MAX_STATEMENT = 10_000
 _END_RE = re.compile(_SKIP + r"\Z")
@@ -187,12 +201,12 @@ def _atom_of(name: str, args: Optional[str], intern: Callable[[str], Term]) -> A
     return tuple.__new__(Atom, (name, terms))
 
 
-def _rule_of(source: str, name: Optional[str], args: Optional[str],
-             body: str, intern: Callable[[str], Term]) -> Rule:
-    """The rule of the groups of one :data:`_STATEMENT_RE` match with a
-    body. Raises ValueError on a cardinality bound that int() cannot
-    convert or on bounds out of order."""
-    head = None if name is None else _atom_of(name, args, intern)
+def _rule_of(source: str, head: Optional[Atom], body: str,
+             intern: Callable[[str], Term]) -> Rule:
+    """The rule of one :data:`_STATEMENT_RE` match with a body, given
+    its source text, its head and the body group. Raises ValueError on a
+    cardinality bound that int() cannot convert or on bounds out of
+    order."""
     body_pos: list[Atom] = []
     body_neg: list[Atom] = []
     body_card: list[CardinalityExpression] = []
@@ -209,44 +223,62 @@ def _rule_of(source: str, name: Optional[str], args: Optional[str],
 
 def _read_program(text: str) -> Program:
     """Read ``text`` a statement per match of :data:`_STATEMENT_RE`,
-    sending each statement it cannot read to the token grammar. A fact
-    is built here as the two tuples it is; other statements by
+    sending each statement it cannot read to the token grammar. The head
+    arguments are the match's groups; only a third and further ones are
+    read again. A fact is built here as the two tuples it is and filed
+    in the program's :class:`FiledFacts`; other statements are built by
     :func:`_rule_of`."""
     terms = _Terms()
     intern = terms.__getitem__
     findall = _TERM_RE.findall
     new = tuple.__new__
     plain = _Parser(text, terms)
+    filed = FiledFacts()
+    heads, file_head, others = filed.heads, filed.by_head.setdefault, filed.others
     rules: list[Rule] = []
     append = rules.append
     pos = 0
     while True:
         m = _STATEMENT_RE.match(text, pos, pos + _MAX_STATEMENT)
         if m is not None:
-            source, name, args, body = groups = m.groups()
+            source, name, first, second, more, body = m.groups()
+            if second is None:
+                args = () if first is None else (intern(first),)
+            elif more is None:
+                args = (intern(first), intern(second))
+            else:
+                args = (intern(first), intern(second), *map(intern, findall(more)))
+            head = None if name is None else new(Atom, (name, args))
             if body is None:  # a fact: a statement without a body has a head
-                rule = new(Rule, (
-                    new(Atom, (name, tuple(map(intern, findall(args))) if args else ())),
-                    (), (), (),
-                ))
+                rule = new(Rule, (head, (), (), ()))
                 rule.source_text = source
+                heads[source] = head  # FiledFacts.file, inlined
+                file_head(head, (len(rules), rule))
                 append(rule)
                 pos = m.end()
                 continue
             try:
-                append(_rule_of(*groups, intern))
-                pos = m.end()
-                continue
+                rule = _rule_of(source, head, body, intern)
             except ValueError:  # a bound int() cannot convert, or bounds out of order
                 pass
+            else:
+                others.append(len(rules))
+                append(rule)
+                pos = m.end()
+                continue
         elif _END_RE.match(text, pos):
             P = Program(tuple(rules))
             # Each term interned here is in a rule: every statement read
             # ended in rules holding each term read from it, since one
             # that raises ParseError has the whole text read again.
             P.__dict__["_terms"] = frozenset(terms.values())
+            filed.unfile_variable_heads(P.variables, P.rules)
+            P.__dict__["filed_facts"] = filed
             return P
+        start = len(rules)
         pos = plain.statement(pos, rules)
+        for i in range(start, len(rules)):
+            filed.file(i, rules[i])
 
 
 class _Parser:

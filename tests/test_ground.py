@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aspexplain import ground
 from aspexplain.cli import main
 from aspexplain.ground import (
     GroundingError,
@@ -328,3 +329,41 @@ def test_unsafe_rule_after_many_facts_fails_explain(tmp_path, capsys):
         2, "", "error: unsafe rule 'p(X) :- not f(X)': variable X does not "
         "occur in a positive body atom\n",
     )
+
+
+class TestGroundingBudget:
+    """The joins of one index make at most ``MAX_GROUND_INSTANCES``
+    substitutions, partial ones and cardinality members included."""
+
+    # Over the Herbrand base: 3 substitutions for A, then 9 for (A, B).
+    JOIN = "q(a). q(b). q(c).\np(A, B) :- q(A), q(B).\n"
+    # 3 for A, then 3 members of {r(A, X)} per instance.
+    CARD = "q(a). q(b). s(c).\np(A) :- q(A), 1 {r(A, X)}.\n"
+
+    @pytest.mark.parametrize("program, spent", [(JOIN, 12), (CARD, 12)], ids=["join", "card"])
+    def test_program_at_the_budget_grounds(self, monkeypatch, program, spent):
+        P = parse_program(program)
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", spent)
+        G = ground_program(P, P.herbrand_base)
+        assert G == product_ground(P).deduplicated()
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", spent - 1)
+        with pytest.raises(GroundingError, match="^cap exceeded: more than %d ground instances$"
+                           % (spent - 1)):
+            ground_program(P, P.herbrand_base)
+
+    def test_budget_is_per_index_across_queries(self, monkeypatch):
+        P = parse_program(self.JOIN)
+        X = P.herbrand_base
+        # Each query binds A and B from the head: 1 + 1 substitutions.
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 2 * 3)
+        index = GroundingIndex(P, X)
+        for b in "abc":
+            assert len(instantiate_for_head(index, parse_atom("p(a, %s)" % b))) == 1
+        with pytest.raises(GroundingError, match="more than 6 ground"):
+            instantiate_for_head(index, parse_atom("p(a, a)"))
+        assert len(instantiate_for_head(GroundingIndex(P, X), parse_atom("p(a, a)"))) == 1
+
+    def test_ground_facts_and_rules_spend_nothing(self, monkeypatch):
+        P = parse_program("".join("q(%d).\n" % i for i in range(50)) + "p :- q(1), q(2).\n")
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 0)
+        assert len(ground_program(P, P.herbrand_base)) == 51

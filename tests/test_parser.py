@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspexplain import parser
+from aspexplain.ground import GroundingError, GroundingIndex, instantiate_for_head
 from aspexplain.model import AnswerSet, Atom, Program, Rule, Term
 from aspexplain.parser import (
     LookupTable,
@@ -515,6 +516,19 @@ def test_terms_from_the_parser_are_the_terms_of_the_rules(statements):
     assert P.variables == Q.variables
     assert P.herbrand_universe == Q.herbrand_universe
     assert P.fact_heads == Q.fact_heads
+    _assert_filed_as_computed(P)
+
+
+def _assert_filed_as_computed(P: Program) -> None:
+    """The facts ``parse_program`` filed as it read ``P`` are those the
+    property files for the same rules, each pair holding the rule at
+    its position."""
+    filed = vars(P)["filed_facts"]  # filled by the parser, not computed
+    computed = Program(P.rules).filed_facts
+    assert filed.heads == computed.heads
+    assert filed.by_head == computed.by_head
+    assert filed.others == computed.others
+    assert all(P.rules[i] is r for i, r in filed.by_head.values())
 
 
 _LONG_BODY = ", ".join("b%d" % i for i in range(3000))
@@ -530,6 +544,85 @@ def test_statement_the_regex_cannot_read_takes_one_token_read(statement, source)
         P = parse_program("a.\n%s\nc :- a.\n" % statement)
     assert [r.source_text for r in P.rules[-2:]] == [source, "c :- a"]
     assert tokenize.call_count == 1
+
+
+@pytest.mark.parametrize("statement, source", [
+    ("b(1..2).", "b(2)"),
+    ("b(x, % why\n  y).", "b(x, % why\n  y)"),
+    ('b("%s").' % ("x" * parser._MAX_STATEMENT), 'b("%s")' % ("x" * parser._MAX_STATEMENT)),
+], ids=["interval", "comment inside", "over 10,000 characters"])
+def test_facts_the_token_grammar_reads_are_filed(statement, source):
+    with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
+        P = parse_program("a.\n%s\nc :- a.\nd.\n" % statement)
+    assert tokenize.call_count == 1
+    filed = P.filed_facts
+    *_, fact, rule, last = P.rules
+    assert filed.heads[source] == fact.head
+    assert filed.by_head[fact.head] == (len(P) - 3, fact)
+    assert filed.others == [len(P) - 2]
+    assert filed.by_head[last.head] == (len(P) - 1, last)
+    _assert_filed_as_computed(P)
+
+
+@pytest.mark.parametrize("program, offending", [
+    ("a.\np(X).\nq(Y) :- a.\np( X ).\n", "p(X)"),
+    ("a.\nq(Y) :- a.\np(X).\n", "q(Y) :- a"),
+], ids=["fact first", "rule first"])
+def test_fact_with_a_variable_head_is_not_filed(program, offending):
+    P = parse_program(program)
+    filed = P.filed_facts
+    assert list(filed.heads) == ["a"] and list(filed.by_head) == [Atom("a")]
+    assert filed.others == [i for i, r in enumerate(P.rules) if r.head.predicate != "a"]
+    _assert_filed_as_computed(P)
+    message = "unsafe rule %r: variable" % offending
+    with pytest.raises(GroundingError, match=re.escape(message)):
+        GroundingIndex(P, frozenset([Atom("a")]))
+    with pytest.raises(ParseError, match="non-ground atom"):
+        parse_answer_set("a p(X)", program=P)
+
+
+def test_duplicate_fact_keeps_the_first_position_and_source_text():
+    P = parse_program('p(a, b).\nq.\np( a ,b ).\nr :- p(a, b).\np(a,b).\n')
+    head = Atom("p", (Term("a"), Term("b")))
+    filed = P.filed_facts
+    assert filed.by_head[head] == (0, P.rules[0])
+    assert filed.heads == {"p(a, b)": head, "q": Atom("q"), "p( a ,b )": head, "p(a,b)": head}
+    assert filed.others == [3]
+    X = parse_answer_set("p(a, b) q r", program=P)
+    assert [r.source_text for r in instantiate_for_head(GroundingIndex(P, X), head)] == ["p(a, b)"]
+    _assert_filed_as_computed(P)
+
+
+_HEADS = ['z', 'o(a)', 't(a, "b, c")', 'h(-1,"x y",Z_)', 'f("a, b" , c,d , "e f", 5)',
+          'u( "," )', 'w("", b)']
+
+
+def test_head_arguments_are_taken_from_the_match():
+    text = "".join("%s.\n" % h for h in _HEADS) + 'r(A) :- o(A), t(A, "b, c").\n'
+    with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
+        P = parse_program(text)
+    assert tokenize.call_count == 0
+    plain = parser._Parser(text).program()
+    assert [(r, vars(r)) for r in P.rules] == [(r, vars(r)) for r in plain.rules]
+    assert [len(r.head.args) for r in P.rules[:5]] == [0, 1, 2, 3, 5]
+    assert all(type(t) is Term for r in P.rules for t in r.head.args)
+    assert list(P.filed_facts.heads) == _HEADS[:3] + _HEADS[4:]  # h(..., Z_) has a variable
+    assert P.filed_facts.others == [3, len(_HEADS)]
+    _assert_filed_as_computed(P)
+
+
+def test_statement_falling_back_from_rule_of_is_filed_once():
+    """A statement ``_rule_of`` rejects is read by the token grammar and
+    filed once, from there. Each bound ``_rule_of`` rejects the token
+    grammar rejects too, so a rejection is forced here."""
+    text = "a.\nb :- a, 1 {a} 2.\nc.\nd :- b.\n"
+    with mock.patch.object(parser, "_rule_of", side_effect=ValueError) as rule_of, \
+            mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
+        P = parse_program(text)
+    assert rule_of.call_count == tokenize.call_count == 2
+    assert P.filed_facts.others == [1, 3]
+    assert [r.source_text for r in P.rules] == ["a", "b :- a, 1 {a} 2", "c", "d :- b"]
+    _assert_filed_as_computed(P)
 
 
 _N = 10**5
