@@ -8,9 +8,12 @@ positive body, left to right, against those atoms, as a bottom-up
 grounder does. :func:`ground_program` grounds every rule this way and
 :func:`instantiate_for_head` only the rules for one head atom. The
 whole grounding over the Herbrand universe is
-``ground_program(P, P.herbrand_base)``. The joins of one index make at
-most :data:`MAX_GROUND_INSTANCES` substitutions, so an input whose
-instances cannot fit fails with "cap exceeded" before they fill memory.
+``ground_program(P, P.herbrand_base)``. What a grounding holds at one
+time is bounded: one step of a join holds at most
+:data:`MAX_JOIN_WIDTH` partial substitutions, and one grounding of the
+program, or one query, builds at most :data:`MAX_GROUND_INSTANCES`
+instances; an input past either fails with "cap exceeded" before it
+fills memory.
 """
 from __future__ import annotations
 
@@ -30,10 +33,17 @@ from .model import (
 )
 
 
-# Most substitutions the joins of one GroundingIndex may make, partial
-# ones included, together with the members that cardinality expressions
-# expand to over the universe; checked as they are made.
-MAX_GROUND_INSTANCES = 1_000_000
+# Most ground instances one call of ground_program or
+# instantiate_for_head may build, the members that cardinality
+# expressions expand to over the universe included. An instance of a
+# five-atom rule takes about 1 KB once grounded and sorted, so this is
+# about 250 MB.
+MAX_GROUND_INSTANCES = 250_000
+# Most partial substitutions one step of a join may hold, at about
+# 250 bytes each. A body atom none of whose variables is bound yet
+# matches every atom of its predicate, so this is also the largest
+# relation such an atom is joined over.
+MAX_JOIN_WIDTH = 1_000_000
 
 
 class GroundingError(ValueError):
@@ -51,17 +61,20 @@ def _subst_atom(atom: Atom, subst: Subst) -> Atom:
 
 
 def _expand_card(
-    card: CardinalityExpression, subst: Subst, universe: tuple[Term, ...]
+    card: CardinalityExpression, subst: Subst, index: "GroundingIndex"
 ) -> CardinalityExpression:
     """Apply ``subst`` to the member atoms, then expand variables local
-    to the expression over the universe."""
+    to the expression over the universe of ``index``, spending each
+    expansion from its budget before it is made."""
     members: list[Atom] = []
+    universe = index.universe
     for pattern in card.atoms:
         pattern = _subst_atom(pattern, subst)
         local = sorted(pattern.variables())
         if not local:
             members.append(pattern)
             continue
+        index.spend(len(universe) ** len(local))
         for combo in itertools.product(universe, repeat=len(local)):
             extra = dict(zip(local, combo))
             members.append(_subst_atom(pattern, extra))
@@ -93,12 +106,12 @@ def _check_groundable(r: Rule, constants: AbstractSet[Term]) -> None:
         )
 
 
-def _instance(r: Rule, subst: Subst, universe: tuple[Term, ...]) -> Rule:
+def _instance(r: Rule, subst: Subst, index: "GroundingIndex") -> Rule:
     return Rule(
         None if r.head is None else _subst_atom(r.head, subst),
         tuple(_subst_atom(a, subst) for a in r.body_pos),
         tuple(_subst_atom(a, subst) for a in r.body_neg),
-        tuple(_expand_card(c, subst, universe) for c in r.body_card),
+        tuple(_expand_card(c, subst, index) for c in r.body_card),
     )
 
 
@@ -134,9 +147,11 @@ class GroundingIndex:
     outside the universe, which no instance holds; each table of bound
     positions is built on first use.
 
-    The joins of one index make at most :data:`MAX_GROUND_INSTANCES`
-    substitutions, partial ones and cardinality members included; one
-    more raises :class:`GroundingError` with "cap exceeded".
+    Each call of :func:`ground_program` or :func:`instantiate_for_head`
+    may build :data:`MAX_GROUND_INSTANCES` instances, cardinality
+    members included, and each step of a join may hold
+    :data:`MAX_JOIN_WIDTH` partial substitutions; one more of either
+    raises :class:`GroundingError` with "cap exceeded".
     """
 
     def __init__(self, P: Program, X: AtomSet):
@@ -167,7 +182,7 @@ class GroundingIndex:
         self._tables: dict[tuple, dict[object, list[Atom]]] = {}
 
     def spend(self, n: int) -> None:
-        """Take ``n`` substitutions from the budget."""
+        """Take ``n`` instances from the budget of the current call."""
         self.room -= n
         if self.room < 0:
             raise GroundingError(
@@ -219,24 +234,20 @@ def _join(index: GroundingIndex, i: int, r: Rule, subst: Subst) -> list[Rule]:
         return [r] if index.X.issuperset(r.body_pos) else []
     substs = [subst]
     for pattern in r.body_pos:
-        # One past the budget is made at most, then spent, which raises.
+        # One past the width is made at most, which raises.
         substs = list(islice((
             m
             for s in substs
             for a in index.candidates(_subst_atom(pattern, s))
             if (m := _match_atom(pattern, a, s)) is not None
-        ), index.room + 1))
-        index.spend(len(substs))
-    if r.body_card:
-        # Each instance expands the variables of its cardinality
-        # expressions that the positive body does not bind, and spends
-        # the expansion before it is made.
-        bound = frozenset(chain.from_iterable(map(_ARGS, r.body_pos)))
-        index.spend(len(substs) * sum(
-            len(index.universe) ** len(a.variables() - bound)
-            for c in r.body_card for a in c.atoms if not a.variables() <= bound
-        ))
-    return [_instance(r, s, index.universe) for s in substs]
+        ), MAX_JOIN_WIDTH + 1))
+        if len(substs) > MAX_JOIN_WIDTH:
+            raise GroundingError(
+                "cap exceeded: more than %d partial substitutions in one join"
+                % MAX_JOIN_WIDTH
+            )
+    index.spend(len(substs))
+    return [_instance(r, s, index) for s in substs]
 
 
 def _by_text(rules: list[Rule]) -> list[Rule]:
@@ -275,6 +286,7 @@ def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
         raise GroundingError("non-ground query atom: %s" % p.text)
     if not index.constants.issuperset(p.args):
         return ()
+    index.room = MAX_GROUND_INSTANCES
     out: list[Rule] = []
     rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
     fact = index.facts.get(p)

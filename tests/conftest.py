@@ -180,6 +180,17 @@ def random_nonground_program(rng: random.Random) -> Program:
             return P
 
 
+class _Unbudgeted:
+    """What :func:`aspexplain.ground._instance` reads of an index: the
+    universe, and a budget the reference grounding never runs out of."""
+
+    def __init__(self, universe: tuple[Term, ...]):
+        self.universe = universe
+
+    def spend(self, n: int) -> None:
+        pass
+
+
 def _product_ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
     if r.is_ground:
         return [r]
@@ -191,7 +202,7 @@ def _product_ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
         global_vars |= a.variables()
     names = sorted(global_vars)
     out = [
-        _instance(r, dict(zip(names, combo)), universe)
+        _instance(r, dict(zip(names, combo)), _Unbudgeted(universe))
         for combo in itertools.product(universe, repeat=len(names))
     ]
     out.sort(key=lambda g: g.text)

@@ -332,15 +332,20 @@ def test_unsafe_rule_after_many_facts_fails_explain(tmp_path, capsys):
 
 
 class TestGroundingBudget:
-    """The joins of one index make at most ``MAX_GROUND_INSTANCES``
-    substitutions, partial ones and cardinality members included."""
+    """One call of ``ground_program`` or ``instantiate_for_head`` builds
+    at most ``MAX_GROUND_INSTANCES`` instances, cardinality members
+    included, and one step of a join holds at most ``MAX_JOIN_WIDTH``
+    partial substitutions."""
 
-    # Over the Herbrand base: 3 substitutions for A, then 9 for (A, B).
+    # Over the Herbrand base: 9 instances, for (A, B).
     JOIN = "q(a). q(b). q(c).\np(A, B) :- q(A), q(B).\n"
-    # 3 for A, then 3 members of {r(A, X)} per instance.
+    # 3 instances, for A, and 3 members of {r(A, X)} in each.
     CARD = "q(a). q(b). s(c).\np(A) :- q(A), 1 {r(A, X)}.\n"
+    # Against its facts: 3 substitutions for A, 9 for (A, B), then 3
+    # instances, for B = c.
+    WIDE = "q(a). q(b). q(c). s(c).\np(A) :- q(A), q(B), s(B).\n"
 
-    @pytest.mark.parametrize("program, spent", [(JOIN, 12), (CARD, 12)], ids=["join", "card"])
+    @pytest.mark.parametrize("program, spent", [(JOIN, 9), (CARD, 12)], ids=["join", "card"])
     def test_program_at_the_budget_grounds(self, monkeypatch, program, spent):
         P = parse_program(program)
         monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", spent)
@@ -351,17 +356,47 @@ class TestGroundingBudget:
                            % (spent - 1)):
             ground_program(P, P.herbrand_base)
 
-    def test_budget_is_per_index_across_queries(self, monkeypatch):
-        P = parse_program(self.JOIN)
-        X = P.herbrand_base
-        # Each query binds A and B from the head: 1 + 1 substitutions.
-        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 2 * 3)
-        index = GroundingIndex(P, X)
-        for b in "abc":
-            assert len(instantiate_for_head(index, parse_atom("p(a, %s)" % b))) == 1
-        with pytest.raises(GroundingError, match="more than 6 ground"):
-            instantiate_for_head(index, parse_atom("p(a, a)"))
-        assert len(instantiate_for_head(GroundingIndex(P, X), parse_atom("p(a, a)"))) == 1
+    def test_join_at_the_width_grounds(self, monkeypatch):
+        P = parse_program(self.WIDE)
+        X = frozenset(r.head for r in P.rules if r.is_fact)
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 3)
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 9)
+        assert [str(r) for r in ground_program(P, X).rules[4:]] == [
+            "p(%s) :- q(%s), q(c), s(c)" % (a, a) for a in "abc"
+        ]
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 8)
+        with pytest.raises(GroundingError, match="^cap exceeded: more than 8 partial "
+                           "substitutions in one join$"):
+            ground_program(P, X)
+
+    def test_width_is_per_join_step_not_per_program(self, monkeypatch):
+        # Each of the three gene_reachable_from rules of q8 joins its
+        # first atom over every gene_gene_biogrid fact: 3n substitutions
+        # over the program, but never more than n at one step.
+        n = 500
+        facts = "".join('gene_gene_biogrid("G%d","G%d").\n' % (i + 1, i) for i in range(n))
+        P = parse_program(facts + fixture_text("q8.lp"))
+        X = frozenset(r.head for r in P.rules if r.is_fact)
+        width = n + 4  # the fixture's own four facts
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", width)
+        G = ground_program(P, X)
+        assert [r for r in G.rules if not r.is_fact] == [parse_program(
+            'gene_reachable_from("DLG4",1) :- gene_gene_biogrid("DLG4","ADRB1"), '
+            'start_gene("ADRB1").').rules[0]]
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", width - 1)
+        with pytest.raises(GroundingError, match="more than %d partial" % (width - 1)):
+            ground_program(P, X)
+
+    def test_budget_is_per_query(self, monkeypatch):
+        P = parse_program(self.JOIN + "r(A) :- q(A), q(B).\n")
+        index = GroundingIndex(P, P.herbrand_base)
+        # Each query builds 3 instances, one for each B.
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 3)
+        for a in "abcabc":
+            assert len(instantiate_for_head(index, parse_atom("r(%s)" % a))) == 3
+        monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 2)
+        with pytest.raises(GroundingError, match="more than 2 ground"):
+            instantiate_for_head(index, parse_atom("r(a)"))
 
     def test_ground_facts_and_rules_spend_nothing(self, monkeypatch):
         P = parse_program("".join("q(%d).\n" % i for i in range(50)) + "p :- q(1), q(2).\n")
