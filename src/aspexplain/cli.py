@@ -63,6 +63,15 @@ def _load_inputs(args) -> tuple[Program, AnswerSet]:
     return P, parse_answer_set(_read(args.answerset), program=P)
 
 
+def _verify(P: Program, X: AnswerSet) -> bool:
+    """Whether ``X`` is an answer set of ``P``; if not, the reason goes
+    to stderr."""
+    ok, reason = verify_answer_set(ground_program(P, X), X)
+    if not ok:
+        print("not an answer set: %s" % reason, file=sys.stderr)
+    return ok
+
+
 def _format_text(e: Explanation) -> str:
     return indented(e, lambda rule: rule.display + ".")
 
@@ -100,12 +109,8 @@ def cmd_explain(args) -> int:
     P, X = _load_inputs(args)
     p = _query_atom(args)
     table = _read_lookup(args.lookup)
-    if args.verify:
-        G = ground_program(P, X)
-        ok, reason = verify_answer_set(G, X)
-        if not ok:
-            print("not an answer set: %s" % reason, file=sys.stderr)
-            return EXIT_NOT_IN_ANSWER_SET
+    if args.verify and not _verify(P, X):
+        return EXIT_NOT_IN_ANSWER_SET
     if p not in X:
         print("atom not in answer set: %s" % p.text, file=sys.stderr)
         return EXIT_NOT_IN_ANSWER_SET
@@ -118,14 +123,10 @@ def cmd_explain(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    P, X = _load_inputs(args)
-    G = ground_program(P, X)
-    ok, reason = verify_answer_set(G, X)
-    if ok:
-        print("answer set verified")
-        return EXIT_OK
-    print("not an answer set: %s" % reason, file=sys.stderr)
-    return EXIT_NOT_IN_ANSWER_SET
+    if not _verify(*_load_inputs(args)):
+        return EXIT_NOT_IN_ANSWER_SET
+    print("answer set verified")
+    return EXIT_OK
 
 
 def cmd_convert(args) -> int:

@@ -302,13 +302,6 @@ class Program:
         filed.unfile_variable_heads(self.variables, self.rules)
         return filed
 
-    @property
-    def fact_heads(self) -> dict[str, Atom]:
-        """The head of each ground fact, keyed by the fact's source
-        text: the head as it is spelled in the program. An answer set
-        read with the program looks its atoms up here."""
-        return self.filed_facts.heads
-
     @cached_property
     def herbrand_base(self) -> frozenset[Atom]:
         """All ground atoms obtained by instantiating the rules' atoms
@@ -344,10 +337,6 @@ class AnswerSet(frozenset):
             if not a.is_ground:
                 raise ValueError("non-ground atom in answer set: %s" % a.text)
         return X
-
-    @classmethod
-    def of(cls, atoms: Iterable[Atom]) -> "AnswerSet":
-        return cls(atoms)
 
     @classmethod
     def _of_ground(cls, atoms: Iterable[Atom]) -> "AnswerSet":

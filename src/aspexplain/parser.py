@@ -11,15 +11,14 @@ There are two readers. One regular-expression match reads a whole
 statement: an optional head atom, then ``:-`` and a body of atoms,
 ``not`` atoms and cardinality expressions with plain bounds, then the
 period, after any whitespace and whole-line comments. One ``split``
-around the atoms reads an answer set of ground atoms separated by
-whitespace, and one full match reads a query atom. Everything else goes
-to the token grammar, a recursive descent over tokens: a statement with
-an interval or a comment inside, or of more than 10,000 characters,
-that statement alone; an answer set with an ``Answer: N`` line, a
-variable or a comment, or an atom the match cannot read, whole. If
-either reader raises :class:`ParseError`, the token grammar reads the
-whole text again and raises the error, so every message, line and
-column is that grammar's.
+around the atoms reads an answer set (below), and one full match reads
+a query atom. Everything else goes to the token grammar, a recursive
+descent over tokens: a statement with an interval or a comment inside,
+or of more than 10,000 characters, that statement alone; an answer set
+with an ``Answer: N`` line, a variable or a comment, or an atom the
+split cannot read, whole. If either reader raises :class:`ParseError`,
+the token grammar reads the whole text again and raises the error, so
+every message, line and column is that grammar's.
 
 A fact the match reads is built inline as its atom and its rule, two
 tuples; its first two arguments are groups of the match, so only a
@@ -37,13 +36,14 @@ facts as they are instead of walking every rule again. The heads are
 checked for variables in one pass at the end, only when the program has
 variables, and a fact with one is moved to the other rules.
 
-An answer set read with its program is first looked up against the
-program's facts: :attr:`Program.fact_heads` maps the source text of
-each ground fact to its head. The text is split at whitespace; a piece
-found there is that head, and the other pieces, joined by line breaks,
-go to one ``split`` around atoms, in which no atom may hold a line
-break. A text with ``%``, or with a piece that is not such atoms, is
-read as above.
+An answer set is read against the facts of its program:
+:attr:`FiledFacts.heads` maps the source text of each ground fact to
+its head, and without a program the map is empty. The text is split at
+whitespace; a piece found in the map is that head, and the other
+pieces, joined by line breaks, go to one ``split`` around atoms, in
+which no atom may hold a line break. A text with ``%``, or with a piece
+that is not such atoms, such as a piece of ``p( a )``, is read by the
+token grammar.
 """
 from __future__ import annotations
 
@@ -504,37 +504,26 @@ def parse_atom(text: str) -> Atom:
     return _parse(text, _read_atom, _Parser.single_atom)
 
 
-def _split_atoms(text: str) -> tuple[str, Iterator[Atom]]:
-    """The text between the ground atoms of ``text``, joined, and the
-    atoms."""
-    # [text before the first atom, name, arguments, text before the next
-    # atom, ...].
-    parts = _GROUND_ATOM_RE.split(text)
-    intern = itertools.repeat(_Terms().__getitem__)
-    return "".join(parts[::3]), map(_atom_of, parts[1::3], parts[2::3], intern)
-
-
-def _read_answer_set(text: str) -> Optional[AnswerSet]:
-    between, atoms = _split_atoms(text)
-    return None if between.strip() else AnswerSet._of_ground(atoms)
-
-
 def _read_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
     """The atoms of ``text`` if each whitespace-separated token is a key
     of ``heads`` or a run of ground atoms; None otherwise. The tokens
-    that are not keys are read joined by line breaks, and each break
-    must fall between two atoms, so no atom reaches across tokens. A
-    text with ``%`` is left to the other readers: a fact's source text
-    may end in a comment, which the same token would start in an answer
-    set."""
+    that are not keys are joined by line breaks and read by one
+    ``split`` around atoms, and each break must fall between two atoms,
+    so no atom reaches across tokens. A text with ``%`` is left to the
+    token grammar: a fact's source text may end in a comment, which the
+    same token would start in an answer set."""
     if "%" in text:
         return None
     tokens = text.split()
     misses = list(itertools.filterfalse(heads.__contains__, tokens))
-    between, atoms = _split_atoms("\n".join(misses))
-    if between != "\n" * (len(misses) - 1):
+    # [text before the first atom, name, arguments, text before the next
+    # atom, ...].
+    parts = _GROUND_ATOM_RE.split("\n".join(misses))
+    if "".join(parts[::3]) != "\n" * (len(misses) - 1):
         return None
     found = filter(None, map(heads.get, tokens))
+    intern = itertools.repeat(_Terms().__getitem__)
+    atoms = map(_atom_of, parts[1::3], parts[2::3], intern)
     return AnswerSet._of_ground(itertools.chain(found, atoms))
 
 
@@ -545,12 +534,11 @@ def parse_answer_set(text: str, program: Optional[Program] = None) -> AnswerSet:
 
     With ``program``, an atom spelled as the source text of one of its
     ground facts is that fact's head, read once by the parser of the
-    program; the result and every error are the same as without it."""
-    if program is not None:
-        X = _read_by_facts(text, program.fact_heads)
-        if X is not None:
-            return X
-    return _parse(text, _read_answer_set, _Parser.answer_set)
+    program; the result and every error are the same as without it.
+    Without it, the map of those facts is empty. The text is read by
+    :func:`_read_by_facts` or else by the token grammar."""
+    heads = {} if program is None else program.filed_facts.heads
+    return _parse(text, lambda t: _read_by_facts(t, heads), _Parser.answer_set)
 
 
 @dataclass(frozen=True)
