@@ -161,8 +161,9 @@ def cmd_enumerate(args) -> int:
         return EXIT_NOT_IN_ANSWER_SET
     explanations = engine.enumerate_explanations(P, X, p, cap=args.max_expl)
     for i, e in enumerate(explanations, start=1):
+        text = _format_text(e)  # before the header, which a cap error would orphan
         print("explanation %d (size %d):" % (i, e.size))
-        sys.stdout.write(_format_text(e))
+        sys.stdout.write(text)
     print("%d explanation(s)" % len(explanations))
     return EXIT_OK
 

@@ -446,15 +446,6 @@ def enumerate_explanation_trees(
         choice[u] = choice.get(u, 0) + 1
 
 
-def explanation_of_tree(E: VertexLabeledTree, T: VertexLabeledTree) -> Explanation:
-    """Collapse an explanation tree inside the and-or tree ``T`` to its
-    rule vertices, connecting each rule vertex to the rule vertices
-    chosen under its body atoms."""
-    if E.is_empty:
-        return Explanation(None, andor=T)
-    return _collapse(T, E.root, lambda u: E.child_ids(u)[0])
-
-
 def enumerate_explanations(
     P: Program,
     X: AtomSet,
@@ -466,6 +457,6 @@ def enumerate_explanations(
     if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
-    trees = enumerate_explanation_trees(T, cap=cap)
-    found = (explanation_of_tree(E, T) for E in trees)
+    found = (_collapse(T, E.root, lambda u: E.child_ids(u)[0])
+             for E in enumerate_explanation_trees(T, cap=cap))
     return tuple(sorted(found, key=lambda e: (e.size, sorted(e.rule_vertex_ids))))

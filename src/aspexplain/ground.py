@@ -17,7 +17,6 @@ fills memory.
 """
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
@@ -25,6 +24,7 @@ from typing import AbstractSet, Iterable, Optional
 
 from .model import (
     Atom,
+    _atom_instantiations,
     CardinalityExpression,
     Program,
     Rule,
@@ -70,14 +70,9 @@ def _expand_card(
     universe = index.universe
     for pattern in card.atoms:
         pattern = _subst_atom(pattern, subst)
-        local = sorted(pattern.variables())
-        if not local:
-            members.append(pattern)
-            continue
-        index.spend(len(universe) ** len(local))
-        for combo in itertools.product(universe, repeat=len(local)):
-            extra = dict(zip(local, combo))
-            members.append(_subst_atom(pattern, extra))
+        if not pattern.is_ground:
+            index.spend(len(universe) ** len(pattern.variables()))
+        members.extend(_atom_instantiations(pattern, universe))
     return CardinalityExpression(card.lower, card.upper, tuple(dict.fromkeys(members)))
 
 

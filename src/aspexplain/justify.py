@@ -2,7 +2,6 @@
 the conversions between justifications and explanation trees."""
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
@@ -129,21 +128,28 @@ def _body_literals(r: Rule) -> frozenset[Literal]:
     )
 
 
+def _atoms_by_sign(S: frozenset[Literal]) -> tuple[set[Atom], set[Atom]]:
+    """The atoms of the positive and of the negated literals of ``S``."""
+    pos: set[Atom] = set()
+    neg: set[Atom] = set()
+    for l in S:
+        (neg if l.negated else pos).add(l.atom)
+    return pos, neg
+
+
 def _is_positive_lce(
     rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
     minus_or_u: frozenset[Atom],
 ) -> bool:
     """``rules`` are the rules of the program with head ``b``."""
-    if b not in plus:
-        return False
-    pos = {l.atom for l in S if not l.negated}
-    neg = {l.atom for l in S if l.negated}
-    if not (pos <= plus and neg <= minus_or_u):
+    pos, neg = _atoms_by_sign(S)
+    if b not in plus or not (pos <= plus and neg <= minus_or_u):
         return False
     return any(_body_literals(r) == S for r in rules)
 
 
-def _falsifies_all(rules: list[Rule], pos: set[Atom], neg: set[Atom]) -> bool:
+def _falsifies_all(rules: list[Rule], S: frozenset[Literal]) -> bool:
+    pos, neg = _atoms_by_sign(S)
     return all(not pos.isdisjoint(r.body_pos) or not neg.isdisjoint(r.body_neg)
                for r in rules)
 
@@ -152,22 +158,14 @@ def _is_negative_lce(
     rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
     minus_or_u: frozenset[Atom],
 ) -> bool:
-    """``rules`` are the rules of the program with head ``b``."""
-    if b not in minus_or_u:
+    """``rules`` are the rules of the program with head ``b``. ``S``
+    must falsify each of them, and no proper subset of ``S`` may."""
+    pos, neg = _atoms_by_sign(S)
+    if b not in minus_or_u or not (pos <= minus_or_u and neg <= plus):
         return False
-    pos = {l.atom for l in S if not l.negated}
-    neg = {l.atom for l in S if l.negated}
-    if not (pos <= minus_or_u and neg <= plus):
-        return False
-    if not _falsifies_all(rules, pos, neg):
-        return False
-    for l in S:
-        rest = S - {l}
-        rpos = {x.atom for x in rest if not x.negated}
-        rneg = {x.atom for x in rest if x.negated}
-        if _falsifies_all(rules, rpos, rneg):
-            return False
-    return True
+    return _falsifies_all(rules, S) and not any(
+        _falsifies_all(rules, S - {l}) for l in S
+    )
 
 
 def _has_positive_cycle(G: EGraph) -> bool:
@@ -200,7 +198,10 @@ def is_offline_justification(
     of ``b`` with respect to the answer set ``M`` and assumption ``U``:
     reachability from ``b``, every node's support being a local
     consistent explanation, no positive cycle, no assumed true atom,
-    and assume edges exactly for the atoms in ``U``."""
+    and assume edges exactly for the false atoms in ``U``. ``P`` must be
+    ground; raises ``ValueError`` otherwise."""
+    if not P.is_ground:
+        raise ValueError("non-ground program")
     minus_or_u = (P.herbrand_base - M) | U
     by_head: dict[Atom, list[Rule]] = {}
     for r in P.rules:
@@ -223,34 +224,18 @@ def is_offline_justification(
         if isinstance(n, str):
             continue
         sup = support_of(n, G)
-        rules = by_head.get(n.atom, [])
-        if sup == ASSUME:
-            ok = n.atom in M if n.sign == "+" else n.atom in minus_or_u
-        elif sup == TOP:
-            ok = n.sign == "+" and _is_positive_lce(
-                rules, n.atom, frozenset(), M, minus_or_u
-            )
-        elif sup == BOT:
-            ok = n.sign == "-" and _is_negative_lce(
-                rules, n.atom, frozenset(), M, minus_or_u
-            )
-        elif n.sign == "+":
-            ok = _is_positive_lce(rules, n.atom, sup, M, minus_or_u)
+        assumed = n.sign == "-" and n.atom in U
+        if sup == ASSUME or assumed:
+            ok = sup == ASSUME and assumed
+        elif isinstance(sup, str) and sup != (TOP if n.sign == "+" else BOT):
+            ok = False  # ⊤ supports only true atoms, and ⊥ only false ones
         else:
-            ok = _is_negative_lce(rules, n.atom, sup, M, minus_or_u)
+            lce = _is_positive_lce if n.sign == "+" else _is_negative_lce
+            S = frozenset() if isinstance(sup, str) else sup
+            ok = lce(by_head.get(n.atom, []), n.atom, S, M, minus_or_u)
         if not ok:
             return False
-    if _has_positive_cycle(G):
-        return False
-    for n in G.nodes:
-        if isinstance(n, str):
-            continue
-        if n.sign == "+" and (n, ASSUME, "+") in G.edges:
-            return False
-        assumed = (n, ASSUME, "-") in G.edges
-        if n.sign == "-" and assumed != (n.atom in U):
-            return False
-    return True
+    return not _has_positive_cycle(G)
 
 
 def justification_to_explanation(
@@ -291,11 +276,8 @@ def justification_to_explanation(
                             "true atom %s rests on %s, not a rule" % (lbl.text, body)
                         )
                     body = frozenset()
-                rule_of[lbl] = Rule(
-                    lbl,
-                    tuple(sorted(l.atom for l in body if not l.negated)),
-                    tuple(sorted(l.atom for l in body if l.negated)),
-                )
+                pos, neg = _atoms_by_sign(body)
+                rule_of[lbl] = Rule(lbl, tuple(sorted(pos)), tuple(sorted(neg)))
             labels.append(rule_of[lbl])
         if len(labels) > cap:
             raise ValueError(
@@ -307,45 +289,33 @@ def justification_to_explanation(
     })
 
 
-def _with_head_vertices(e: Explanation) -> VertexLabeledTree:
-    """The explanation tree of ``e``: each rule vertex gets its head as
-    the atom vertex above it. Vertices are numbered afresh."""
-    labels: dict[int, Label] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    ids = itertools.count()
-    stack = [(e.root, next(ids))]
-    while stack:
-        v, a = stack.pop()
-        rule = e.labels[v]
-        if not isinstance(rule, Rule) or rule.is_constraint:
-            raise ValueError("explanation vertex %s is not a rule with a head"
-                             % rule.text)
-        r = next(ids)
-        labels[a], labels[r] = rule.head, rule
-        children[a] = (r,)
-        below = [(c, next(ids)) for c in e.child_ids(v)]
-        children[r] = tuple(b for _, b in below)
-        stack.extend(below)
-    return VertexLabeledTree(0, labels, children)
-
-
 def explanation_to_justification(
     P: Program, X: AtomSet, p: Atom, T: VertexLabeledTree
 ) -> EGraph:
     """Build the justification of ``p`` in the reduct of ``P`` encoded
     by an explanation tree: atoms with a fact child point to ⊤, other
-    atoms point to the atoms below their rule. An :class:`Explanation`
-    stands for the tree with each rule's head as the atom vertex above
-    it. Vertex labels must be unique for the reading to be unambiguous."""
+    atoms point to the atoms below their rule. In an :class:`Explanation`
+    each rule vertex stands for itself and for its head's atom vertex
+    above it. Vertex labels must be unique for the reading to be
+    unambiguous."""
     if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
-    if isinstance(T, Explanation) and not T.is_empty:
-        T = _with_head_vertices(T)
     if T.is_empty:
         raise ValueError("empty explanation tree")
-    seen_labels = [
-        (type(T.labels[v]).__name__, T.labels[v].text) for v in T.preorder()
-    ]
+    explanation = isinstance(T, Explanation)
+    if explanation:
+        seen_labels, stack = [], [T.root]
+        while stack:  # each vertex, then its children from the last
+            rule = T.labels[v := stack.pop()]
+            if not isinstance(rule, Rule) or rule.is_constraint:
+                raise ValueError("explanation vertex %s is not a rule with a head"
+                                 % rule.text)
+            seen_labels += [("Atom", rule.head.text), ("Rule", rule.text)]
+            stack.extend(T.child_ids(v))
+    else:
+        seen_labels = [
+            (type(T.labels[v]).__name__, T.labels[v].text) for v in T.preorder()
+        ]
     if len(seen_labels) != len(set(seen_labels)):
         raise ValueError("labels not unique")
     if not P.is_ground:
@@ -361,11 +331,14 @@ def explanation_to_justification(
     while queue:
         v = queue.popleft()
         lbl = T.labels[v]
-        if not isinstance(lbl, Atom):
+        if explanation:
+            lbl, kids = lbl.head, (v,)
+        elif not isinstance(lbl, Atom):
             raise ValueError("rule vertex %s where an atom vertex belongs" % lbl.text)
+        else:
+            kids = T.child_ids(v)
         src = AnnotatedAtom(lbl, "+")
         nodes.add(src)
-        kids = T.child_ids(v)
         if len(kids) != 1:
             raise ValueError(
                 "atom vertex %s does not have exactly one child" % lbl.text
@@ -374,12 +347,11 @@ def explanation_to_justification(
         rule = T.labels[rv]
         if not isinstance(rule, Rule):
             raise ValueError("child of an atom vertex must be a rule vertex")
-        stripped = Rule(rule.head, rule.body_pos)
-        if stripped.is_fact and stripped.head in fact_heads:
+        if not rule.body_pos and rule.head in fact_heads:
             edges.add((src, TOP, "+"))
         for v2 in T.child_ids(rv):
             a2 = T.labels[v2]
-            edges.add((src, AnnotatedAtom(a2, "+"), "+"))
+            edges.add((src, AnnotatedAtom(a2.head if explanation else a2, "+"), "+"))
             queue.append(v2)
     nodes.add(TOP)
     return EGraph(frozenset(nodes), frozenset(edges))

@@ -3,12 +3,10 @@ rule-only explanations.
 
 Vertices are integer ids, numbered the same way on every run, so
 identical inputs always produce identical trees. Each builder numbers
-its own way: :func:`aspexplain.engine.create_tree` in preorder,
-:func:`aspexplain.justify.justification_to_explanation` breadth-first,
-and the explanation tree that ``justify`` builds from an
-:class:`Explanation` depth-first, numbering the children of a vertex
-together when it is reached. An :class:`Explanation` keeps the ids of
-its and-or tree, and a tree read from JSON the ids it was written with.
+its own way: :func:`aspexplain.engine.create_tree` in preorder and
+:func:`aspexplain.justify.justification_to_explanation` breadth-first.
+An :class:`Explanation` keeps the ids of its and-or tree, and a tree
+read from JSON the ids it was written with.
 Labels are atoms or rules and may repeat across vertices.
 """
 from __future__ import annotations

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain import cli, engine
+from aspexplain import cli, engine, nl
 from aspexplain.cli import main
 from aspexplain.parser import parse_program
 from aspexplain.serialize import emit_json
@@ -707,6 +707,45 @@ class TestDeepChain:
         lines = out.splitlines()
         assert lines[0] == "explanation 1 (size %d):" % (CHAIN_STEPS + 1)
         assert lines[-2:] == ["  " * CHAIN_STEPS + "c0.", "1 explanation(s)"]
+
+
+class TestOutputCap:
+    """Text and nl output indent two spaces per level, so a deep
+    derivation prints about depth² characters. Past
+    ``nl.MAX_OUTPUT_CHARS``, lowered here to the size of a 30-step
+    chain's output, a command prints one error line and exits 2."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        program, answer_set = chain_text(30)
+        (tmp_path / "chain.lp").write_text(program)
+        (tmp_path / "chain.as").write_text(answer_set)
+        return str(tmp_path / "chain.lp"), str(tmp_path / "chain.as"), "c30"
+
+    @staticmethod
+    def error(cap: int) -> str:
+        return "error: cap exceeded: more than %d characters of output\n" % cap
+
+    @pytest.mark.parametrize("mode", ["shortest", "kdiff"])
+    @pytest.mark.parametrize("fmt", ["text", "nl"])
+    def test_explain(self, files, capsys, monkeypatch, mode, fmt):
+        argv = ("explain", *files, "--mode", mode, "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.count("\n") == 31
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(out))
+        assert run(capsys, *argv) == (0, out, "")
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(out) - 1)
+        assert run(capsys, *argv) == (2, "", self.error(len(out) - 1))
+
+    def test_enumerate(self, files, capsys, monkeypatch):
+        code, out, err = run(capsys, "enumerate", *files)
+        header, *lines, footer = out.splitlines(keepends=True)
+        assert (code, err, footer) == (0, "", "1 explanation(s)\n")
+        size = len("".join(lines))
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", size)
+        assert run(capsys, "enumerate", *files) == (0, out, "")
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", size - 1)
+        assert run(capsys, "enumerate", *files) == (2, "", self.error(size - 1))
 
 
 def test_k10_kdiff_in_bounded_time_and_memory(tmp_path, capsys):

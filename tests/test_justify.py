@@ -4,6 +4,7 @@ import pytest
 
 from aspexplain import engine
 from aspexplain.engine import create_tree
+from aspexplain.ground import ground_program
 from aspexplain.justify import (
     ASSUME,
     BOT,
@@ -118,6 +119,7 @@ class TestIsOfflineJustification:
         assert not is_offline_justification(P, G, a, X, frozenset())
 
     def test_assumed_positive_atom_rejected(self, ex41):
+        """A true atom is never assumed, in ``U`` or not."""
         P, X = ex41
         a, b, c = ann("a"), ann("b"), ann("c")
         G = EGraph(
@@ -126,6 +128,7 @@ class TestIsOfflineJustification:
                        (b, ASSUME, "+"), (c, TOP, "+")]),
         )
         assert not is_offline_justification(P, G, a, X, frozenset())
+        assert not is_offline_justification(P, G, a, X, frozenset([b.atom]))
 
     def test_unreachable_node_rejected(self, ex41):
         P, X = ex41
@@ -169,6 +172,40 @@ class TestIsOfflineJustification:
         U = frozenset([parse_atom("d")])
         assert is_offline_justification(P, G, c, X, U)
         assert not is_offline_justification(P, G, c, X, frozenset())
+
+    @pytest.mark.parametrize("support, U, expected", [
+        ("bot", "", True), ("bot", "b", False),
+        ("assume", "", False), ("assume", "b", True),
+        ("literals", "", True), ("literals", "a", False),
+    ])
+    def test_false_atom_is_assumed_exactly_when_in_U(self, support, U, expected):
+        """``a :- b.`` with ``M = {}``: ``b`` has no rule, so ``b-`` rests
+        on ⊥, and ``a-`` on the literal set {b}, which falsifies its one
+        rule. Each support is checked once with the false atom in ``U``
+        and once outside it: only an assume edge may hold an atom of
+        ``U``, and it may hold no other."""
+        P = parse_program("a :- b.")
+        a, b = ann("a", "-"), ann("b", "-")
+        marker = ASSUME if support == "assume" else BOT
+        nodes, edges = [b, marker], [(b, marker, "-")]
+        if support == "literals":
+            nodes, edges = nodes + [a], edges + [(a, b, "+")]
+        G = EGraph(frozenset(nodes), frozenset(edges))
+        root = a if support == "literals" else b
+        U = frozenset(parse_atom(t) for t in U.split())
+        assert is_offline_justification(P, G, root, frozenset(), U) is expected
+
+    def test_non_ground_program_rejected(self):
+        """On ``p(X) :- q(X). q(a).`` the valid justification
+        p(a)+ -> q(a)+ -> ⊤ holds of the program's grounding only."""
+        P = parse_program("p(X) :- q(X). q(a).")
+        X = parse_answer_set("p(a) q(a)")
+        p, q = ann("p(a)"), ann("q(a)")
+        G = EGraph(frozenset([p, q, TOP]),
+                   frozenset([(p, q, "+"), (q, TOP, "+")]))
+        with pytest.raises(ValueError, match="non-ground program"):
+            is_offline_justification(P, G, p, X, frozenset())
+        assert is_offline_justification(ground_program(P, X), G, p, X, frozenset())
 
     def test_long_chain_in_linear_time(self):
         """A 10^4-node chain e-graph, c_n -> ... -> c0 -> top. With the

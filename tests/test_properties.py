@@ -21,11 +21,13 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
+from aspexplain.justify import EGraph, explanation_to_justification
 from aspexplain.model import Atom, Program, Rule, least_model
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
-    answer_sets, complete_text, dropped_copy_text, fixture_text, product_ground,
+    answer_sets, complete_text, dropped_copy_text, explanation_tree_of, fixture_text,
+    product_ground,
     random_nonground_program, random_program, reference_create_tree, reference_fold,
     reference_k_different, validate_andor_tree,
 )
@@ -164,6 +166,26 @@ def test_k_different_greedy_maximality(enumerated):
             R = R | e.rule_vertex_ids
         ids = [e.rule_vertex_ids for e in ks]
         assert len(set(ids)) == len(ids)
+
+
+def _justification_or_error(P, X, p, T):
+    try:
+        return explanation_to_justification(P, X, p, T)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_explanation_and_its_tree_give_one_justification(corpus):
+    """An :class:`Explanation` and the explanation tree it stands for
+    convert to the same justification, or fail with the same message."""
+    converted = failed = 0
+    for P, X, p in corpus:
+        for e in k_different(P, X, p, 3):
+            got = _justification_or_error(P, X, p, e)
+            assert got == _justification_or_error(P, X, p, explanation_tree_of(e, e.andor))
+            converted += isinstance(got, EGraph)
+            failed += isinstance(got, str)
+    assert converted > 800 and failed > 10  # 834 and 14 (labels not unique)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 5, 10))
