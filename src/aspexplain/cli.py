@@ -94,15 +94,14 @@ def _print_explanations(
             docs = [emit_json(e).rstrip("\n") for e in explanations]
             sys.stdout.write("[\n%s\n]\n" % ",\n".join(docs))
         return
-    chunks = []
-    for e in explanations:
-        if fmt == "text":
-            chunks.append(_format_text(e))
-        elif fmt == "nl":
-            chunks.append(render_nl(e, table))
-        elif fmt == "dot":
-            chunks.append(emit_dot(e))
-    sys.stdout.write("\n".join(chunks))
+    render = {"text": _format_text, "dot": emit_dot,
+              "nl": lambda e: render_nl(e, table)}[fmt]
+    # Each explanation is written once rendered, so one is held at a time.
+    for i, e in enumerate(explanations):
+        text = render(e)
+        if i:
+            sys.stdout.write("\n")
+        sys.stdout.write(text)
 
 
 def cmd_explain(args) -> int:

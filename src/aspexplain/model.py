@@ -207,10 +207,7 @@ class FiledFacts:
     positions of its other rules.
 
     ``heads`` maps the source text of each ground fact to its head, for
-    reading an answer set against the program; a fact whose source text
-    holds a space is also filed under its atom text, the spelling a
-    solver prints, and never under its source with the spaces taken out,
-    which would change a quoted string. ``by_head`` maps each
+    reading an answer set against the program. ``by_head`` maps each
     head to the position and rule of the first fact with that head, for
     the grounder: a later duplicate is the same rule, and grounding
     keeps the first. ``others`` holds the positions of every other rule,
@@ -234,8 +231,6 @@ class FiledFacts:
             self.others.append(i)
         else:
             self.heads[r.source_text] = head
-            if " " in r.source_text:
-                self.heads[head.text] = head
             self.by_head.setdefault(head, (i, r))
 
     def unfile_variable_heads(self, variables: AbstractSet[Term],

@@ -38,9 +38,7 @@ variables, and a fact with one is moved to the other rules.
 
 An answer set is read against the facts of its program:
 :attr:`FiledFacts.heads` maps the source text of each ground fact to
-its head, and that of a fact with a space in it, such as
-``p("A", "B")``, also its atom text ``p("A","B")``, as a solver prints
-it; without a program the map is empty. The text is split at
+its head, and without a program the map is empty. The text is split at
 whitespace; a piece found in the map is that head, and the other
 pieces, joined by line breaks, go to one ``split`` around atoms, in
 which no atom may hold a line break. A text with ``%``, or with a piece
@@ -257,8 +255,6 @@ def _read_program(text: str) -> Program:
                 # FiledFacts.file for a fact, inlined: the call adds
                 # 2-18 % to parse_program on a knowledge base.
                 heads[source] = head
-                if " " in source:
-                    heads[head.text] = head
                 file_head(head, (len(rules), rule))
                 append(rule)
                 pos = m.end()

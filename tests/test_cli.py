@@ -737,6 +737,31 @@ class TestOutputCap:
         monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(out) - 1)
         assert run(capsys, *argv) == (2, "", self.error(len(out) - 1))
 
+    @pytest.mark.parametrize("fmt", ["text", "nl"])
+    def test_kdiff_holds_one_explanation_at_a_time(self, tmp_path, capsys,
+                                                   monkeypatch, fmt):
+        """The cap holds per explanation: ``explain`` writes each one once
+        it is rendered, so two deep explanations whose output together
+        passes the cap still print, and one past it stops the command
+        after the ones before it."""
+        program = "c0 :- a.\na.\nc0 :- bbbbbb.\nbbbbbb.\n" + "".join(
+            "c%d :- c%d.\n" % (i + 1, i) for i in range(30))
+        (tmp_path / "two.lp").write_text(program)
+        (tmp_path / "two.as").write_text(
+            "a bbbbbb " + " ".join("c%d" % i for i in range(31)))
+        argv = ("explain", str(tmp_path / "two.lp"), str(tmp_path / "two.as"),
+                "c30", "--mode", "kdiff", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        first, second = out.split("\n\n")
+        first += "\n"
+        assert (code, err) == (0, "") and len(first) < len(second)
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(second))
+        assert run(capsys, *argv) == (0, out, "") and len(out) > len(second)
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(first))
+        assert run(capsys, *argv) == (2, first, self.error(len(first)))
+        monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", len(first) - 1)
+        assert run(capsys, *argv) == (2, "", self.error(len(first) - 1))
+
     def test_enumerate(self, files, capsys, monkeypatch):
         code, out, err = run(capsys, "enumerate", *files)
         header, *lines, footer = out.splitlines(keepends=True)
