@@ -45,16 +45,20 @@ def render_nl(e: Explanation, t: LookupTable) -> str:
 def indented(e: Explanation, line: Callable[[Rule], str]) -> str:
     """``line`` of each rule vertex in pre-order, indented two spaces
     per tree level, one per line. Raises ``ValueError`` ("cap exceeded")
-    as soon as the text would pass :data:`MAX_OUTPUT_CHARS`, before the
-    line past it is kept."""
+    if the text would pass :data:`MAX_OUTPUT_CHARS`, as soon as that is
+    known: before any line is built if the indentation alone passes it."""
+    order = e.preorder()
+    depths = [e.depth(v) for v in order]
+    size = 2 * sum(depths)  # the indentation, a lower bound on the size
     lines: list[str] = []
-    size = 0
-    for v in e.preorder():
-        text = "  " * e.depth(v) + line(e.labels[v]) + "\n"
-        size += len(text)
+    for v, d in zip(order, depths):
         if size > MAX_OUTPUT_CHARS:
-            raise ValueError(
-                "cap exceeded: more than %d characters of output" % MAX_OUTPUT_CHARS
-            )
-        lines.append(text)
+            break
+        text = line(e.labels[v]) + "\n"
+        size += len(text)
+        lines.append("  " * d + text)
+    if size > MAX_OUTPUT_CHARS:
+        raise ValueError(
+            "cap exceeded: more than %d characters of output" % MAX_OUTPUT_CHARS
+        )
     return "".join(lines)

@@ -43,7 +43,10 @@ class IdMap(dict):
 
     def __missing__(self, u: int):
         starts, ends, shifts = self.copies
-        i, w = bisect_right(starts, u) - 1, u
+        try:
+            i, w = bisect_right(starts, u) - 1, u
+        except TypeError:  # not an id, so not a key, as in a plain dict
+            raise KeyError(u) from None
         while i >= 0 and w < ends[i]:  # a source lies before its copy
             w -= shifts[i]
             i = bisect_right(starts, w, 0, i) - 1

@@ -85,6 +85,20 @@ class TestCreateTree:
         T = create_tree(P, X, r)
         assert T.labels[T.root] == r
 
+    def test_copied_tree_answers_a_non_id_key_as_a_dict(self):
+        """On ``K_5`` the and-or tree of ``p4`` has 79 ids, in 8 copied
+        ranges among them; its ``labels`` and ``children`` answer a key
+        that is not an id as a plain dict does."""
+        program, answer_set = complete_text(5)
+        T = create_tree(parse_program(program), parse_answer_set(answer_set), Atom("p4"))
+        assert len(T) == 79 and len(T.labels.copies[0]) == 8
+        for ids in (T.labels, T.children):
+            for key in ("x", None, 1.5, len(T)):
+                assert key not in ids and ids.get(key) is None
+                with pytest.raises(KeyError):
+                    ids[key]
+            assert 78 in ids and ids.get(78) == ids[78]
+
     def test_no_atom_repeats_on_paths(self, ex41):
         P, X, p = ex41
         T = create_tree(P, X, p)

@@ -1,5 +1,8 @@
+import pytest
+
+from aspexplain import nl
 from aspexplain.engine import shortest_explanation
-from aspexplain.nl import render_nl
+from aspexplain.nl import indented, render_nl
 from aspexplain.parser import (
     LookupTable,
     parse_answer_set,
@@ -8,7 +11,7 @@ from aspexplain.parser import (
     parse_program,
 )
 
-from conftest import fixture_text
+from conftest import chain_text, fixture_text
 
 Q8_EXPECTED = """\
 The gene CASK is an answer.
@@ -67,3 +70,27 @@ def test_deterministic():
     table = parse_lookup(fixture_text("q8.lookup"))
     e = q8_shortest()
     assert render_nl(e, table) == render_nl(e, table)
+
+
+def test_cap_passed_by_the_indentation_alone_builds_no_line(monkeypatch):
+    """The 30-step chain's explanation indents its 31 lines by
+    2 * (0 + 1 + ... + 30) = 930 characters in all. Under a cap below
+    that, ``indented`` raises before it builds a line; at that cap it
+    builds the first line and then raises."""
+    program, answer_set = chain_text(30)
+    P, X = parse_program(program), parse_answer_set(answer_set)
+    e = shortest_explanation(P, X, parse_atom("c30"))
+    calls = []
+
+    def line(rule):
+        calls.append(rule)
+        return rule.display
+
+    monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", 929)
+    with pytest.raises(ValueError, match="^cap exceeded: more than 929 characters"):
+        indented(e, line)
+    assert calls == []
+    monkeypatch.setattr(nl, "MAX_OUTPUT_CHARS", 930)
+    with pytest.raises(ValueError, match="^cap exceeded: more than 930 characters"):
+        indented(e, line)
+    assert len(calls) == 1
