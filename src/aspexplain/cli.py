@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; 1 when the queried atom is not in the answer
 set or verification fails; 2 on input errors: parse, I/O and grounding
-errors, a non-ground query atom and "cap exceeded".
+errors, a non-ground query atom and "cap exceeded", which running out
+of memory also reports.
 """
 from __future__ import annotations
 
@@ -232,11 +233,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError and GroundingError are ValueErrors.
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        message = str(exc)
+    except MemoryError:
+        message = "cap exceeded: out of memory"
     finally:
         if enabled:
             gc.enable()
+    # Printed once the exception, and with it what the command held, is freed.
+    print("error: %s" % message, file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 def entry() -> None:

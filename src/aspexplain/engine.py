@@ -405,47 +405,6 @@ def _tree_count(T: VertexLabeledTree) -> int:
     return _fold_from(T, T.root, sum, lambda u, values: math.prod(values))[T.root]
 
 
-def enumerate_explanation_trees(
-    T: VertexLabeledTree, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[VertexLabeledTree]:
-    """All explanation trees inside the and-or tree ``T``: every atom
-    vertex picks exactly one rule child, every rule vertex keeps all of
-    its children. Vertex ids are shared with ``T``."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if T.is_empty:
-        return
-    if _tree_count(T) > cap:
-        raise ValueError(
-            "cap exceeded: more than %d explanation trees" % cap
-        )
-
-    # An odometer over the reached atom vertices in preorder: the last one
-    # with another rule child advances, and the ones after it start over.
-    # An atom vertex not in choice takes its first rule child.
-    child_ids, labels = T.child_reader(), T.labels
-    choice: dict[int, int] = {}
-    while True:
-        kept: dict[int, tuple[int, ...]] = {}
-        reached: list[int] = []
-        stack = [T.root]
-        while stack:
-            u = stack.pop()
-            kids = child_ids(u)
-            if isinstance(labels[u], Atom):
-                reached.append(u)
-                kids = (kids[choice.get(u, 0)],)
-            kept[u] = kids
-            stack.extend(reversed(kids))
-        yield VertexLabeledTree(T.root, {u: labels[u] for u in kept}, kept)
-        while reached and choice.get(reached[-1], 0) + 1 == len(child_ids(reached[-1])):
-            choice.pop(reached.pop(), None)
-        if not reached:
-            return
-        u = reached[-1]
-        choice[u] = choice.get(u, 0) + 1
-
-
 def enumerate_explanations(
     P: Program,
     X: AtomSet,
@@ -453,10 +412,37 @@ def enumerate_explanations(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Explanation, ...]:
     """Every explanation for ``p``, exactly once, smallest first. This
-    is the brute-force oracle the fast paths are tested against."""
+    is the brute-force oracle the fast paths are tested against.
+
+    Each explanation is read by :func:`_collapse`, whose ``pick`` is an
+    odometer over the atom vertices in the order they are reached: the
+    last one with another rule child advances, and the ones after it
+    start over. An atom is reached only after every atom its presence
+    depends on, so each choice of rule children is read once."""
     if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
-    found = (_collapse(T, E.root, lambda u: E.child_ids(u)[0])
-             for E in enumerate_explanation_trees(T, cap=cap))
-    return tuple(sorted(found, key=lambda e: (e.size, sorted(e.rule_vertex_ids))))
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    if T.is_empty:
+        return ()
+    if _tree_count(T) > cap:
+        raise ValueError("cap exceeded: more than %d explanation trees" % cap)
+    child_ids = T.child_reader()
+    choice: dict[int, int] = {}  # an atom vertex not in it takes its first child
+    reached: list[int] = []
+
+    def pick(u: int) -> int:
+        reached.append(u)
+        return child_ids(u)[choice.get(u, 0)]
+
+    found = []
+    while True:
+        reached.clear()
+        found.append(_collapse(T, T.root, pick))
+        while reached and choice.get(reached[-1], 0) + 1 == len(child_ids(reached[-1])):
+            choice.pop(reached.pop(), None)
+        if not reached:
+            return tuple(sorted(found, key=lambda e: (e.size, sorted(e.rule_vertex_ids))))
+        u = reached[-1]
+        choice[u] = choice.get(u, 0) + 1

@@ -47,10 +47,6 @@ class Literal:
     atom: Atom
     negated: bool = False
 
-    @property
-    def text(self) -> str:
-        return ("not %s" if self.negated else "%s") % self.atom.text
-
 
 def _node_key(n: Node):
     return (0, n) if isinstance(n, str) else (1, n.atom, n.sign)
@@ -121,13 +117,6 @@ def support_of(b: AnnotatedAtom, G: EGraph) -> Union[str, frozenset[Literal]]:
     )
 
 
-def _body_literals(r: Rule) -> frozenset[Literal]:
-    return frozenset(
-        [Literal(a) for a in r.body_pos]
-        + [Literal(a, negated=True) for a in r.body_neg]
-    )
-
-
 def _atoms_by_sign(S: frozenset[Literal]) -> tuple[set[Atom], set[Atom]]:
     """The atoms of the positive and of the negated literals of ``S``."""
     pos: set[Atom] = set()
@@ -138,33 +127,34 @@ def _atoms_by_sign(S: frozenset[Literal]) -> tuple[set[Atom], set[Atom]]:
 
 
 def _is_positive_lce(
-    rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
-    minus_or_u: frozenset[Atom],
+    rules: list[Rule], b: Atom, pos: set[Atom], neg: set[Atom],
+    plus: frozenset[Atom], minus_or_u: frozenset[Atom],
 ) -> bool:
-    """``rules`` are the rules of the program with head ``b``."""
-    pos, neg = _atoms_by_sign(S)
+    """``rules`` are the rules of the program with head ``b``; ``pos``
+    and ``neg`` are the atoms of the positive and of the negated
+    literals of the support."""
     if b not in plus or not (pos <= plus and neg <= minus_or_u):
         return False
-    return any(_body_literals(r) == S for r in rules)
+    return any(pos == set(r.body_pos) and neg == set(r.body_neg) for r in rules)
 
 
-def _falsifies_all(rules: list[Rule], S: frozenset[Literal]) -> bool:
-    pos, neg = _atoms_by_sign(S)
+def _falsifies_all(rules: list[Rule], pos: set[Atom], neg: set[Atom]) -> bool:
     return all(not pos.isdisjoint(r.body_pos) or not neg.isdisjoint(r.body_neg)
                for r in rules)
 
 
 def _is_negative_lce(
-    rules: list[Rule], b: Atom, S: frozenset[Literal], plus: frozenset[Atom],
-    minus_or_u: frozenset[Atom],
+    rules: list[Rule], b: Atom, pos: set[Atom], neg: set[Atom],
+    plus: frozenset[Atom], minus_or_u: frozenset[Atom],
 ) -> bool:
-    """``rules`` are the rules of the program with head ``b``. ``S``
-    must falsify each of them, and no proper subset of ``S`` may."""
-    pos, neg = _atoms_by_sign(S)
+    """``rules`` are the rules of the program with head ``b``. The
+    support must falsify each of them, and none with one literal fewer
+    may: one atom fewer in ``pos`` or in ``neg``."""
     if b not in minus_or_u or not (pos <= minus_or_u and neg <= plus):
         return False
-    return _falsifies_all(rules, S) and not any(
-        _falsifies_all(rules, S - {l}) for l in S
+    return _falsifies_all(rules, pos, neg) and not (
+        any(_falsifies_all(rules, pos - {a}, neg) for a in pos)
+        or any(_falsifies_all(rules, pos, neg - {a}) for a in neg)
     )
 
 
@@ -231,8 +221,8 @@ def is_offline_justification(
             ok = False  # ⊤ supports only true atoms, and ⊥ only false ones
         else:
             lce = _is_positive_lce if n.sign == "+" else _is_negative_lce
-            S = frozenset() if isinstance(sup, str) else sup
-            ok = lce(by_head.get(n.atom, []), n.atom, S, M, minus_or_u)
+            pos, neg = (set(), set()) if isinstance(sup, str) else _atoms_by_sign(sup)
+            ok = lce(by_head.get(n.atom, []), n.atom, pos, neg, M, minus_or_u)
         if not ok:
             return False
     return not _has_positive_cycle(G)

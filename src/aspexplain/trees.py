@@ -76,8 +76,8 @@ class IdMap(dict):
     def __ror__(self, other):
         return other | self.copy()
 
-    def __reduce__(self):
-        return type(self), (self.copies, self.size, dict.copy(self), self.shifted)
+    def __reduce__(self):  # the stored entries only: dict.copy would read every id
+        return type(self), (self.copies, self.size, dict(dict.items(self)), self.shifted)
 
     __contains__, get, keys, items, values, __eq__ = (
         Mapping.__contains__, Mapping.get, Mapping.keys, Mapping.items,

@@ -59,6 +59,28 @@ def complete_text(n: int) -> tuple[str, str]:
     return program, " ".join("p%d" % i for i in range(n))
 
 
+def knowledge_base_text(n: int) -> tuple[str, str, str]:
+    """Program and answer-set text of ``n`` binary ``gene_gene_biogrid``
+    facts between ``n // 5`` genes, drawn at seed 1, under the
+    reachability rules of the ``q8`` fixture, with one answer to query:
+    the generator of the CI "Knowledge-base read" step."""
+    rules = fixture_text("q8.lp").splitlines()[7:]
+    rng = random.Random(1)
+    genes = ["G%05d" % i for i in range(n // 5)]
+    edges = sorted({(rng.choice(genes), rng.choice(genes)) for _ in range(n + n // 200)})[:n]
+    start, facts = genes[0], ['gene_gene_biogrid("%s","%s")' % e for e in edges]
+    reach = {0: {start}}
+    for k in (1, 2, 3):
+        reach[k] = {a for a, b in edges if b in reach[k - 1]}
+    answers = sorted(reach[2] | reach[3])
+    atoms = facts + ['start_gene("%s")' % start, "max_chain_length(3)"]
+    atoms += ['gene_reachable_from("%s",%d)' % (g, k) for k in (1, 2, 3) for g in sorted(reach[k])]
+    atoms += ['what_be_genes("%s")' % g for g in answers]
+    head = ['start_gene("%s").' % start, "max_chain_length(3)."]
+    program = "\n".join(head + [f + "." for f in facts] + rules) + "\n"
+    return program, "\n".join(atoms) + "\n", 'what_be_genes("%s")' % answers[0]
+
+
 def dropped_copy_text() -> tuple[str, str]:
     """Program and answer-set text in which :func:`create_tree` copies
     subtrees into ones that are then dropped. The subtree of ``a`` below

@@ -1,0 +1,178 @@
+"""The golden corpus: a fixed list of CLI commands and one digest per
+command of its exit code, stdout and stderr.
+
+The commands run over the four fixtures, the complete support graphs
+K_4 to K_7, a 60-step chain and a program whose answer set writes an
+atom with spaces. Every atom of each is explained in shortest, kdiff
+and ``kdiff -k 3`` mode in all four formats, each with and without
+``--verify`` and ``--lookup``, and enumerated with and without
+``--max-expl 1``; on the generated programs the two flags are given
+together or not at all. Each JSON explanation written is converted to a
+justification in json and dot, and the json one back to an explanation
+tree. Each program is verified, queried for an absent, a non-ground and
+a malformed atom, and converted with both JSON fixtures both ways.
+
+``tests/test_golden.py`` replays the corpus and names each command
+whose digest moved. To rewrite the digests from the source tree on
+``PYTHONPATH``, run from the repository root::
+
+    PYTHONPATH=src python tests/golden.py
+
+A change that moves an output should name each moved command and why.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+from pathlib import Path
+from typing import Iterable, Iterator, Optional
+
+from aspexplain import cli
+
+sys.path.insert(0, str(Path(__file__).parent))
+from conftest import FIXTURES, chain_text, complete_text  # noqa: E402
+
+DIGESTS = Path(__file__).parent / "golden_digests.txt"
+MODES = (["--mode", "shortest"], ["--mode", "kdiff"], ["--mode", "kdiff", "-k", "3"])
+FORMATS = ("text", "nl", "dot", "json")
+# Every program takes the first two; the fixtures and the spaced program
+# also take each flag alone.
+FLAGS = ([], ["--verify", "--lookup", "q8.lookup"], ["--verify"], ["--lookup", "q8.lookup"])
+GENERATED = ("k4", "k5", "k6", "k7", "chain60")
+BAD_QUERIES = ("absent", "p(X)", "p((")
+
+
+def write_inputs(root: Path) -> dict[str, list[str]]:
+    """Write each program and answer set under ``root``, with the
+    look-up table and the two JSON fixtures; the queried atoms of each
+    program, by name."""
+    texts = {
+        name: (FIXTURES.joinpath(name + ".lp").read_text(encoding="utf-8"),
+               FIXTURES.joinpath(name + ".as").read_text(encoding="utf-8"))
+        for name in ("example41", "example44", "threerule", "q8")
+    }
+    texts.update(("k%d" % n, complete_text(n)) for n in range(4, 8))
+    texts["chain60"] = chain_text(60)
+    texts["spaced"] = ("p(a).\nq :- p(a).\n", "Answer: 1\np( a ) q\n")
+    for name in ("q8.lookup", "exp_tree.json", "fig_jst.json"):
+        (root / name).write_bytes(FIXTURES.joinpath(name).read_bytes())
+    atoms = {}
+    for name, (program, answer_set) in texts.items():
+        (root / (name + ".lp")).write_text(program, encoding="utf-8")
+        (root / (name + ".as")).write_text(answer_set, encoding="utf-8")
+        atoms[name] = answer_set.split()
+    atoms["spaced"] = ["p(a)", "q", "p( a )"]
+    (root / "out").mkdir()
+    return atoms
+
+
+def commands(atoms: dict[str, list[str]]) -> Iterator[tuple[list[str], Optional[str]]]:
+    """Each command, with the file its stdout is written to, if any, for
+    a later command to read."""
+    for name, queries in atoms.items():
+        files = [name + ".lp", name + ".as"]
+        yield ["verify", *files], None
+        for i, p in enumerate(queries):
+            for m, mode in enumerate(MODES):
+                for fmt in FORMATS:
+                    for flags in FLAGS[:2] if name in GENERATED else FLAGS:
+                        saved = None
+                        if fmt == "json" and not flags:
+                            saved = "out/%s-%d-%d.json" % (name, i, m)
+                        yield ["explain", *files, p, *mode, "--format", fmt, *flags], saved
+            yield ["enumerate", *files, p], None
+            yield ["enumerate", *files, p, "--max-expl", "1"], None
+            for m in range(len(MODES)):
+                tree = "out/%s-%d-%d.json" % (name, i, m)
+                jst = "out/%s-%d-%d-jst.json" % (name, i, m)
+                yield ["convert", "exp2jst", *files, p, tree], jst
+                yield ["convert", "exp2jst", *files, p, tree, "--format", "dot"], None
+                yield ["convert", "jst2exp", *files, p, jst], None
+                yield ["convert", "jst2exp", *files, p, jst, "--format", "dot"], None
+        for p in queries[:1] + list(BAD_QUERIES):
+            yield ["explain", *files, p], None
+            yield ["enumerate", *files, p], None
+            for direction, doc in (("jst2exp", "fig_jst.json"), ("exp2jst", "exp_tree.json")):
+                for fmt in ("json", "dot"):
+                    yield ["convert", direction, *files, p, doc, "--format", fmt], None
+    yield ["explain", "missing.lp", "k4.as", "p0"], None
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` in this process, with its exit code, stdout and
+    stderr; an argparse error counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(repr((code, out, err)).encode()).hexdigest()[:16]
+
+
+def replay(root: Path, programs: Optional[Iterable[str]] = None) -> dict[str, str]:
+    """Write the inputs under ``root``, run each command with ``root`` as
+    its working directory and return its digest by command line. With
+    ``programs``, only the commands on those programs and the last."""
+    atoms = write_inputs(root)
+    if programs is not None:
+        atoms = {name: atoms[name] for name in programs}
+    found = {}
+    with _chdir(root):
+        for argv, saved in commands(atoms):
+            code, out, err = run_main(argv)
+            if saved:
+                Path(saved).write_text(out, encoding="utf-8")
+            found[shlex.join(argv)] = digest(code, out, err)
+    return found
+
+
+@contextlib.contextmanager
+def _chdir(path: Path) -> Iterator[None]:
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def format_digests(found: dict[str, str]) -> str:
+    return "".join("%s  %s\n" % (d, command) for command, d in found.items())
+
+
+def parse_digests(text: str) -> dict[str, str]:
+    return {line[18:]: line[:16] for line in text.splitlines()}
+
+
+def read_digests() -> dict[str, str]:
+    return parse_digests(DIGESTS.read_text(encoding="utf-8"))
+
+
+def moved(expected: dict[str, str], found: dict[str, str]) -> list[str]:
+    """Each command whose digest differs, or that only one side has."""
+    return [
+        command for command in dict.fromkeys([*expected, *found])
+        if expected.get(command) != found.get(command)
+    ]
+
+
+def main() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        found = replay(Path(tmp))
+    DIGESTS.write_text(format_digests(found), encoding="utf-8")
+    print("%d digests written to %s" % (len(found), DIGESTS))
+
+
+if __name__ == "__main__":
+    main()

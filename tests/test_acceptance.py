@@ -10,7 +10,6 @@ import time
 from aspexplain.engine import (
     create_tree,
     distance,
-    enumerate_explanation_trees,
     enumerate_explanations,
     k_different,
     shortest_explanation,
@@ -40,7 +39,8 @@ from aspexplain.wellfounded import (
 
 import conftest
 from conftest import (
-    answer_sets, fixture_text, product_ground, random_program, validate_andor_tree,
+    answer_sets, explanation_tree_of, fixture_text, product_ground, random_program,
+    validate_andor_tree,
 )
 
 
@@ -269,8 +269,8 @@ def test_criterion_10_round_trip():
         P = random_program(rng)
         for X in answer_sets(P):
             for p in sorted(X):
-                AO = create_tree(P, X, p)
-                for T in enumerate_explanation_trees(AO):
+                for e in enumerate_explanations(P, X, p):
+                    T = explanation_tree_of(e, e.andor)
                     labels = {
                         (T.is_rule_vertex(v), T.labels[v].text)
                         for v in T.preorder()

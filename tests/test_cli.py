@@ -16,7 +16,7 @@ from aspexplain.serialize import emit_json
 
 from conftest import (
     FIXTURES, chain_text, complete_text, explanation_tree_of, fixture_text,
-    ladder_justification, product_ground, render_program,
+    knowledge_base_text, ladder_justification, product_ground, render_program,
 )
 
 
@@ -528,12 +528,12 @@ class TestConvert:
 
     def test_duplicate_labels_exit_code(self, tmp_path, capsys):
         import aspexplain as ax
-        from aspexplain.engine import enumerate_explanation_trees
 
         P = ax.parse_program((FIXTURES / "example41.lp").read_text())
         X = ax.parse_answer_set((FIXTURES / "example41.as").read_text())
-        AO = ax.create_tree(P, X, ax.parse_atom("a"))
-        big = max(enumerate_explanation_trees(AO), key=len)
+        trees = [explanation_tree_of(e, e.andor)
+                 for e in ax.enumerate_explanations(P, X, ax.parse_atom("a"))]
+        big = max(trees, key=len)
         path = tmp_path / "dup.json"
         path.write_text(ax.emit_json(big))
         code, _, err = run(
@@ -844,9 +844,6 @@ def test_grounding_cap_exit_code_under_a_memory_limit(tmp_path, command, n, limi
     passes the width cap, at 15 the last step passes the instance
     budget. Measured at 1-2 s and under 260 MB peak RSS each (2-vCPU
     Xeon)."""
-    resource = pytest.importorskip("resource")
-    import aspexplain as ax
-
     seconds = 30
     paths = {"LP": tmp_path / "p.lp", "AS": tmp_path / "p.as"}
     paths["LP"].write_text(
@@ -854,15 +851,40 @@ def test_grounding_cap_exit_code_under_a_memory_limit(tmp_path, command, n, limi
     )
     paths["AS"].write_text(" ".join("q(%d)" % i for i in range(n)) + " p\n")
     argv = [str(paths.get(a, a)) for a in command]
+    t0 = time.perf_counter()
+    r = _cli_under_limit(argv, limit, 5 * seconds)
+    assert time.perf_counter() - t0 < seconds
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: cap exceeded: %s\n" % message)
+
+
+def _cli_under_limit(argv, limit, timeout):
+    """``python -m aspexplain.cli argv`` in a fresh process whose
+    address space is limited to ``limit`` bytes."""
+    resource = pytest.importorskip("resource")
+    import aspexplain as ax
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ax.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    t0 = time.perf_counter()
-    r = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "aspexplain.cli", *argv], env=env, capture_output=True,
-        text=True, timeout=5 * seconds,
+        text=True, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
-    assert time.perf_counter() - t0 < seconds
-    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: cap exceeded: %s\n" % message)
+
+
+@pytest.mark.parametrize("command", ["explain", "verify"])
+def test_out_of_memory_exit_code(tmp_path, command):
+    """Reading the 10^5 facts of :func:`conftest.knowledge_base_text`
+    takes about 120 MB. Under a 64 MiB address-space limit, past what
+    the interpreter and the argument parser need, ``explain`` and
+    ``verify`` once ended in a ``MemoryError`` traceback from the
+    program reader, with exit 1, which means "not in the answer set".
+    Each ends with one line and exit 2."""
+    program, answer_set, query = knowledge_base_text(100_000)
+    (tmp_path / "kb.lp").write_text(program)
+    (tmp_path / "kb.as").write_text(answer_set)
+    argv = [command, str(tmp_path / "kb.lp"), str(tmp_path / "kb.as")]
+    r = _cli_under_limit(argv + [query] * (command == "explain"), 1 << 26, 150)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: cap exceeded: out of memory\n")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -98,6 +100,35 @@ class TestCreateTree:
                 with pytest.raises(KeyError):
                     ids[key]
             assert 78 in ids and ids.get(78) == ids[78]
+
+    def test_copied_tree_answers_as_its_expanded_dict(self):
+        """On ``K_5`` the and-or tree of ``p4`` has 79 ids and stores 57;
+        its ``labels`` and ``children`` answer the rest of the dict
+        interface as the dict with every id written out does, and refuse
+        every write."""
+        program, answer_set = complete_text(5)
+        T = create_tree(parse_program(program), parse_answer_set(answer_set), Atom("p4"))
+        assert len(T) == 79 and dict.__len__(T.labels) == 57
+        for ids in (T.labels, T.children):
+            full = {u: ids[u] for u in range(len(T))}
+            assert ids == full and not ids != full and ids != {**full, 0: None}
+            assert ids | {} == full and {} | ids == full
+            assert ids | {0: None, -1: None} == {**full, 0: None, -1: None}
+            assert {0: None, -1: None} | ids == {-1: None, **full}
+            assert list(reversed(ids)) == list(reversed(full))
+            assert repr(ids) == repr(full)
+            assert type(ids.copy()) is dict and ids.copy() == full
+            for write in (
+                lambda: ids.__setitem__(0, None), lambda: ids.update({}),
+                lambda: ids.pop(0), lambda: ids.__ior__({}), ids.clear,
+            ):
+                with pytest.raises(TypeError, match="read-only"):
+                    write()
+            assert ids == full
+        for U in (pickle.loads(pickle.dumps(T)), copy.copy(T), copy.deepcopy(T)):
+            assert U == T and len(U) == 79
+            assert type(U.labels) is type(T.labels) and dict.__len__(U.labels) == 57
+            assert list(U.children.items()) == list(T.children.items())
 
     def test_no_atom_repeats_on_paths(self, ex41):
         P, X, p = ex41

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from aspexplain import engine
-from aspexplain.engine import create_tree
+from aspexplain.engine import create_tree, enumerate_explanations
 from aspexplain.ground import ground_program
 from aspexplain.justify import (
     ASSUME,
@@ -22,7 +22,8 @@ from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 from aspexplain.trees import VertexLabeledTree
 
 from conftest import (
-    chain_text, fixture_text, ladder_justification, validate_explanation_tree,
+    chain_text, explanation_tree_of, fixture_text, ladder_justification,
+    validate_explanation_tree,
 )
 
 
@@ -324,10 +325,8 @@ class TestExplanationToJustification:
         P = parse_program(fixture_text("example41.lp"))
         X = parse_answer_set(fixture_text("example41.as"))
         p = parse_atom("a")
-        from aspexplain.engine import enumerate_explanation_trees
-
-        AO = create_tree(P, X, p)
-        trees = list(enumerate_explanation_trees(AO))
+        trees = [explanation_tree_of(e, e.andor)
+                 for e in enumerate_explanations(P, X, p)]
         dup = [
             t
             for t in trees
