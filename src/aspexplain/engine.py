@@ -54,13 +54,10 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     child ids are stored only for the vertices built. The tree's
     ``labels`` and ``children`` are :class:`~aspexplain.trees.IdMap` s
     over every id, which read a copied id at its source, with child ids
-    shifted. The tree also carries ``completion``, the order in which
-    its vertices completed: each vertex opened and kept, and each copy
-    as its entry. Dropping a vertex cuts the entries made since it
-    opened, those with ids from its own, from the stored vertices, the
-    order and the ranges. A fold from the root follows this order and
-    stores values only at built ids, which is exact for a fold that
-    ignores ids (see :func:`_fold`).
+    shifted. Child ids are stored as each vertex completes, so their
+    keys come children first. Dropping a vertex cuts the entries made
+    since it opened, those with ids from its own, from the stored
+    vertices, the copies and the ranges.
     """
     if isinstance(d, Atom):
         if d not in X:
@@ -74,18 +71,19 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     once: set[Atom] = set()
     shared: set[Atom] = set()
     # Keyed by (atom, ancestor atoms): the id range of each completed
-    # subtree, in completion order, and the states that cannot complete.
+    # subtree, oldest first, and the states that cannot complete.
     spans: dict[tuple[Atom, frozenset[Atom]], tuple[int, int]] = {}
     dead: set[tuple[Atom, frozenset[Atom]]] = set()
     # Atoms the keys may still hold: as many as the tree may hold
     # vertices, so that deep paths with no repeats cost bounded memory.
     room = MAX_TREE_VERTICES
-    # The label of each vertex built, added as it opens, and its child
-    # ids, added as it completes: in both, the entries made since a
-    # vertex opened are the last ones, those with ids from its own.
+    # The label of each vertex built, added as it opens, its child ids,
+    # added as it completes, and each copy (v, s, e), added as it is
+    # made: in all three, the entries made since a vertex opened are the
+    # last ones, those with ids from its own.
     labels: dict[int, Label] = {}
     children: dict[int, tuple[int, ...]] = {}
-    order: list[Union[int, tuple[int, int, int]]] = []
+    copies: list[tuple[int, int, int]] = []
     size = 0  # the next id
     path: set[Atom] = set()
     # Per open vertex: its id, its child ids so far, the children left
@@ -94,18 +92,15 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     todo: Optional[Label] = d
 
     def drop(v: int) -> None:
-        """Drop ``v``, the vertices after it, their id ranges and
-        their entries in the completion order."""
+        """Drop ``v``, the vertices after it, their copies and their
+        id ranges."""
         nonlocal size
         size = v
         for built in (labels, children):
             while built and next(reversed(built)) >= v:
                 built.popitem()
-        while order:  # the same holds for the completion order
-            last = order[-1]
-            if (last if last.__class__ is int else last[0]) < v:
-                break
-            order.pop()
+        while copies and copies[-1][0] >= v:
+            copies.pop()
         while spans:  # forget the ranges that were dropped
             key, (s, e) = spans.popitem()
             if s < v:
@@ -132,7 +127,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 stack[-1][1].pop()
             elif key in spans:
                 stack[-1][1].append(v)
-                order.append((v, s, e))
+                copies.append((v, s, e))
                 size += e - s
             else:
                 if stack:
@@ -161,7 +156,6 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
             continue
         stack.pop()  # v has no child left to try
         children[v] = tuple(ids)
-        order.append(v)
         label = labels[v]
         if isinstance(label, Atom):
             path.remove(label)
@@ -183,7 +177,6 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 stack.pop()
                 v = u
         if not stack:
-            copies = [c for c in order if c.__class__ is tuple]
             table = (
                 [v for v, s, e in copies],
                 [v + e - s for v, s, e in copies],
@@ -193,13 +186,12 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 0,
                 FrozenIdMap(table, size, labels),
                 FrozenIdMap(table, size, children, shifted=True),
-                tuple(order),
             )
 
 
 def _fold(
     T: VertexLabeledTree,
-    vertices: Iterable[Union[int, tuple[int, int, int]]],
+    vertices: Iterable[int],
     at_atom: Callable[[Iterator[int]], int],
     at_rule: Callable[[int, Iterator[int]], int],
     F: Optional[dict[int, int]] = None,
@@ -213,21 +205,19 @@ def _fold(
     The folds over a subtree pass it in reversed preorder. The update in
     :func:`k_different` passes only the vertices above the explanation
     it just took, to re-fold them over the values of its one difference
-    fold. A fold over a whole tree from :func:`create_tree` passes its
-    completion order and an :class:`~aspexplain.trees.IdMap` of the
-    tree's copies, so it computes and stores a value only at each vertex
-    built: an entry ``(v, s, e)``, a copy of the range ``s`` to ``e`` at
-    ``v``, is skipped, and a copied id reads its source's value. This is
-    exact only for a fold that ignores ids, one whose value at a vertex
-    depends on the labels and shape of its subtree alone: a copy has
-    its source's labels and shape, not its ids."""
+    fold. A fold over a whole tree from :func:`create_tree` passes the
+    ids of its stored child entries, in the order they were stored, and
+    an :class:`~aspexplain.trees.IdMap` of the tree's copies, so it
+    computes and stores a value only at each vertex built, and a copied
+    id reads its source's value. This is exact only for a fold that
+    ignores ids, one whose value at a vertex depends on the labels and
+    shape of its subtree alone: a copy has its source's labels and
+    shape, not its ids."""
     child_ids, labels = T.child_reader(), T.labels
     if F is None:
         F = {}
     value = F.__getitem__
     for u in vertices:
-        if u.__class__ is tuple:
-            continue
         values = map(value, child_ids(u))
         F[u] = at_atom(values) if isinstance(labels[u], Atom) else at_rule(u, values)
     return F
@@ -240,14 +230,14 @@ def _fold_from(
     at_rule: Callable[[int, Iterator[int]], int],
     ignores_ids: bool = True,
 ) -> dict[int, int]:
-    """:func:`_fold` over the subtree at ``v``. From the root of a tree
-    that carries its completion order, a fold that ignores ids follows
-    that order, computing a value only at each vertex
-    :func:`create_tree` built; any other fold walks the subtree and
-    passes it in reversed preorder."""
-    if v == T.root and T.completion and ignores_ids:
+    """:func:`_fold` over the subtree at ``v``. From the root of an
+    and-or tree, a fold that ignores ids follows the stored child
+    entries in the order they were stored, computing a value only at
+    each vertex :func:`create_tree` built; any other fold walks the
+    subtree and passes it in reversed preorder."""
+    if v == T.root and ignores_ids and isinstance(T.children, FrozenIdMap):
         values = IdMap(T.labels.copies, len(T))
-        return _fold(T, T.completion, at_atom, at_rule, values)
+        return _fold(T, dict.keys(T.children), at_atom, at_rule, values)
     walk = T.preorder() if v == T.root else T.preorder_from(v)
     return _fold(T, reversed(walk), at_atom, at_rule)
 

@@ -455,11 +455,7 @@ class _Parser:
         return atom
 
     def answer_set(self) -> AnswerSet:
-        # An "Answer: N" header line is blanked, and lines are counted as
-        # str.splitlines counts them.
-        self.text = "\n".join(
-            "" if _HEADER_RE.match(ln) else ln for ln in self.text.splitlines()
-        )
+        self.text = _blank_headers(self.text)
         self.read()
         tokens = self.tokens
         atoms: list[Atom] = []
@@ -473,6 +469,12 @@ class _Parser:
 
 
 _HEADER_RE = re.compile(r"\s*Answer:\s*\d+\s*$")
+
+
+def _blank_headers(text: str) -> str:
+    """``text`` with each ``Answer: N`` header line blanked and its lines
+    joined by ``\\n``, counted as :meth:`str.splitlines` counts them."""
+    return "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines())
 
 
 def _parse(text: str, fast: Callable[[str], Optional[_T]],
@@ -511,9 +513,18 @@ def _read_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
     ``split`` around atoms, and each break must fall between two atoms,
     so no atom reaches across tokens. A text with ``%`` is left to the
     token grammar: a fact's source text may end in a comment, which the
-    same token would start in an answer set."""
+    same token would start in an answer set. A text that fails and holds
+    ``Answer:`` is read once more with its header lines blanked, as the
+    token grammar reads it."""
     if "%" in text:
         return None
+    atoms = _split_by_facts(text, heads)
+    if atoms is None and "Answer:" in text:
+        atoms = _split_by_facts(_blank_headers(text), heads)
+    return atoms
+
+
+def _split_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
     tokens = text.split()
     misses = list(itertools.filterfalse(heads.__contains__, tokens))
     # [text before the first atom, name, arguments, text before the next

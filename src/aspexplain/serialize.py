@@ -114,13 +114,15 @@ def _parse_rule_text(text: str) -> Rule:
 
 
 def parse_json(text: str) -> Emittable:
-    """Read back anything produced by :func:`emit_json`. A document of
-    any other shape, or one nested too deeply to read, raises
-    :class:`ParseError`."""
+    """Read back anything produced by :func:`emit_json`. Text that is
+    not JSON, a document of any other shape, or one nested too deeply
+    to read, raises :class:`ParseError`."""
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ParseError("JSON nested too deeply", 1, 1) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", 1, 1)
     try:

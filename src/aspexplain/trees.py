@@ -103,24 +103,17 @@ class FrozenIdMap(IdMap):
 class VertexLabeledTree:
     """A rooted tree whose vertices carry atom or rule labels.
 
-    ``root is None`` encodes the empty tree. ``completion`` is empty but
-    on an and-or tree from :func:`aspexplain.engine.create_tree`, which
-    lists there the order in which its vertices completed: the id of
-    each vertex it built, and ``(first id, source start, source end)``
-    for each range of ids it copied from the range ``source start`` to
-    ``source end``. Children come before parents, and each copy after
-    its source, so a fold over the whole tree can follow it. Such a
-    tree stores nothing for a copied range: its ``labels`` and
-    ``children`` are read-only :class:`IdMap` s that resolve a copied
-    id to its source, and it has an entry at every vertex.
+    ``root is None`` encodes the empty tree. An and-or tree from
+    :func:`aspexplain.engine.create_tree` stores nothing for a range of
+    ids it copied: its ``labels`` and ``children`` are read-only
+    :class:`IdMap` s that resolve a copied id to its source, and it has
+    an entry at every vertex. The child ids it stores are in the order
+    its vertices completed, children before parents.
     """
 
     root: Optional[int]
     labels: dict[int, Label] = field(default_factory=dict)
     children: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    completion: tuple[Union[int, tuple[int, int, int]], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
     @property
     def is_empty(self) -> bool:
@@ -143,7 +136,8 @@ class VertexLabeledTree:
         """:meth:`child_ids` as fast as the tree allows. An and-or tree
         has an entry at every vertex, read with no Python-level call at
         a built id; another tree may leave out a leaf's entry."""
-        return self.children.__getitem__ if self.completion else self.child_ids
+        andor = isinstance(self.children, FrozenIdMap)
+        return self.children.__getitem__ if andor else self.child_ids
 
     @cached_property
     def _depths(self) -> dict[int, int]:

@@ -93,6 +93,12 @@ def dropped_copy_text() -> tuple[str, str]:
     return program, "top a b c f"
 
 
+def copied_ranges(T: VertexLabeledTree) -> list[tuple[int, int, int]]:
+    """Each range of ids an and-or tree copied, as ``(v, s, e)``: a copy
+    at ``v`` of the range ``s`` to ``e``, read off its copy table."""
+    return [(v, v - shift, end - shift) for v, end, shift in zip(*T.labels.copies)]
+
+
 def reference_fold(T: VertexLabeledTree, v: int, at_atom, at_rule) -> dict[int, int]:
     """The values of the subtree at ``v``, by plain recursion over
     ``child_ids``: the definition the folds are checked against."""

@@ -12,6 +12,13 @@ justification in json and dot, and the json one back to an explanation
 tree. Each program is verified, queried for an absent, a non-ground and
 a malformed atom, and converted with both JSON fixtures both ways.
 
+Then the error paths: ``verify`` and ``explain --verify`` on the set of
+``example41`` with a foreign atom added and with an atom dropped,
+``convert`` with the two JSON fixtures swapped, ``explain`` in nl with a
+look-up table that repeats an entry, and a small program that only the
+token grammar reads, with an interval fact, a cardinality body and
+comments inside statements, and one it refuses.
+
 ``tests/test_golden.py`` replays the corpus and names each command
 whose digest moved. To rewrite the digests from the source tree on
 ``PYTHONPATH``, run from the repository root::
@@ -44,6 +51,18 @@ FORMATS = ("text", "nl", "dot", "json")
 FLAGS = ([], ["--verify", "--lookup", "q8.lookup"], ["--verify"], ["--lookup", "q8.lookup"])
 GENERATED = ("k4", "k5", "k6", "k7", "chain60")
 BAD_QUERIES = ("absent", "p(X)", "p((")
+# A program and its answer set that only the token grammar reads: an
+# interval fact, a cardinality body and comments inside statements. The
+# malformed program has cardinality bounds out of order.
+SMALL = (
+    "index(1..3).\n"
+    "b :- index(1), % a comment inside a statement\n  1 {c; index(2)} 2.\n"
+    "c :- index(3), % and no d\n  not d.\n"
+    ":- d, % never\n  b.\n"
+    "a :- b, c.\n",
+    "index(1) index(2) index(3) c b a\n",
+)
+MALFORMED = "a :- b.\nb :- 2 {c} 1.\n"
 
 
 def write_inputs(root: Path) -> dict[str, list[str]]:
@@ -60,6 +79,15 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     texts["spaced"] = ("p(a).\nq :- p(a).\n", "Answer: 1\np( a ) q\n")
     for name in ("q8.lookup", "exp_tree.json", "fig_jst.json"):
         (root / name).write_bytes(FIXTURES.joinpath(name).read_bytes())
+    lookup = (root / "q8.lookup").read_text(encoding="utf-8")
+    extra = {
+        "dup.lookup": lookup + lookup.splitlines()[1] + "\n",
+        "example41-foreign.as": texts["example41"][1].strip() + " zz\n",
+        "example41-dropped.as": " ".join(texts["example41"][1].split()[:-1]) + "\n",
+        "small.lp": SMALL[0], "small.as": SMALL[1], "malformed.lp": MALFORMED,
+    }
+    for name, text in extra.items():
+        (root / name).write_text(text, encoding="utf-8")
     atoms = {}
     for name, (program, answer_set) in texts.items():
         (root / (name + ".lp")).write_text(program, encoding="utf-8")
@@ -99,7 +127,25 @@ def commands(atoms: dict[str, list[str]]) -> Iterator[tuple[list[str], Optional[
             for direction, doc in (("jst2exp", "fig_jst.json"), ("exp2jst", "exp_tree.json")):
                 for fmt in ("json", "dot"):
                     yield ["convert", direction, *files, p, doc, "--format", fmt], None
+    yield from error_commands()
     yield ["explain", "missing.lp", "k4.as", "p0"], None
+
+
+def error_commands() -> Iterator[tuple[list[str], None]]:
+    """The commands on the inputs ``write_inputs`` adds for error paths."""
+    for answer_set in ("example41-foreign.as", "example41-dropped.as"):
+        yield ["verify", "example41.lp", answer_set], None
+        yield ["explain", "example41.lp", answer_set, "a", "--verify"], None
+    for direction, doc in (("jst2exp", "exp_tree.json"), ("exp2jst", "fig_jst.json")):
+        yield ["convert", direction, "example41.lp", "example41.as", "a", doc], None
+    q8 = ["q8.lp", "q8.as", 'what_be_genes("CASK")', "--format", "nl"]
+    yield ["explain", *q8, "--lookup", "dup.lookup"], None
+    yield ["verify", "small.lp", "small.as"], None
+    for p in SMALL[1].split():
+        yield ["explain", "small.lp", "small.as", p], None
+        yield ["enumerate", "small.lp", "small.as", p], None
+    yield ["verify", "malformed.lp", "small.as"], None
+    yield ["explain", "malformed.lp", "small.as", "a"], None
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

@@ -591,6 +591,40 @@ class TestConvert:
             fx("example41.as"), "a", str(path),
         ) == (2, "", "error: JSON nested too deeply (line 1, column 1)\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "Expecting value (line 1, column 1)"),
+        ('{\n  "kind": "tree",\n  "root": 0,\n}', "Expecting property name enclosed"
+         " in double quotes (line 4, column 1)"),
+    ])
+    def test_malformed_json_is_a_parse_error(self, tmp_path, capsys, text, message):
+        """Text that is not JSON, such as the empty file a refused
+        conversion leaves, is refused as any reader refuses input: the
+        message, then the line and column."""
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(
+            capsys, "convert", "jst2exp", fx("example41.lp"),
+            fx("example41.as"), "a", str(path),
+        ) == (2, "", "error: %s\n" % message)
+
+    def test_exp2jst_reads_one_explanation_not_the_kdiff_array(self, tmp_path, capsys):
+        """``exp2jst`` reads one explanation document. With two or more
+        explanations, ``explain --mode kdiff --format json`` prints an
+        array of them, which ``exp2jst`` refuses; an element of it
+        converts, here the second, as the first repeats a rule label."""
+        files = [fx("example41.lp"), fx("example41.as"), "a"]
+        code, out, _ = run(capsys, "explain", *files, "--mode", "kdiff", "--format", "json")
+        docs = json.loads(out)
+        assert code == 0 and isinstance(docs, list) and len(docs) == 2
+        path = tmp_path / "kdiff.json"
+        path.write_text(out)
+        assert run(capsys, "convert", "exp2jst", *files, str(path)) == (
+            2, "", "error: expected a JSON object (line 1, column 1)\n"
+        )
+        path.write_text(json.dumps(docs[1]))
+        code, out, _ = run(capsys, "convert", "exp2jst", *files, str(path))
+        assert code == 0 and json.loads(out)["kind"] == "egraph"
+
     def _ladder_files(self, tmp_path, n):
         program, answer_set, G = ladder_justification(n)
         (tmp_path / "ladder.lp").write_text(program)

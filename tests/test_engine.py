@@ -23,8 +23,9 @@ from aspexplain.trees import Explanation, VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
-    ancestors, answer_sets, chain_text, complete_text, dropped_copy_text, fixture_text,
-    random_program, reference_create_tree, reference_fold, validate_andor_tree,
+    ancestors, answer_sets, chain_text, complete_text, copied_ranges, dropped_copy_text,
+    fixture_text, random_program, reference_create_tree, reference_fold,
+    validate_andor_tree,
 )
 
 
@@ -129,6 +130,26 @@ class TestCreateTree:
             assert U == T and len(U) == 79
             assert type(U.labels) is type(T.labels) and dict.__len__(U.labels) == 57
             assert list(U.children.items()) == list(T.children.items())
+
+    def test_copied_or_pickled_tree_folds_the_same(self):
+        """The folds from the root follow the order in which the child
+        entries were stored, which pickling and copying keep: on ``K_7``,
+        ``p6``, each copy gives the weights, differences and tree count
+        of the original."""
+        program, answer_set = complete_text(7)
+        T = create_tree(parse_program(program), parse_answer_set(answer_set), Atom("p6"))
+
+        def folds(U):
+            return (
+                calculate_weight(U, U.root),
+                calculate_difference(U, U.root, frozenset()),
+                engine._tree_count(U),
+            )
+
+        expected = folds(T)
+        for U in (pickle.loads(pickle.dumps(T)), copy.copy(T), copy.deepcopy(T)):
+            assert list(dict.keys(U.children)) == list(dict.keys(T.children))
+            assert folds(U) == expected
 
     def test_no_atom_repeats_on_paths(self, ex41):
         P, X, p = ex41
@@ -341,10 +362,7 @@ class TestDistance:
         P, X, p = parse_program(program), parse_answer_set(answer_set), Atom("p6")
         ks = k_different(P, X, p, 5)
         T, full = ks[0].andor, reference_create_tree(P, X, p)
-        copied = {
-            u for c in T.completion if c.__class__ is tuple
-            for u in range(c[0], c[0] + c[2] - c[1])
-        }
+        copied = {u for v, s, e in copied_ranges(T) for u in range(v, v + e - s)}
         assert len(ks) == 5 and all(e.rule_vertex_ids & copied for e in ks[1:])
         seen, distances = frozenset(), []
         for e in ks:
@@ -377,9 +395,9 @@ def shuffled(T, rng):
 
 
 class TestFoldOrder:
-    """From the root, the folds that ignore ids read a tree in the
-    completion order it carries when :func:`create_tree` built it, and
-    every other fold walks the tree."""
+    """From the root, the folds that ignore ids read a tree that
+    :func:`create_tree` built in the order its child entries were
+    stored, and every other fold walks the tree."""
 
     @pytest.fixture(scope="class")
     def trees(self):

@@ -26,8 +26,8 @@ from aspexplain.model import Atom, Program, Rule, least_model
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
-    answer_sets, complete_text, dropped_copy_text, explanation_tree_of, fixture_text,
-    product_ground,
+    answer_sets, complete_text, copied_ranges, dropped_copy_text, explanation_tree_of,
+    fixture_text, product_ground,
     random_nonground_program, random_program, reference_create_tree, reference_fold,
     reference_k_different, validate_andor_tree,
 )
@@ -99,26 +99,28 @@ def test_andor_tree_ids_are_preorder(corpus, fixture_cases):
         assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
 
 
-def check_completion_order(T):
-    """The completion order of ``T`` holds each vertex exactly once,
-    children before parents, and each copied range after its source,
-    with its source's labels and shape; the folds from the root that
-    follow it equal a recursive fold."""
+def check_fold_order(T):
+    """The ids of the stored child entries of ``T`` and of its copied
+    ranges hold each vertex exactly once. Each copied range lies after
+    its source, with its source's labels and shape, and in the order the
+    entries were stored, each built vertex comes after every vertex its
+    children resolve to; the folds from the root that follow that order
+    equal a recursive fold."""
+    built = list(dict.keys(T.children))
+    source = {}  # each copied id, the built id it resolves to
+    for v, s, e in copied_ranges(T):
+        assert 0 <= s < e <= v
+        for u in range(s, e):
+            assert T.labels[u + v - s] == T.labels[u]
+            assert T.children[u + v - s] == tuple(c + v - s for c in T.children[u])
+            source[u + v - s] = source.get(u, u)
+    position = {u: i for i, u in enumerate(built)}
+    for u in built:
+        assert all(position[source.get(c, c)] < position[u] for c in T.children[u])
     done = [False] * len(T)
-    for entry in T.completion:
-        if entry.__class__ is int:
-            ids = [entry]
-            assert all(done[c] for c in T.children[entry])
-        else:
-            v, s, e = entry
-            assert 0 <= s < e <= v and all(done[s:e])
-            ids = range(v, v + e - s)
-            for u in range(s, e):
-                assert T.labels[u + v - s] == T.labels[u]
-                assert T.children[u + v - s] == tuple(c + v - s for c in T.children[u])
-        for u in ids:
-            assert 0 <= u < len(T) and not done[u]
-            done[u] = True
+    for u in built + list(source):
+        assert 0 <= u < len(T) and not done[u]
+        done[u] = True
     assert all(done)
     R = frozenset(u for u in T.labels if T.is_rule_vertex(u) and u % 2)
     assert calculate_weight(T, T.root) == reference_fold(
@@ -135,9 +137,10 @@ def check_completion_order(T):
 def test_completion_order_is_children_first_and_copies_after_sources(
     corpus, nonground_corpus, fixture_cases
 ):
-    """The order :func:`create_tree` hands over with its tree covers the
-    tree, drops included: on the corpora, every fixture atom, every atom
-    of ``K_3``-``K_8`` and a program that copies into dropped subtrees."""
+    """The order in which :func:`create_tree` stores child entries, with
+    its copied ranges, covers the tree, drops included: on the corpora,
+    every fixture atom, every atom of ``K_3``-``K_8`` and a program that
+    copies into dropped subtrees."""
     cases = corpus + nonground_corpus + fixture_cases
     for text in [complete_text(n) for n in range(3, 9)] + [dropped_copy_text()]:
         P, X = parse_program(text[0]), parse_answer_set(text[1])
@@ -145,8 +148,8 @@ def test_completion_order_is_children_first_and_copies_after_sources(
     copied = 0
     for P, X, p in cases:
         T = create_tree(P, X, p)
-        check_completion_order(T)
-        copied += any(entry.__class__ is tuple for entry in T.completion)
+        check_fold_order(T)
+        copied += bool(copied_ranges(T))
     assert copied > 50
 
 
@@ -246,11 +249,11 @@ def test_create_tree_matches_the_reference_builder(
 
 
 def test_trees_store_only_the_vertices_built(corpus):
-    """:func:`create_tree` stores labels and child ids only at the ids
-    in its completion order, none in a copied range, and read through
-    its copies every vertex equals the reference builder's: on the
-    property corpus and every atom of ``K_3``-``K_8``. On ``K_7`` it
-    stores 391 of the 1,629 vertices."""
+    """:func:`create_tree` stores labels and child ids at the same ids,
+    none in a copied range, and read through its copies every vertex
+    equals the reference builder's: on the property corpus and every
+    atom of ``K_3``-``K_8``. On ``K_7`` it stores 391 of the 1,629
+    vertices."""
     cases = list(corpus)
     for n in range(3, 9):
         program, answer_set = complete_text(n)
@@ -258,11 +261,8 @@ def test_trees_store_only_the_vertices_built(corpus):
         cases += [(P, X, p) for p in sorted(X)]
     for P, X, p in cases:
         T = create_tree(P, X, p)
-        built = {u for u in T.completion if u.__class__ is int}
-        copied = [
-            u for c in T.completion if c.__class__ is tuple
-            for u in range(c[0], c[0] + c[2] - c[1])
-        ]
+        built = set(dict.keys(T.children))
+        copied = [u for v, s, e in copied_ranges(T) for u in range(v, v + e - s)]
         assert dict.keys(T.labels) == dict.keys(T.children) == built
         assert built.isdisjoint(copied) and len(built) + len(copied) == len(T)
         assert T == reference_create_tree(P, X, p)
