@@ -4,8 +4,10 @@ Every ground rule that matters for explaining an atom of an answer set
 ``X``, or for checking that ``X`` is an answer set, has its positive
 body inside ``X``. A :class:`GroundingIndex` holds the rules of a
 program and the atoms of ``X``; rule variables are bound by joining the
-positive body, left to right, against those atoms, as a bottom-up
-grounder does. :func:`ground_program` grounds every rule this way and
+positive body against those atoms, the most bound atom first, as a
+bottom-up grounder does; each instance is built from the body as
+written, so the order of the join changes no instance.
+:func:`ground_program` grounds every rule this way and
 :func:`instantiate_for_head` only the rules for one head atom. The
 whole grounding over the Herbrand universe is
 ``ground_program(P, P.herbrand_base)``. What a grounding holds at one
@@ -17,10 +19,11 @@ fills memory.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Optional
 
 from .model import (
     Atom,
@@ -137,10 +140,12 @@ class GroundingIndex:
     by head, where the parser put them as it read them; the other rules
     are filed here, in program order, so the first unsafe one is the one
     reported. A ground pattern, and the body of a ground rule, is looked
-    up in ``X``. ``X`` is grouped by predicate and arity when a pattern
-    with a variable is first joined, without the atoms with a constant
-    outside the universe, which no instance holds; each table of bound
-    positions is built on first use.
+    up in ``X``. ``X`` is grouped by predicate name in one pass, once,
+    when a pattern with a variable is first joined; the join order reads
+    the size of each group. A relation, the atoms of one predicate and
+    arity without those with a constant outside the universe, which no
+    instance holds, is split off its group on first use, and each table
+    of bound positions over it is built on first use too.
 
     Each call of :func:`ground_program` or :func:`instantiate_for_head`
     may build :data:`MAX_GROUND_INSTANCES` instances, cardinality
@@ -172,8 +177,9 @@ class GroundingIndex:
                     head = (head.predicate, head.arity)
             if head is not None:
                 self.rules.setdefault(head, []).append((i, r))
-        # (predicate, arity, bound positions) -> values at those
-        # positions -> atoms.
+        # (predicate, arity) -> atoms, and (predicate, arity, bound
+        # positions) -> values at those positions -> atoms.
+        self._relations: dict[tuple[str, int], list[Atom]] = {}
         self._tables: dict[tuple, dict[object, list[Atom]]] = {}
 
     def spend(self, n: int) -> None:
@@ -189,15 +195,22 @@ class GroundingIndex:
         return tuple(sorted(self.constants))
 
     @cached_property
-    def atoms(self) -> dict[tuple[str, int], list[Atom]]:
-        """The atoms of ``X`` by predicate and arity."""
-        atoms: Iterable[Atom] = self.X
-        if not self.constants.issuperset(chain.from_iterable(map(_ARGS, atoms))):
-            atoms = [a for a in atoms if self.constants.issuperset(a.args)]
-        by_predicate: dict[tuple[str, int], list[Atom]] = {}
-        for a in atoms:
-            by_predicate.setdefault((a.predicate, len(a.args)), []).append(a)
-        return by_predicate
+    def by_predicate(self) -> dict[str, list[Atom]]:
+        """The atoms of ``X`` by predicate name."""
+        groups: defaultdict[str, list[Atom]] = defaultdict(list)
+        for a in self.X:
+            groups[a[0]].append(a)
+        return groups
+
+    def _relation(self, predicate: str, arity: int) -> list[Atom]:
+        key = (predicate, arity)
+        atoms = self._relations.get(key)
+        if atoms is None:
+            atoms = [a for a in self.by_predicate.get(predicate, ()) if len(a[1]) == arity]
+            if not self.constants.issuperset(chain.from_iterable(map(_ARGS, atoms))):
+                atoms = [a for a in atoms if self.constants.issuperset(a[1])]
+            self._relations[key] = atoms
+        return atoms
 
     def candidates(self, pattern: Atom) -> list[Atom]:
         """The indexed atoms that agree with ``pattern`` on its constant
@@ -206,7 +219,7 @@ class GroundingIndex:
         bound = tuple(i for i, t in enumerate(args) if not t[0].isupper())
         if len(bound) == len(args):
             return [pattern] if pattern in self.X else []
-        atoms = self.atoms.get((pattern.predicate, len(args)), [])
+        atoms = self._relation(pattern.predicate, len(args))
         if not bound:
             return atoms
         key = (pattern.predicate, len(args), bound)
@@ -219,16 +232,44 @@ class GroundingIndex:
         return table.get(get(args), [])
 
 
+def _next_atom(index: GroundingIndex, rest: list[Atom], bound: set[str]) -> Atom:
+    """The atom of ``rest`` to join next, given the ``bound`` variables.
+    The first atom with every variable bound is taken at once, as it is
+    only looked up, before ``X`` is grouped. Of the others, an atom that
+    holds a constant or a bound variable, or whose predicate has at most
+    one atom in the indexed set, comes before a cross product, which
+    multiplies the width of the join by the size of its relation; then
+    the one with the fewest variables not yet bound; then the one whose
+    predicate has the fewest atoms in the indexed set; then the first."""
+    for a in rest:
+        if bound.issuperset(a.variables()):
+            return a
+    groups = index.by_predicate
+
+    def rank(a: Atom) -> tuple[bool, int, int]:
+        free = a.variables() - bound
+        size = len(groups.get(a.predicate, ()))
+        return (size > 1 and free.issuperset(a.args), len(free), size)
+
+    return min(rest, key=rank)
+
+
 def _join(index: GroundingIndex, i: int, r: Rule, subst: Subst) -> list[Rule]:
     """The instances of ``r``, the rule at position ``i`` of the
     program, that extend ``subst`` and whose positive body lies in the
-    indexed atom set: the positive body is joined, left to right,
-    against the atom set, and variables local to a cardinality
-    expression range over the universe."""
+    indexed atom set: the positive body is joined against the atom set
+    in the order :func:`_next_atom` picks, and variables local to a
+    cardinality expression range over the universe. Each instance is
+    built from the body in source order."""
     if i not in index.nonground:
         return [r] if index.X.issuperset(r.body_pos) else []
     substs = [subst]
-    for pattern in r.body_pos:
+    rest = list(r.body_pos)
+    bound = set(subst)
+    while rest and substs:
+        pattern = _next_atom(index, rest, bound)
+        rest.remove(pattern)
+        bound |= pattern.variables()
         # One past the width is made at most, which raises.
         substs = list(islice((
             m

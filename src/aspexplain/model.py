@@ -185,7 +185,10 @@ class Rule(_RuleFields):
 
     @property
     def display(self) -> str:
-        return self.source_text or self.text
+        """The rule as written, or its text when the source holds a
+        comment or a line break, which would not print as one line."""
+        s = self.source_text
+        return s if s and "%" not in s and s.splitlines() == [s] else self.text
 
     def __str__(self) -> str:
         return self.text

@@ -5,9 +5,11 @@ from typing import Iterator, Optional, Union
 
 import pytest
 
+from aspexplain import ground
 from aspexplain.engine import calculate_difference, create_tree, extract_exp
 from aspexplain.ground import (
-    GroundingIndex, _check_groundable, _instance, instantiate_for_head,
+    GroundingError, GroundingIndex, _check_groundable, _instance, _match_atom,
+    _subst_atom, instantiate_for_head,
 )
 from aspexplain.justify import TOP, AnnotatedAtom, EGraph
 from aspexplain.model import (
@@ -79,6 +81,30 @@ def knowledge_base_text(n: int) -> tuple[str, str, str]:
     head = ['start_gene("%s").' % start, "max_chain_length(3)."]
     program = "\n".join(head + [f + "." for f in facts] + rules) + "\n"
     return program, "\n".join(atoms) + "\n", 'what_be_genes("%s")' % answers[0]
+
+
+def guard_text(nodes: int, edges: int, seed: int, paths: bool = False) -> tuple[str, str]:
+    """Program and answer-set text of ``edges`` distinct edges, drawn at
+    ``seed``, between ``nodes`` nodes, under the rule
+    ``r(X,Y) :- edge(X,Y), node(X), node(Y).``, whose ``node`` atoms
+    guard its variables: once ``node(X)`` binds ``X``, ``node(Y)`` alone
+    is a cross product with every node. With ``paths``, also
+    ``t(X,Z) :- node(X), node(Z), edge(X,Y), edge(Y,Z).``, whose first
+    two atoms are one left to right."""
+    rng = random.Random(seed)
+    names = ["n%d" % i for i in range(nodes)]
+    pairs: set[tuple[str, str]] = set()
+    while len(pairs) < edges:
+        pairs.add((rng.choice(names), rng.choice(names)))
+    E = sorted(pairs)
+    rules = ["r(X,Y) :- edge(X,Y), node(X), node(Y)."]
+    atoms = ["node(%s)" % v for v in names] + ["edge(%s,%s)" % e for e in E]
+    atoms += ["r(%s,%s)" % e for e in E]
+    if paths:
+        rules.append("t(X,Z) :- node(X), node(Z), edge(X,Y), edge(Y,Z).")
+        atoms += sorted({"t(%s,%s)" % (x, z) for x, y in E for y2, z in E if y == y2})
+    facts = ["node(%s)." % v for v in names] + ["edge(%s,%s)." % e for e in E]
+    return "\n".join(facts + rules) + "\n", "\n".join(atoms) + "\n"
 
 
 def dropped_copy_text() -> tuple[str, str]:
@@ -254,6 +280,30 @@ def product_ground(P: Program) -> Program:
     for r in P.rules:
         rules.extend(_product_ground_rule(r, universe))
     return Program(tuple(rules)).deduplicated()
+
+
+def reference_join(index: GroundingIndex, i: int, r: Rule, subst: dict) -> list[Rule]:
+    """The instances of ``r`` that :func:`aspexplain.ground._join`
+    gives, by joining the positive body left to right, under the same
+    width cap and instance budget: the reference for the ordered join.
+    Rebind ``ground._join`` to it to ground by it."""
+    if i not in index.nonground:
+        return [r] if index.X.issuperset(r.body_pos) else []
+    substs = [subst]
+    for pattern in r.body_pos:
+        substs = list(itertools.islice((
+            m
+            for s in substs
+            for a in index.candidates(_subst_atom(pattern, s))
+            if (m := _match_atom(pattern, a, s)) is not None
+        ), ground.MAX_JOIN_WIDTH + 1))
+        if len(substs) > ground.MAX_JOIN_WIDTH:
+            raise GroundingError(
+                "cap exceeded: more than %d partial substitutions in one join"
+                % ground.MAX_JOIN_WIDTH
+            )
+    index.spend(len(substs))
+    return [_instance(r, s, index) for s in substs]
 
 
 def answer_sets(P: Program) -> list[frozenset[Atom]]:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aspexplain import ground
+from aspexplain import engine, ground
 from aspexplain.cli import main
 from aspexplain.ground import (
     GroundingError,
@@ -16,9 +16,12 @@ from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 from conftest import (
     answer_sets,
     fixture_text,
+    guard_text,
+    knowledge_base_text,
     product_ground,
     random_constraint_program,
     random_nonground_program,
+    reference_join,
     supporting_rules,
 )
 
@@ -60,6 +63,20 @@ class TestGroundProgram:
         G = ground_program(P, X)
         assert [r.text for r in G.rules] == [
             "q(a)", "q(b)", "p(a) :- q(a)", "p(b) :- q(b)", ":- p(b), not q(b)",
+        ]
+
+    def test_one_predicate_name_at_two_arities(self):
+        """A body atom is joined only with the atoms of its own arity,
+        though the join order counts every atom of the predicate name."""
+        P = parse_program("q(a). q(b). q(a, b). q(b, c). q(c, c).\n"
+                          "p(X, Y) :- q(X, Y). r(X) :- q(X). s(Y) :- q(X), q(X, Y).\n")
+        X = frozenset(r.head for r in P.rules if r.is_fact)
+        assert ground_program(P, X).rules == tuple(
+            r for r in product_ground(P).rules if X.issuperset(r.body_pos)
+        )
+        index = GroundingIndex(P, X)
+        assert [r.text for r in instantiate_for_head(index, parse_atom("s(c)"))] == [
+            "s(c) :- q(b), q(b,c)",
         ]
 
     def test_unsafe_rule_rejected(self):
@@ -331,6 +348,35 @@ def test_unsafe_rule_after_many_facts_fails_explain(tmp_path, capsys):
     )
 
 
+def test_a_query_joins_the_facts_only_by_lookup(monkeypatch):
+    """Explaining a ``what_be_genes`` answer over a knowledge base builds
+    one index, walks the answer set once, to group it, and neither
+    splits off nor tables the ``gene_gene_biogrid`` facts: each rule
+    binds ``GM`` from a smaller relation first and then looks the fact
+    up."""
+    program, answer_set, query = knowledge_base_text(10**4)
+    P = parse_program(program)
+    walks, indexes = [], []
+
+    class Walked(frozenset):
+        def __iter__(self):
+            walks.append(None)
+            return super().__iter__()
+
+    class Recording(GroundingIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            indexes.append(self)
+
+    X = Walked(parse_answer_set(answer_set, program=P))
+    monkeypatch.setattr(engine, "GroundingIndex", Recording)
+    assert not engine.shortest_explanation(P, X, parse_atom(query)).is_empty
+    (index,) = indexes
+    assert len(walks) == 1
+    assert [k for k in index._relations if k[0] == "gene_gene_biogrid"] == []
+    assert [k for k in index._tables if k[0] == "gene_gene_biogrid"] == []
+
+
 class TestGroundingBudget:
     """One call of ``ground_program`` or ``instantiate_for_head`` builds
     at most ``MAX_GROUND_INSTANCES`` instances, cardinality members
@@ -341,8 +387,13 @@ class TestGroundingBudget:
     JOIN = "q(a). q(b). q(c).\np(A, B) :- q(A), q(B).\n"
     # 3 instances, for A, and 3 members of {r(A, X)} in each.
     CARD = "q(a). q(b). s(c).\np(A) :- q(A), 1 {r(A, X)}.\n"
-    # Against its facts: 3 substitutions for A, 9 for (A, B), then 3
-    # instances, for B = c.
+    # Against its facts: wide in every order, as both atoms have both
+    # variables unbound at first. 5 substitutions for (A, B), then 3
+    # instances, the pairs whose reverse is there too.
+    MUTUAL = "q(a, b). q(b, a). q(a, c). q(b, c). q(c, c).\np(A) :- q(A, B), q(B, A).\n"
+    # Against its facts: wide only left to right, 3 substitutions for A,
+    # then 9 for (A, B). The ordered join takes s(B) first, the smallest
+    # relation: 1 substitution for B, 1 once q(B) is looked up, then 3.
     WIDE = "q(a). q(b). q(c). s(c).\np(A) :- q(A), q(B), s(B).\n"
 
     @pytest.mark.parametrize("program, spent", [(JOIN, 9), (CARD, 12)], ids=["join", "card"])
@@ -357,35 +408,64 @@ class TestGroundingBudget:
             ground_program(P, P.herbrand_base)
 
     def test_join_at_the_width_grounds(self, monkeypatch):
-        P = parse_program(self.WIDE)
+        P = parse_program(self.MUTUAL)
         X = frozenset(r.head for r in P.rules if r.is_fact)
         monkeypatch.setattr(ground, "MAX_GROUND_INSTANCES", 3)
-        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 9)
-        assert [str(r) for r in ground_program(P, X).rules[4:]] == [
-            "p(%s) :- q(%s), q(c), s(c)" % (a, a) for a in "abc"
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 5)
+        assert [str(r) for r in ground_program(P, X).rules[5:]] == [
+            "p(a) :- q(a,b), q(b,a)", "p(b) :- q(b,a), q(a,b)", "p(c) :- q(c,c), q(c,c)",
         ]
-        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 8)
-        with pytest.raises(GroundingError, match="^cap exceeded: more than 8 partial "
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 4)
+        with pytest.raises(GroundingError, match="^cap exceeded: more than 4 partial "
                            "substitutions in one join$"):
             ground_program(P, X)
 
     def test_width_is_per_join_step_not_per_program(self, monkeypatch):
-        # Each of the three gene_reachable_from rules of q8 joins its
-        # first atom over every gene_gene_biogrid fact: 3n substitutions
-        # over the program, but never more than n at one step.
+        # Each of three rules joins its single body atom over every
+        # gene_gene_biogrid fact: 3n substitutions over the program, but
+        # never more than n at one step.
         n = 500
         facts = "".join('gene_gene_biogrid("G%d","G%d").\n' % (i + 1, i) for i in range(n))
-        P = parse_program(facts + fixture_text("q8.lp"))
+        rules = ("interacts(GN) :- gene_gene_biogrid(GN,GM).\n"
+                 "interacted(GM) :- gene_gene_biogrid(GN,GM).\n"
+                 "gene_gene(GM,GN) :- gene_gene_biogrid(GN,GM).\n")
+        P = parse_program(facts + rules)
         X = frozenset(r.head for r in P.rules if r.is_fact)
-        width = n + 4  # the fixture's own four facts
-        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", width)
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", n)
         G = ground_program(P, X)
-        assert [r for r in G.rules if not r.is_fact] == [parse_program(
-            'gene_reachable_from("DLG4",1) :- gene_gene_biogrid("DLG4","ADRB1"), '
-            'start_gene("ADRB1").').rules[0]]
-        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", width - 1)
-        with pytest.raises(GroundingError, match="more than %d partial" % (width - 1)):
+        assert len(G) == 4 * n
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", n - 1)
+        with pytest.raises(GroundingError, match="more than %d partial" % (n - 1)):
             ground_program(P, X)
+
+    def test_body_wide_only_left_to_right_grounds_under_the_width(self, monkeypatch):
+        P = parse_program(self.WIDE)
+        X = frozenset(r.head for r in P.rules if r.is_fact)
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 3)
+        assert [str(r) for r in ground_program(P, X).rules[4:]] == [
+            "p(%s) :- q(%s), q(c), s(c)" % (a, a) for a in "abc"
+        ]
+        monkeypatch.setattr(ground, "_join", reference_join)
+        with pytest.raises(GroundingError, match="more than 3 partial"):
+            ground_program(P, X)
+
+    def test_guarded_body_joins_no_cross_product(self, monkeypatch):
+        """Once ``node(X)`` binds ``X`` in ``r(X,Y) :- edge(X,Y),
+        node(X), node(Y)``, ``edge(X,Y)`` is joined before ``node(Y)``,
+        which alone would be a cross product of 1,001 nodes with 1,001,
+        past the width. No step holds more than the 2,000 edges, and the
+        grounding is the left-to-right one."""
+        program, answer_set = guard_text(1001, 2000, seed=1)
+        P = parse_program(program)
+        X = parse_answer_set(answer_set, program=P)
+        assert 1001**2 > ground.MAX_JOIN_WIDTH
+        G = ground_program(P, X)
+        assert len(G) == 1001 + 2 * 2000
+        monkeypatch.setattr(ground, "MAX_JOIN_WIDTH", 2000)
+        assert ground_program(P, X) == G
+        monkeypatch.undo()
+        monkeypatch.setattr(ground, "_join", reference_join)
+        assert ground_program(P, X) == G
 
     def test_budget_is_per_query(self, monkeypatch):
         P = parse_program(self.JOIN + "r(A) :- q(A), q(B).\n")

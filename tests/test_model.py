@@ -147,6 +147,12 @@ class TestRule:
         assert r.display == "a:-b" and Rule(a, (b,)).display == "a :- b"
         assert tuple(r) == (a, (b,), (), ()) and "a:-b" not in repr(r)
 
+    @pytest.mark.parametrize("source", ["a :- b, % c", "a :-\nb", "a :- b\n", "a :-\rb",
+                                        "a :-\u2028b", "a :-\x0cb"])
+    def test_display_of_a_source_with_a_comment_or_line_break_is_the_text(self, source):
+        r = Rule(a, (b,), source_text=source)
+        assert r.source_text == source and r.display == "a :- b"
+
     @pytest.mark.parametrize(
         "clone",
         [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],

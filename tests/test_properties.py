@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from aspexplain import engine
+from aspexplain import engine, ground
 from aspexplain.engine import (
     calculate_difference,
     calculate_weight,
@@ -21,15 +21,16 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
+from aspexplain.ground import GroundingIndex, ground_program, instantiate_for_head
 from aspexplain.justify import EGraph, explanation_to_justification
 from aspexplain.model import Atom, Program, Rule, least_model
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
     answer_sets, complete_text, copied_ranges, dropped_copy_text, explanation_tree_of,
-    fixture_text, product_ground,
+    fixture_text, guard_text, knowledge_base_text, product_ground,
     random_nonground_program, random_program, reference_create_tree, reference_fold,
-    reference_k_different, validate_andor_tree,
+    reference_join, reference_k_different, validate_andor_tree,
 )
 
 N_PROGRAMS = 500
@@ -223,6 +224,41 @@ def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
         ]
         validate_andor_tree(T, G, X, p)
         assert shortest_explanation(P, X, p) == shortest_explanation(G, X, p)
+
+
+def _grounding(P: Program, X) -> tuple[list, list]:
+    """The text and display of each rule :func:`ground_program` gives,
+    in order, and of each rule :func:`instantiate_for_head` gives for
+    each atom of ``X``."""
+    shown = lambda rules: [(r.text, r.display) for r in rules]
+    index = GroundingIndex(P, X)
+    return shown(ground_program(P, X)), [shown(instantiate_for_head(index, p)) for p in sorted(X)]
+
+
+def test_ordered_join_matches_the_left_to_right_reference(
+    monkeypatch, corpus, nonground_corpus, fixture_cases
+):
+    """Joining the most bound body atom first grounds the rules, and the
+    rules of each atom, that the left-to-right join grounds, in the same
+    order with the same source text kept: on the property corpora, the
+    fixtures, guarded bodies over 40 small random graphs and the CI
+    generator's knowledge base over 10^4 facts."""
+    texts = [knowledge_base_text(10**4)[:2]]
+    rng = random.Random(20261020)
+    for _ in range(40):
+        nodes = rng.randint(1, 8)
+        edges, seed = rng.randint(1, nodes * nodes), rng.randrange(10**6)
+        texts.append(guard_text(nodes, edges, seed, paths=True))
+    pairs = dict.fromkeys((P, X) for P, X, _ in corpus + nonground_corpus + fixture_cases)
+    for program, answer_set in texts:
+        P = parse_program(program)
+        pairs[P, parse_answer_set(answer_set, program=P)] = None
+    assert len(pairs) > 540
+    for P, X in pairs:
+        got = _grounding(P, X)
+        with monkeypatch.context() as m:
+            m.setattr(ground, "_join", reference_join)
+            assert got == _grounding(P, X)
 
 
 def dense_program(rng: random.Random) -> Program:
