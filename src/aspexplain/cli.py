@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success; 1 when the queried atom is not in the answer
-set or verification fails; 2 on input errors: parse, I/O and grounding
-errors, a non-ground query atom and "cap exceeded", which running out
-of memory also reports.
+set or verification fails; 2 on input errors: a malformed command line,
+parse, I/O and grounding errors, a non-ground query atom and "cap
+exceeded", which running out of memory also reports.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import functools
 import gc
 import sys
 import warnings
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import engine
 from .ground import ground_program
@@ -168,10 +168,19 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` each of its subparsers,
+    that ends a malformed command line in one ``error:`` line on stderr,
+    as every other input error ends, instead of the usage block."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_INPUT_ERROR, "error: %s\n" % message)
+
+
 # Built once: building the parser costs far more than parsing a command.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="aspexplain",
         description="Explain why an atom belongs to an answer set.",
     )

@@ -238,8 +238,7 @@ def _fold_from(
     if v == T.root and ignores_ids and isinstance(T.children, FrozenIdMap):
         values = IdMap(T.labels.copies, len(T))
         return _fold(T, dict.keys(T.children), at_atom, at_rule, values)
-    walk = T.preorder() if v == T.root else T.preorder_from(v)
-    return _fold(T, reversed(walk), at_atom, at_rule)
+    return _fold(T, reversed(T.preorder_from(v)), at_atom, at_rule)
 
 
 def calculate_weight(T: VertexLabeledTree, v: int) -> dict[int, int]:

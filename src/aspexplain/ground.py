@@ -13,9 +13,11 @@ whole grounding over the Herbrand universe is
 ``ground_program(P, P.herbrand_base)``. What a grounding holds at one
 time is bounded: one step of a join holds at most
 :data:`MAX_JOIN_WIDTH` partial substitutions, and one grounding of the
-program, or one query, builds at most :data:`MAX_GROUND_INSTANCES`
-instances; an input past either fails with "cap exceeded" before it
-fills memory.
+program, or one grounding of the rules for one head atom, builds at
+most :data:`MAX_GROUND_INSTANCES` instances; an input past either fails
+with "cap exceeded" before it fills memory. The budget is reset on each
+call of :func:`instantiate_for_head`, so a query that visits several
+atoms may build that many for each.
 """
 from __future__ import annotations
 

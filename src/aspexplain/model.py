@@ -214,9 +214,10 @@ class FiledFacts:
     head to the position and rule of the first fact with that head, for
     the grounder: a later duplicate is the same rule, and grounding
     keeps the first. ``others`` holds the positions of every other rule,
-    a fact with a variable in its head among them, in program order. A
-    knowledge base is mostly ground facts, so filing them once, as they
-    are read, spares each later use a pass over every rule.
+    a fact with a variable in its head among them, in program order, as
+    each rule is filed once in that order. A knowledge base is mostly
+    ground facts, so filing them once, as they are read, spares each
+    later use a pass over every rule.
     """
 
     __slots__ = ("heads", "by_head", "others")
@@ -228,35 +229,13 @@ class FiledFacts:
 
     def file(self, i: int, r: Rule) -> None:
         """File ``r``, the rule at position ``i``, as a fact if it is
-        one, whatever its head; else among the other rules."""
+        one with a ground head; else among the other rules."""
         head = r[0]
-        if head is None or r[1] or r[2] or r[3]:
+        if head is None or r[1] or r[2] or r[3] or not head.is_ground:
             self.others.append(i)
         else:
             self.heads[r.source_text] = head
             self.by_head.setdefault(head, (i, r))
-
-    def unfile_variable_heads(self, variables: AbstractSet[Term],
-                              rules: tuple[Rule, ...]) -> None:
-        """Move the facts among ``rules`` whose head holds one of
-        ``variables``, the program's, to the other rules. The heads are
-        checked in one pass, made only when the program has variables;
-        a test per fact as it is filed would cost what the pass costs.
-        The rules are walked only when such a fact exists."""
-        if not variables or variables.isdisjoint(
-            chain.from_iterable(map(itemgetter(1), self.by_head))
-        ):
-            return
-        unsafe = {h for h in self.by_head if not variables.isdisjoint(h[1])}
-        for head in unsafe:
-            del self.by_head[head]
-        for text in [t for t, h in self.heads.items() if h in unsafe]:
-            del self.heads[text]
-        self.others.extend(
-            i for i, r in enumerate(rules)
-            if r[0] in unsafe and not (r[1] or r[2] or r[3])
-        )
-        self.others.sort()
 
 
 @dataclass(frozen=True)
@@ -296,13 +275,12 @@ class Program:
     @cached_property
     def filed_facts(self) -> FiledFacts:
         """The ground facts, filed by source text and by head, and the
-        positions of the other rules. ``parse_program`` files each fact
-        as it reads it; this walk gives the same for a program built any
-        other way."""
+        positions of the other rules. ``parse_program`` files each rule
+        as it reads it; this walk files them the same way for a program
+        built any other way."""
         filed = FiledFacts()
         for i, r in enumerate(self.rules):
             filed.file(i, r)
-        filed.unfile_variable_heads(self.variables, self.rules)
         return filed
 
     @cached_property

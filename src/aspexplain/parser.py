@@ -11,14 +11,14 @@ There are two readers. One regular-expression match reads a whole
 statement: an optional head atom, then ``:-`` and a body of atoms,
 ``not`` atoms and cardinality expressions with plain bounds, then the
 period, after any whitespace and whole-line comments. One ``split``
-around the atoms reads an answer set (below), and one full match reads
-a query atom. Everything else goes to the token grammar, a recursive
-descent over tokens: a statement with an interval or a comment inside,
-or of more than 10,000 characters, that statement alone; an answer set
-with an ``Answer: N`` line, a variable or a comment, or an atom the
-split cannot read, whole. If either reader raises :class:`ParseError`,
-the token grammar reads the whole text again and raises the error, so
-every message, line and column is that grammar's.
+around the atoms reads an answer set (below). Everything else goes to
+the token grammar, a recursive descent over tokens: a query atom; a
+statement with an interval or a comment inside, or of more than 10,000
+characters, that statement alone; an answer set with an ``Answer: N``
+line, a variable or a comment, or an atom the split cannot read, whole.
+If reading a program raises :class:`ParseError`, the token grammar
+reads the whole text again and raises the error, so every message,
+line and column is that grammar's.
 
 A fact the match reads is built inline as its atom and its rule, two
 tuples; its first two arguments are groups of the match, so only a
@@ -29,12 +29,14 @@ statement that is not read into rules makes the whole text be read
 again, so the program's variables and constants take no pass over its
 atoms.
 
-Each fact, whichever reader read it, is filed as it is built in the
-program's :attr:`Program.filed_facts`: by source text for the
-answer-set reader and by head for the grounder, which then take the
-facts as they are instead of walking every rule again. The heads are
-checked for variables in one pass at the end, only when the program has
-variables, and a fact with one is moved to the other rules.
+Each rule, whichever reader read it, is filed once as it is built in
+the program's :attr:`Program.filed_facts`: a ground fact by source text
+for the answer-set reader and by head for the grounder, which then take
+the facts as they are instead of walking every rule again; every other
+rule, a fact whose head holds a variable among them, by its position.
+The interned terms record each variable as it is first read, so a fact
+read by the match is tested against the variables read so far, and
+only once the text has shown one.
 
 An answer set is read against the facts of its program:
 :attr:`FiledFacts.heads` maps the source text of each ground fact to
@@ -52,7 +54,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional
 
 from .model import (
     AnswerSet,
@@ -63,8 +65,6 @@ from .model import (
     Rule,
     Term,
 )
-
-_T = TypeVar("_T")
 
 # Most facts one interval fact, and all interval facts of one program
 # together, may expand to; checked before expanding.
@@ -187,10 +187,17 @@ _TERM_KINDS = frozenset(("IDENT", "STRING", "VAR", "NUMBER"))
 
 
 class _Terms(dict):
-    """Interned terms by name: each name gets one :class:`Term`."""
+    """Interned terms by name: each name gets one :class:`Term`, and
+    each variable among them is also in ``variables``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.variables: set[Term] = set()
 
     def __missing__(self, name: str) -> Term:
         t = self[name] = Term(name)
+        if name[0].isupper():  # Term.is_variable, inlined
+            self.variables.add(t)
         return t
 
 
@@ -226,15 +233,16 @@ def _read_program(text: str) -> Program:
     sending each statement it cannot read to the token grammar. The head
     arguments are the match's groups; only a third and further ones are
     read again. A fact is built here as the two tuples it is and filed
-    in the program's :class:`FiledFacts`; other statements are built by
-    :func:`_rule_of`."""
+    in the program's :class:`FiledFacts`, among the other rules if its
+    head holds a variable interned so far; other statements are built
+    by :func:`_rule_of`."""
     terms = _Terms()
-    intern = terms.__getitem__
+    intern, variables = terms.__getitem__, terms.variables
     findall = _TERM_RE.findall
     new = tuple.__new__
     plain = _Parser(text, terms)
     filed = FiledFacts()
-    heads, file_head = filed.heads, filed.by_head.setdefault
+    heads, file_head, others = filed.heads, filed.by_head.setdefault, filed.others
     rules: list[Rule] = []
     append = rules.append
     pos = 0
@@ -254,8 +262,11 @@ def _read_program(text: str) -> Program:
                 rule.source_text = source
                 # FiledFacts.file for a fact, inlined: the call adds
                 # 2-18 % to parse_program on a knowledge base.
-                heads[source] = head
-                file_head(head, (len(rules), rule))
+                if variables and not variables.isdisjoint(args):
+                    others.append(len(rules))
+                else:
+                    heads[source] = head
+                    file_head(head, (len(rules), rule))
                 append(rule)
                 pos = m.end()
                 continue
@@ -274,7 +285,6 @@ def _read_program(text: str) -> Program:
             # ended in rules holding each term read from it, since one
             # that raises ParseError has the whole text read again.
             P.__dict__["_terms"] = frozenset(terms.values())
-            filed.unfile_variable_heads(P.variables, P.rules)
             P.__dict__["filed_facts"] = filed
             return P
         start = len(rules)
@@ -477,33 +487,21 @@ def _blank_headers(text: str) -> str:
     return "\n".join("" if _HEADER_RE.match(ln) else ln for ln in text.splitlines())
 
 
-def _parse(text: str, fast: Callable[[str], Optional[_T]],
-           plain: Callable[[_Parser], _T]) -> _T:
-    """``fast`` reads the text by regular expressions. If it returns None
-    or raises :class:`ParseError`, the token grammar reads the whole text
-    with ``plain``, which raises the error; so every message and position
-    is that grammar's."""
-    try:
-        result = fast(text)
-    except ParseError:
-        result = None
-    return plain(_Parser(text)) if result is None else result
-
-
 def parse_program(text: str) -> Program:
     """Parse rule text into a :class:`Program`, keeping each rule's
-    verbatim source (without the trailing period) for display."""
-    return _parse(text, _read_program, _Parser.program)
-
-
-def _read_atom(text: str) -> Optional[Atom]:
-    m = _ATOM_RE.fullmatch(text.strip())
-    return None if m is None else _atom_of(*m.groups(), _Terms().__getitem__)
+    verbatim source (without the trailing period) for display. If
+    :func:`_read_program` raises :class:`ParseError`, the token grammar
+    reads the whole text again and raises the error, so every message
+    and position is that grammar's."""
+    try:
+        return _read_program(text)
+    except ParseError:
+        return _Parser(text).program()
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query argument."""
-    return _parse(text, _read_atom, _Parser.single_atom)
+    return _Parser(text).single_atom()
 
 
 def _read_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
@@ -549,7 +547,8 @@ def parse_answer_set(text: str, program: Optional[Program] = None) -> AnswerSet:
     Without it, the map of those facts is empty. The text is read by
     :func:`_read_by_facts` or else by the token grammar."""
     heads = {} if program is None else program.filed_facts.heads
-    return _parse(text, lambda t: _read_by_facts(t, heads), _Parser.answer_set)
+    atoms = _read_by_facts(text, heads)
+    return _Parser(text).answer_set() if atoms is None else atoms
 
 
 @dataclass(frozen=True)

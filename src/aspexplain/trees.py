@@ -152,13 +152,9 @@ class VertexLabeledTree:
     def depth(self, v: int) -> int:
         return self._depths[v]
 
-    @cached_property
-    def _preorder(self) -> tuple[int, ...]:
-        return () if self.root is None else self.preorder_from(self.root)
-
     def preorder(self) -> tuple[int, ...]:
-        """All vertex ids in preorder, walked once per tree."""
-        return self._preorder
+        """All vertex ids in preorder."""
+        return () if self.root is None else self.preorder_from(self.root)
 
     def preorder_from(self, v: int) -> tuple[int, ...]:
         out: list[int] = []

@@ -11,13 +11,20 @@ together or not at all. Each JSON explanation written is converted to a
 justification in json and dot, and the json one back to an explanation
 tree. Each program is verified, queried for an absent, a non-ground and
 a malformed atom, and converted with both JSON fixtures both ways.
+``example41`` and ``K_5`` are also explained in kdiff mode with ``-k 1``
+and ``-k 5``, in text and json.
 
 Then the error paths: ``verify`` and ``explain --verify`` on the set of
 ``example41`` with a foreign atom added and with an atom dropped,
 ``convert`` with the two JSON fixtures swapped, ``explain`` in nl with a
 look-up table that repeats an entry, and a small program that only the
 token grammar reads, with an interval fact, a cardinality body and
-comments inside statements, and one it refuses.
+comments inside statements. Last, ``verify`` and ``explain`` on each
+program the parser refuses: bounds out of order, the end of input
+inside a body, an interval in a rule, the interval cap per fact and per
+program, a negative lower and a negative upper bound, and a grammar
+error followed by a later lexical one, which the whole-text token read
+reports.
 
 ``tests/test_golden.py`` replays the corpus and names each command
 whose digest moved. To rewrite the digests from the source tree on
@@ -52,8 +59,7 @@ FLAGS = ([], ["--verify", "--lookup", "q8.lookup"], ["--verify"], ["--lookup", "
 GENERATED = ("k4", "k5", "k6", "k7", "chain60")
 BAD_QUERIES = ("absent", "p(X)", "p((")
 # A program and its answer set that only the token grammar reads: an
-# interval fact, a cardinality body and comments inside statements. The
-# malformed program has cardinality bounds out of order.
+# interval fact, a cardinality body and comments inside statements.
 SMALL = (
     "index(1..3).\n"
     "b :- index(1), % a comment inside a statement\n  1 {c; index(2)} 2.\n"
@@ -62,7 +68,20 @@ SMALL = (
     "a :- b, c.\n",
     "index(1) index(2) index(3) c b a\n",
 )
-MALFORMED = "a :- b.\nb :- 2 {c} 1.\n"
+# Programs the parser refuses, by file name; the first has cardinality
+# bounds out of order.
+REFUSED = {
+    "malformed.lp": "a :- b.\nb :- 2 {c} 1.\n",
+    "end-in-body.lp": "a :- b,",
+    "interval-rule.lp": "a(1..2) :- b.\n",
+    "fact-cap.lp": "p(1..100001).\n",
+    "program-cap.lp": "p(1..60000).\nq(1..60000).\n",
+    "negative-lower.lp": "a :- -1 {b}.\n",
+    "negative-upper.lp": "a :- {b} -1.\n",
+    "later-lexical.lp": "a :- .\nb :- c$.\n",
+}
+# Explained in kdiff mode with -k 1 and -k 5: program and atom.
+KDIFF = (("example41", "a"), ("k5", "p4"))
 
 
 def write_inputs(root: Path) -> dict[str, list[str]]:
@@ -84,7 +103,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "dup.lookup": lookup + lookup.splitlines()[1] + "\n",
         "example41-foreign.as": texts["example41"][1].strip() + " zz\n",
         "example41-dropped.as": " ".join(texts["example41"][1].split()[:-1]) + "\n",
-        "small.lp": SMALL[0], "small.as": SMALL[1], "malformed.lp": MALFORMED,
+        "small.lp": SMALL[0], "small.as": SMALL[1], **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -127,6 +146,11 @@ def commands(atoms: dict[str, list[str]]) -> Iterator[tuple[list[str], Optional[
             for direction, doc in (("jst2exp", "fig_jst.json"), ("exp2jst", "exp_tree.json")):
                 for fmt in ("json", "dot"):
                     yield ["convert", direction, *files, p, doc, "--format", fmt], None
+    for name, p in KDIFF:
+        for k in ("1", "5"):
+            for fmt in ("text", "json"):
+                yield ["explain", name + ".lp", name + ".as", p, "--mode", "kdiff",
+                       "-k", k, "--format", fmt], None
     yield from error_commands()
     yield ["explain", "missing.lp", "k4.as", "p0"], None
 
@@ -144,8 +168,9 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
     for p in SMALL[1].split():
         yield ["explain", "small.lp", "small.as", p], None
         yield ["enumerate", "small.lp", "small.as", p], None
-    yield ["verify", "malformed.lp", "small.as"], None
-    yield ["explain", "malformed.lp", "small.as", "a"], None
+    for program in REFUSED:
+        yield ["verify", program, "small.as"], None
+        yield ["explain", program, "small.as", "a"], None
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

@@ -214,6 +214,19 @@ def test_collector_off_while_the_engine_runs_and_restored(capsys, monkeypatch, e
     assert seen == [False, False]
 
 
+@pytest.mark.parametrize("argv", [
+    ["explain", fx("q8.lp"), fx("q8.as"), "-x"],
+    ["explain", fx("q8.lp"), fx("q8.as"), "a", "--mode", "bogus"],
+    [],
+], ids=["missing atom", "bad mode", "missing command"])
+def test_malformed_command_line_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestNonGroundQuery:
     """A query atom with a variable is an input error for every command
     that takes one."""

@@ -482,7 +482,8 @@ class TestFoldOrder:
 
     def test_explanations_walk_no_and_or_tree(self, monkeypatch):
         """From the root, the folds of ``shortest_explanation`` and
-        ``k_different`` read the preorder the and-or tree carries."""
+        ``k_different`` follow the stored child map and walk no and-or
+        tree."""
         program, answer_set = complete_text(6)
         P, X, p = parse_program(program), parse_answer_set(answer_set), Atom("p5")
         walked = []

@@ -93,8 +93,8 @@ def test_andor_tree_nonempty_and_wellformed(corpus):
 
 def test_andor_tree_ids_are_preorder(corpus, fixture_cases):
     """Vertex ids count up from 0 in preorder, with no gap left where an
-    incomplete subtree was dropped, and the preorder the tree carries is
-    the one a fresh walk finds."""
+    incomplete subtree was dropped, and ``preorder`` is the walk from
+    the root."""
     for P, X, p in corpus + fixture_cases:
         T = create_tree(P, X, p)
         assert T.preorder() == T.preorder_from(T.root) == tuple(range(len(T)))
