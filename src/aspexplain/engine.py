@@ -62,7 +62,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     if isinstance(d, Atom):
         if d not in X:
             raise ValueError("unknown explanandum: %s" % d.text)
-    elif d not in set(P.rules):
+    elif d not in P.rules:
         raise ValueError("unknown explanandum: %s" % d.text)
     index = GroundingIndex(P, X)
     # Per atom, its supporting rules with no ancestor atom excluded; the

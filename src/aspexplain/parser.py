@@ -7,27 +7,27 @@ starts a line comment. Integer intervals ``1..n`` are accepted in facts
 only and desugared into one fact per value, at most
 :data:`MAX_INTERVAL_FACTS` per fact and per program.
 
-There are two readers. One regular-expression match reads a whole
-statement: an optional head atom, then ``:-`` and a body of atoms,
-``not`` atoms and cardinality expressions with plain bounds, then the
-period, after any whitespace and whole-line comments. One ``split``
-around the atoms reads an answer set (below). Everything else goes to
-the token grammar, a recursive descent over tokens: a query atom; a
-statement with an interval or a comment inside, or of more than 10,000
+There are two readers. One regular-expression match reads a fact or
+a rule of atoms: a head atom, then optionally ``:-`` and a body of
+atoms and ``not`` atoms, then the period, after any whitespace and
+whole-line comments. One ``split`` around the atoms reads an answer set
+(below). Everything else goes to the token grammar, a recursive descent
+over tokens: a query atom; a constraint, a statement with a cardinality
+body, an interval or a comment inside, or of more than 10,000
 characters, that statement alone; an answer set with an ``Answer: N``
 line, a variable or a comment, or an atom the split cannot read, whole.
-If reading a program raises :class:`ParseError`, the token grammar
-reads the whole text again and raises the error, so every message,
-line and column is that grammar's.
+Every message, line and column of a refused program is the one the
+token grammar gives on the whole text: a statement it refuses raises
+the first lexical error of the rest of the text, if there is one, and
+its own error otherwise.
 
 A fact the match reads is built inline as its atom and its rule, two
 tuples; its first two arguments are groups of the match, so only a
 third and further ones are read again. Terms are interned once per
 text, and the program is given the interned terms as its
 :attr:`Program._terms`: every term interned is in a rule, as a
-statement that is not read into rules makes the whole text be read
-again, so the program's variables and constants take no pass over its
-atoms.
+:class:`ParseError` leaves no program, so the program's variables and
+constants take no pass over its atoms.
 
 Each rule, whichever reader read it, is filed once as it is built in
 the program's :attr:`Program.filed_facts`: a ground fact by source text
@@ -100,6 +100,11 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
+def _unexpected(m: re.Match, text: str) -> ParseError:
+    """The error of a BAD match of :data:`_TOKEN_RE` in ``text``."""
+    return _error("unexpected character %r" % m.group(), text, m.start())
+
+
 # (kind, value, offset). A token list ends with an END token whose offset
 # is just past the last token, where "unexpected end of input" points.
 Token = tuple[str, str, int]
@@ -115,7 +120,7 @@ def _tokenize(text: str, pos: int = 0, one_statement: bool = False) -> list[Toke
         if kind == "SKIP":
             continue
         if kind == "BAD":
-            raise _error("unexpected character %r" % m.group(), text, m.start())
+            raise _unexpected(m, text)
         value = m.group()
         out.append((kind, value, m.start()))
         end = m.end()
@@ -154,32 +159,30 @@ def _atom(term: str, g: str = "?:") -> str:
 
 
 def _literal(g: str = "?:") -> str:
-    """A body literal; only a "not" literal starts with the token "not".
-    With ``g=""`` its groups are the "not", the atom's two, the lower
-    bound, the members and the upper bound."""
-    return (
-        r"({g}not\s+|(?!not(?![A-Za-z0-9_]))){a}"
-        r"|(?:({g}\d+)\s*)?\{{\s*({g}(?:{m}\s*)?)\}}(?:\s*({g}\d+))?"
-    ).format(g=g, a=_atom(_TERM, g), m=_list(_atom(_TERM), ";"))
+    """A body atom or "not" atom; only a "not" literal starts with the
+    token "not". With ``g=""`` its groups are the "not" and the atom's
+    two."""
+    return r"({g}not\s+|(?!not(?![A-Za-z0-9_]))){a}".format(g=g, a=_atom(_TERM, g))
 
 
 # Groups: source text, head name, first head argument, second head
-# argument, the text of the further head arguments, body. A statement
-# without a head starts with ":-" and has a body. A match keeps a
-# backtracking record of several hundred bytes per item of each list it
-# reads, so it is given at most _MAX_STATEMENT characters; a longer
-# statement, with the whitespace and comments before it, is read by the
-# token grammar.
+# argument, the text of the further head arguments, body. The period
+# must be followed by a character other than a period, which the token
+# grammar would read with it as "..": at the end of the text, or of the
+# characters a match is given, the statement goes to the token grammar.
+# A match keeps a backtracking record of several hundred bytes per item
+# of each list it reads, so it is given at most _MAX_STATEMENT
+# characters; a longer statement, with the whitespace and comments
+# before it, is read by the token grammar.
 _HEAD = r"([a-z_][A-Za-z0-9_]*)(?:\s*\(\s*({t})(?:\s*,\s*({t})(?:\s*,\s*({a}))?)?\s*\))?".format(
     t=_TERM, a=_list(_TERM, ",")
 )
-_STATEMENT_RE = re.compile(r"{s}((?:{h}|(?=:-))(?:\s*:-\s*({b}))?)\s*\.".format(
+_STATEMENT_RE = re.compile(r"{s}({h}(?:\s*:-\s*({b}))?)\s*\.(?=[^.])".format(
     s=_SKIP, h=_HEAD, b=_list(_literal(), ",")
 ))
 _MAX_STATEMENT = 10_000
 _END_RE = re.compile(_SKIP + r"\Z")
 _LITERAL_RE = re.compile(_literal(""))
-_ATOM_RE = re.compile(_atom(_TERM, ""))
 _GROUND_ATOM_RE = re.compile(_atom(_GROUND_TERM, ""))
 
 
@@ -208,33 +211,25 @@ def _atom_of(name: str, args: Optional[str], intern: Callable[[str], Term]) -> A
     return tuple.__new__(Atom, (name, terms))
 
 
-def _rule_of(source: str, head: Optional[Atom], body: str,
+def _rule_of(source: str, head: Atom, body: str,
              intern: Callable[[str], Term]) -> Rule:
     """The rule of one :data:`_STATEMENT_RE` match with a body, given
-    its source text, its head and the body group. Raises ValueError on a
-    cardinality bound that int() cannot convert or on bounds out of
-    order."""
+    its source text, its head and the body group."""
     body_pos: list[Atom] = []
     body_neg: list[Atom] = []
-    body_card: list[CardinalityExpression] = []
-    for neg, name, args, lower, members, upper in _LITERAL_RE.findall(body):
-        if name:
-            (body_neg if neg else body_pos).append(_atom_of(name, args, intern))
-        else:
-            body_card.append(CardinalityExpression(
-                int(lower or 0), int(upper) if upper else None,
-                tuple(_atom_of(n, a, intern) for n, a in _ATOM_RE.findall(members)),
-            ))
-    return Rule(head, tuple(body_pos), tuple(body_neg), tuple(body_card), source)
+    for neg, name, args in _LITERAL_RE.findall(body):
+        (body_neg if neg else body_pos).append(_atom_of(name, args, intern))
+    return Rule(head, tuple(body_pos), tuple(body_neg), (), source)
 
 
 def _read_program(text: str) -> Program:
     """Read ``text`` a statement per match of :data:`_STATEMENT_RE`,
-    sending each statement it cannot read to the token grammar. The head
+    sending each statement it cannot read, alone, to the token grammar,
+    which raises :class:`ParseError` on a refused one. The head
     arguments are the match's groups; only a third and further ones are
     read again. A fact is built here as the two tuples it is and filed
     in the program's :class:`FiledFacts`, among the other rules if its
-    head holds a variable interned so far; other statements are built
+    head holds a variable interned so far; a rule with a body is built
     by :func:`_rule_of`."""
     terms = _Terms()
     intern, variables = terms.__getitem__, terms.variables
@@ -256,8 +251,8 @@ def _read_program(text: str) -> Program:
                 args = (intern(first), intern(second))
             else:
                 args = (intern(first), intern(second), *map(intern, findall(more)))
-            head = None if name is None else new(Atom, (name, args))
-            if body is None:  # a fact: a statement without a body has a head
+            head = new(Atom, (name, args))
+            if body is None:  # a fact
                 rule = new(Rule, (head, (), (), ()))
                 rule.source_text = source
                 # FiledFacts.file for a fact, inlined: the call adds
@@ -267,23 +262,17 @@ def _read_program(text: str) -> Program:
                 else:
                     heads[source] = head
                     file_head(head, (len(rules), rule))
-                append(rule)
-                pos = m.end()
-                continue
-            try:
-                rule = _rule_of(source, head, body, intern)
-            except ValueError:  # a bound int() cannot convert, or bounds out of order
-                pass
             else:
+                rule = _rule_of(source, head, body, intern)
                 filed.file(len(rules), rule)
-                append(rule)
-                pos = m.end()
-                continue
-        elif _END_RE.match(text, pos):
+            append(rule)
+            pos = m.end()
+            continue
+        if _END_RE.match(text, pos):
             P = Program(tuple(rules))
             # Each term interned here is in a rule: every statement read
             # ended in rules holding each term read from it, since one
-            # that raises ParseError has the whole text read again.
+            # that raises ParseError leaves no program.
             P.__dict__["_terms"] = frozenset(terms.values())
             P.__dict__["filed_facts"] = filed
             return P
@@ -447,14 +436,20 @@ class _Parser:
 
     def statement(self, pos: int, rules: list[Rule]) -> int:
         """Read the statement at ``pos`` into ``rules``; return the offset
-        just past its period."""
+        just past its period. A statement refused for its grammar, not
+        for a character, raises the first lexical error of the rest of
+        the text instead, if there is one, as reading the whole text
+        would: the rest is scanned, and no token of it kept."""
         self.read(pos, one_statement=True)
-        rules.extend(self.parse_rules())
-        return self.tokens[-1][2]
-
-    def program(self) -> Program:
-        self.read()
-        return Program(tuple(self.parse_rules()))
+        end = self.tokens[-1][2]
+        try:
+            rules.extend(self.parse_rules())
+        except ParseError:
+            for m in _TOKEN_RE.finditer(self.text, end):
+                if m.lastgroup == "BAD":
+                    raise _unexpected(m, self.text) from None
+            raise
+        return end
 
     def single_atom(self) -> Atom:
         self.read()
@@ -489,14 +484,11 @@ def _blank_headers(text: str) -> str:
 
 def parse_program(text: str) -> Program:
     """Parse rule text into a :class:`Program`, keeping each rule's
-    verbatim source (without the trailing period) for display. If
-    :func:`_read_program` raises :class:`ParseError`, the token grammar
-    reads the whole text again and raises the error, so every message
-    and position is that grammar's."""
-    try:
-        return _read_program(text)
-    except ParseError:
-        return _Parser(text).program()
+    verbatim source (without the trailing period) for display. The text
+    is read once, by :func:`_read_program`; on a refused program the
+    :class:`ParseError` and its position are those the token grammar
+    gives on the whole text."""
+    return _read_program(text)
 
 
 def parse_atom(text: str) -> Atom:

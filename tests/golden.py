@@ -17,14 +17,18 @@ and ``-k 5``, in text and json.
 Then the error paths: ``verify`` and ``explain --verify`` on the set of
 ``example41`` with a foreign atom added and with an atom dropped,
 ``convert`` with the two JSON fixtures swapped, ``explain`` in nl with a
-look-up table that repeats an entry, and a small program that only the
+look-up table that repeats an entry, a small program that only the
 token grammar reads, with an interval fact, a cardinality body and
-comments inside statements. Last, ``verify`` and ``explain`` on each
-program the parser refuses: bounds out of order, the end of input
-inside a body, an interval in a rule, the interval cap per fact and per
-program, a negative lower and a negative upper bound, and a grammar
-error followed by a later lexical one, which the whole-text token read
-reports.
+comments inside statements, and a program of plain constraints and
+plain cardinality bodies, which the token grammar reads a statement at
+a time; each is verified, and each atom of its answer set explained and
+enumerated. Last, ``verify`` and ``explain`` on each program the parser
+refuses: bounds out of order, the end of input inside a body, an
+interval in a rule, the interval cap per fact and per program, a
+negative lower and a negative upper bound, a grammar error followed by
+a later lexical one, which is the error reported, a period doubled
+after a fact, and a grammar error followed by a ``$`` in a string and
+in a comment, which is no lexical error.
 
 ``tests/test_golden.py`` replays the corpus and names each command
 whose digest moved. To rewrite the digests from the source tree on
@@ -68,6 +72,13 @@ SMALL = (
     "a :- b, c.\n",
     "index(1) index(2) index(3) c b a\n",
 )
+# A program of plain constraints and plain cardinality bodies, with no
+# comments, and its answer set.
+PLAIN = (
+    "c.\nd :- c.\nb :- c, 1 {c; d} 2.\na :- b, {d; e}.\ne :- not f, 2 {c; d}.\n"
+    ":- f.\n:- c, not d.\n:- 3 {a; b; c; d; e} 4.\n",
+    "c d b a e\n",
+)
 # Programs the parser refuses, by file name; the first has cardinality
 # bounds out of order.
 REFUSED = {
@@ -79,6 +90,8 @@ REFUSED = {
     "negative-lower.lp": "a :- -1 {b}.\n",
     "negative-upper.lp": "a :- {b} -1.\n",
     "later-lexical.lp": "a :- .\nb :- c$.\n",
+    "double-period.lp": "a.. b.\n",
+    "dollar-in-string.lp": 'a :- .\nb("$").\n% $\n',
 }
 # Explained in kdiff mode with -k 1 and -k 5: program and atom.
 KDIFF = (("example41", "a"), ("k5", "p4"))
@@ -103,7 +116,8 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "dup.lookup": lookup + lookup.splitlines()[1] + "\n",
         "example41-foreign.as": texts["example41"][1].strip() + " zz\n",
         "example41-dropped.as": " ".join(texts["example41"][1].split()[:-1]) + "\n",
-        "small.lp": SMALL[0], "small.as": SMALL[1], **REFUSED,
+        "small.lp": SMALL[0], "small.as": SMALL[1],
+        "plain.lp": PLAIN[0], "plain.as": PLAIN[1], **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -164,10 +178,12 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
         yield ["convert", direction, "example41.lp", "example41.as", "a", doc], None
     q8 = ["q8.lp", "q8.as", 'what_be_genes("CASK")', "--format", "nl"]
     yield ["explain", *q8, "--lookup", "dup.lookup"], None
-    yield ["verify", "small.lp", "small.as"], None
-    for p in SMALL[1].split():
-        yield ["explain", "small.lp", "small.as", p], None
-        yield ["enumerate", "small.lp", "small.as", p], None
+    for name, (_, answer_set) in (("small", SMALL), ("plain", PLAIN)):
+        files = [name + ".lp", name + ".as"]
+        yield ["verify", *files], None
+        for p in answer_set.split():
+            yield ["explain", *files, p], None
+            yield ["enumerate", *files, p], None
     for program in REFUSED:
         yield ["verify", program, "small.as"], None
         yield ["explain", program, "small.as", "a"], None

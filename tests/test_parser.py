@@ -1,10 +1,11 @@
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aspexplain import parser
 from aspexplain.ground import GroundingError, GroundingIndex, instantiate_for_head
@@ -313,12 +314,20 @@ def _outcome(parse, text):
     return result
 
 
+def _whole_text(text: str) -> Program:
+    """``text`` read whole by the token grammar: every token of it first,
+    then the rules. The reference every reading of a program must
+    agree with."""
+    plain = parser._Parser(text)
+    plain.read()
+    return Program(tuple(plain.parse_rules()))
+
+
 def _token_grammar_only():
     """Patches under which every program and answer set is read by the
     token grammar alone, as a query atom always is."""
     return mock.patch.multiple(
-        parser, _read_program=mock.Mock(side_effect=ParseError("forced", 1, 1)),
-        _read_by_facts=mock.Mock(return_value=None),
+        parser, _read_program=_whole_text, _read_by_facts=mock.Mock(return_value=None),
     )
 
 
@@ -340,6 +349,19 @@ _FACT_FRAGMENTS = st.sampled_from(["p( a )", 's("50%")', 'q(a,"b")', "r", "q(a,"
                 max_size=30).map("".join),
        st.sampled_from([parse_program, parse_answer_set, parse_atom,
                         _by_facts(_SPELLED_FACTS)]))
+# Statements the match leaves to the token grammar, a period read as
+# "..", and a "$" in a string or a comment after a refused statement,
+# which is no lexical error. The last two have the period of "p." at the
+# end of the characters a match is given.
+@example("p..", parse_program)
+@example("a :- b..", parse_program)
+@example(":- a, not b.", parse_program)
+@example("a :- 1 {b} 2.", parse_program)
+@example("a :- b, 2 {c} 1.", parse_program)
+@example("a :- %s {b}." % ("1" * 4301), parse_program)
+@example('a :- .\nb("$").\n% $\n', parse_program)
+@example(" " * (parser._MAX_STATEMENT - 2) + "p..", parse_program)
+@example(" " * (parser._MAX_STATEMENT - 2) + "p.\nq.", parse_program)
 def test_atom_tokens_parse_as_plain_tokens(text, parse):
     # The regular-expression reader must agree with the token grammar alone.
     with _token_grammar_only():
@@ -493,13 +515,16 @@ _FAST_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(_FAST_INPUTS))
 def test_regex_reader_needs_no_token_grammar(name):
+    """Only the cardinality body of ``example44``, ``a :- d, 1 {b; c}
+    2.``, is left to the token grammar."""
     program, answer_set = _FAST_INPUTS[name]
     with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
         P = parse_program(program)
         X = parse_answer_set(answer_set)
         by_facts = parse_answer_set(answer_set, program=P)
     assert len(P) > 0 and len(X) > 0 and by_facts == X
-    assert tokenize.call_count == 0
+    read = [program[c.args[1]:].split(".")[0].strip() for c in tokenize.call_args_list]
+    assert read == (["a :- d, 1 {b; c} 2"] if name == "example44" else [])
 
 
 def test_atoms_spelled_as_facts_are_the_fact_heads():
@@ -527,7 +552,7 @@ def test_facts_are_built_as_the_token_grammar_builds_them():
     # One term object per name, in facts and rule bodies alike.
     assert fact.head.args[0] is rule.body_pos[0].args[0]
     assert fact.head.args[1] is rule.body_pos[1].args[0] is commented.head.args[1]
-    plain = parser._Parser(text).program()
+    plain = _whole_text(text)
     assert [(r, vars(r)) for r in P.rules] == [(r, vars(r)) for r in plain.rules]
 
 
@@ -565,8 +590,8 @@ def _statement(draw) -> str:
             "s :- %s." % ", ".join("b%d" % i for i in range(n)),
             'p("%s", a).' % ("x" * parser._MAX_STATEMENT),
         ]))
-    # Bounds in order, out of order, or with more digits than int()
-    # converts; _rule_of rejects the last two, and so does the token grammar.
+    # Bounds out of order, with more digits than int() converts, or in
+    # order: the token grammar reads each, and refuses the first two.
     return draw(st.sampled_from(
         ["t :- 3 {p(a); q} 2.", "t :- %s {p(a)}." % ("9" * 5000), "t :- 1 {p(a)} 2."]
     ))
@@ -671,7 +696,7 @@ def test_head_arguments_are_taken_from_the_match():
     with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
         P = parse_program(text)
     assert tokenize.call_count == 0
-    plain = parser._Parser(text).program()
+    plain = _whole_text(text)
     assert [(r, vars(r)) for r in P.rules] == [(r, vars(r)) for r in plain.rules]
     assert [len(r.head.args) for r in P.rules[:5]] == [0, 1, 2, 3, 5]
     assert all(type(t) is Term for r in P.rules for t in r.head.args)
@@ -680,18 +705,41 @@ def test_head_arguments_are_taken_from_the_match():
     _assert_filed_as_computed(P)
 
 
-def test_statement_falling_back_from_rule_of_is_filed_once():
-    """A statement ``_rule_of`` rejects is read by the token grammar and
-    filed once, from there. Each bound ``_rule_of`` rejects the token
-    grammar rejects too, so a rejection is forced here."""
+def test_statement_the_match_leaves_is_filed_once():
+    """A cardinality body, which the match leaves, is read by the token
+    grammar and filed once, from there."""
     text = "a.\nb :- a, 1 {a} 2.\nc.\nd :- b.\n"
-    with mock.patch.object(parser, "_rule_of", side_effect=ValueError) as rule_of, \
+    with mock.patch.object(parser, "_rule_of", wraps=parser._rule_of) as rule_of, \
             mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize:
         P = parse_program(text)
-    assert rule_of.call_count == tokenize.call_count == 2
+    assert rule_of.call_count == tokenize.call_count == 1
     assert P.filed_facts.others == [1, 3]
     assert [r.source_text for r in P.rules] == ["a", "b :- a, 1 {a} 2", "c", "d :- b"]
     _assert_filed_as_computed(P)
+
+
+def test_refused_knowledge_base_is_tokenized_from_the_refused_statement_on():
+    """``x :- .`` after the 10^4 facts and the rules of
+    :func:`conftest.knowledge_base_text` is read by the token grammar
+    alone, and the text is not read again to word the error. Under
+    tracemalloc the refused text peaked at 7.6 MB and the valid one at
+    7.4 MB; read again, whole, by the token grammar, it peaked at
+    21.5 MB."""
+    program = knowledge_base_text(10**4)[0]
+    tracemalloc.start()
+    try:
+        parse_program(program)
+        valid = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with mock.patch.object(parser, "_tokenize", wraps=parser._tokenize) as tokenize, \
+                pytest.raises(ParseError) as info:
+            parse_program(program + "x :- .\n")
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "expected ident, found '.' (line 10008, column 6)"
+    assert [c.args[1] for c in tokenize.call_args_list] == [program.rindex(".") + 1] == [380415]
+    assert refused < 1.5 * valid
 
 
 _N = 10**5
