@@ -3,7 +3,8 @@
 Exit codes: 0 on success; 1 when the queried atom is not in the answer
 set or verification fails; 2 on input errors: a malformed command line,
 parse, I/O and grounding errors, a non-ground query atom and "cap
-exceeded", which running out of memory also reports.
+exceeded", which running out of memory also reports. Each message on
+stderr is one line, whatever input text it quotes.
 """
 from __future__ import annotations
 
@@ -38,6 +39,15 @@ EXIT_OK = 0
 EXIT_NOT_IN_ANSWER_SET = 1
 EXIT_INPUT_ERROR = 2
 
+# Each character str.splitlines breaks at, escaped as repr escapes it.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _tell(message: str) -> None:
+    """Write ``message`` to stderr as one line: its line breaks are
+    escaped, so that input text it quotes cannot split it."""
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
@@ -55,7 +65,7 @@ def _read_lookup(path: Optional[str]) -> LookupTable:
             return parse_lookup(_read(path))
         finally:
             for msg in dict.fromkeys(str(w.message) for w in caught):
-                print("warning: %s" % msg, file=sys.stderr)
+                _tell("warning: %s" % msg)
 
 
 def _load_inputs(args) -> tuple[Program, AnswerSet]:
@@ -69,7 +79,7 @@ def _verify(P: Program, X: AnswerSet) -> bool:
     to stderr."""
     ok, reason = verify_answer_set(ground_program(P, X), X)
     if not ok:
-        print("not an answer set: %s" % reason, file=sys.stderr)
+        _tell("not an answer set: %s" % reason)
     return ok
 
 
@@ -112,7 +122,7 @@ def cmd_explain(args) -> int:
     if args.verify and not _verify(P, X):
         return EXIT_NOT_IN_ANSWER_SET
     if p not in X:
-        print("atom not in answer set: %s" % p.text, file=sys.stderr)
+        _tell("atom not in answer set: %s" % p.text)
         return EXIT_NOT_IN_ANSWER_SET
     if args.mode == "shortest":
         explanations = [engine.shortest_explanation(P, X, p)]
@@ -140,16 +150,13 @@ def cmd_convert(args) -> int:
     if args.direction == "exp2jst" and not isinstance(obj, VertexLabeledTree):
         raise ParseError("expected an explanation-tree input", 1, 1)
     if p not in X:
-        print("error: atom not in answer set: %s" % p.text, file=sys.stderr)
+        _tell("error: atom not in answer set: %s" % p.text)
         return EXIT_NOT_IN_ANSWER_SET
     if args.direction == "jst2exp":
         out = justification_to_explanation(X, p, obj)
     else:
         out = explanation_to_justification(G, X, p, obj)
-    if args.format == "dot":
-        sys.stdout.write(emit_dot(out))
-    else:
-        sys.stdout.write(emit_json(out))
+    sys.stdout.write({"dot": emit_dot, "json": emit_json}[args.format](out))
     return EXIT_OK
 
 
@@ -157,7 +164,7 @@ def cmd_enumerate(args) -> int:
     P, X = _load_inputs(args)
     p = _query_atom(args)
     if p not in X:
-        print("atom not in answer set: %s" % p.text, file=sys.stderr)
+        _tell("atom not in answer set: %s" % p.text)
         return EXIT_NOT_IN_ANSWER_SET
     explanations = engine.enumerate_explanations(P, X, p, cap=args.max_expl)
     for i, e in enumerate(explanations, start=1):
@@ -174,7 +181,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     as every other input error ends, instead of the usage block."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(EXIT_INPUT_ERROR, "error: %s\n" % message)
+        self.exit(EXIT_INPUT_ERROR, "error: %s\n" % message.translate(_LINE_BREAKS))
 
 
 # Built once: building the parser costs far more than parsing a command.
@@ -249,7 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if enabled:
             gc.enable()
     # Printed once the exception, and with it what the command held, is freed.
-    print("error: %s" % message, file=sys.stderr)
+    _tell("error: %s" % message)
     return EXIT_INPUT_ERROR
 
 

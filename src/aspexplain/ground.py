@@ -6,7 +6,10 @@ body inside ``X``. A :class:`GroundingIndex` holds the rules of a
 program and the atoms of ``X``; rule variables are bound by joining the
 positive body against those atoms, the most bound atom first, as a
 bottom-up grounder does; each instance is built from the body as
-written, so the order of the join changes no instance.
+written, so the order of the join changes no instance. A cardinality
+member with a variable local to its expression is looked up the same
+way, and stands for the atoms of ``X`` it matches: a member outside
+``X`` never counts towards a bound.
 :func:`ground_program` grounds every rule this way and
 :func:`instantiate_for_head` only the rules for one head atom. The
 whole grounding over the Herbrand universe is
@@ -29,7 +32,6 @@ from typing import AbstractSet, Optional
 
 from .model import (
     Atom,
-    _atom_instantiations,
     CardinalityExpression,
     Program,
     Rule,
@@ -39,8 +41,8 @@ from .model import (
 
 
 # Most ground instances one call of ground_program or
-# instantiate_for_head may build, the members that cardinality
-# expressions expand to over the universe included. An instance of a
+# instantiate_for_head may build, the cardinality members that a local
+# variable finds in the indexed atom set included. An instance of a
 # five-atom rule takes about 1 KB once grounded and sorted, so this is
 # about 250 MB.
 MAX_GROUND_INSTANCES = 250_000
@@ -68,24 +70,27 @@ def _subst_atom(atom: Atom, subst: Subst) -> Atom:
 def _expand_card(
     card: CardinalityExpression, subst: Subst, index: "GroundingIndex"
 ) -> CardinalityExpression:
-    """Apply ``subst`` to the member atoms, then expand variables local
-    to the expression over the universe of ``index``, spending each
-    expansion from its budget before it is made."""
+    """Apply ``subst`` to the member atoms. A member that still holds a
+    variable, one local to the expression, stands for the indexed atoms
+    it matches, in sorted order, each spent from the budget of
+    ``index``; a ground member stays as it is."""
     members: list[Atom] = []
-    universe = index.universe
     for pattern in card.atoms:
         pattern = _subst_atom(pattern, subst)
+        found = [pattern]
         if not pattern.is_ground:
-            index.spend(len(universe) ** len(pattern.variables()))
-        members.extend(_atom_instantiations(pattern, universe))
+            # A match binds a variable, so it is a non-empty dict.
+            found = sorted(a for a in index.candidates(pattern) if _match_atom(pattern, a, {}))
+            index.spend(len(found))
+        members.extend(found)
     return CardinalityExpression(card.lower, card.upper, tuple(dict.fromkeys(members)))
 
 
 def _check_groundable(r: Rule, constants: AbstractSet[Term]) -> None:
     """Every variable outside the cardinality expressions must occur in
     a positive body atom, and there must be constants to substitute;
-    cardinality-expression variables not bound elsewhere are local and
-    expanded in place."""
+    cardinality-expression variables not bound elsewhere are local, and
+    each member holding one stands for the indexed atoms it matches."""
     pos_vars: set[str] = set()
     for a in r.body_pos:
         pos_vars |= a.variables()
@@ -193,10 +198,6 @@ class GroundingIndex:
             )
 
     @cached_property
-    def universe(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.constants))
-
-    @cached_property
     def by_predicate(self) -> dict[str, list[Atom]]:
         """The atoms of ``X`` by predicate name."""
         groups: defaultdict[str, list[Atom]] = defaultdict(list)
@@ -260,9 +261,10 @@ def _join(index: GroundingIndex, i: int, r: Rule, subst: Subst) -> list[Rule]:
     """The instances of ``r``, the rule at position ``i`` of the
     program, that extend ``subst`` and whose positive body lies in the
     indexed atom set: the positive body is joined against the atom set
-    in the order :func:`_next_atom` picks, and variables local to a
-    cardinality expression range over the universe. Each instance is
-    built from the body in source order."""
+    in the order :func:`_next_atom` picks, and a cardinality member with
+    a variable local to its expression is looked up in the atom set by
+    :func:`_expand_card`. Each instance is built from the body in source
+    order."""
     if i not in index.nonground:
         return [r] if index.X.issuperset(r.body_pos) else []
     substs = [subst]

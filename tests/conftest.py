@@ -13,8 +13,8 @@ from aspexplain.ground import (
 )
 from aspexplain.justify import TOP, AnnotatedAtom, EGraph
 from aspexplain.model import (
-    Atom, AtomSet, Program, Rule, Term, least_model, reduct,
-    satisfies_rule, supports,
+    Atom, AtomSet, CardinalityExpression, Program, Rule, Term, _atom_instantiations,
+    least_model, reduct, satisfies_rule, supports,
 )
 from aspexplain.trees import EMPTY_TREE, Explanation, Label, VertexLabeledTree
 
@@ -234,18 +234,93 @@ def random_nonground_program(rng: random.Random) -> Program:
             return P
 
 
+def random_card_program(rng: random.Random) -> Program:
+    """A small safe non-ground program whose rules, constraints among
+    them, each have one cardinality body of one or two members. A member
+    holds ``L`` or ``L`` and ``M``, variables local to the expression,
+    maybe repeated as in ``q1(L,L)``, next to the rule's own ``V`` and
+    constants; or it is written ground. Programs whose ground base
+    exceeds 10 atoms are redrawn, which keeps
+    :func:`card_answer_sets` on the ground program cheap."""
+    while True:
+        consts = [Term(c) for c in ("a", "b", "c")[: rng.randint(1, 3)]]
+        preds = [("q0", rng.randint(1, 2))]
+        preds += [("q%d" % i, rng.randint(0, 2)) for i in range(1, rng.randint(2, 3))]
+
+        def atom(pool):
+            name, arity = rng.choice(preds)
+            return Atom(name, tuple(rng.choice(pool) for _ in range(arity)))
+
+        rules = [Rule(Atom("q0", tuple(rng.choice(consts) for _ in range(preds[0][1]))))]
+        rules += [Rule(atom(consts)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(1, 4)):
+            body_pos = tuple(atom(consts + [Term("V")]) for _ in range(rng.randint(0, 1)))
+            bound = consts + sorted({t for a in body_pos for t in a.args if t.is_variable})
+            local = [Term("L"), Term("M")][: rng.randint(1, 2)]
+            members = tuple(atom(bound + local * 2) for _ in range(rng.randint(1, 2)))
+            lower = rng.randint(0, 2)
+            card = CardinalityExpression(lower, rng.choice((None, lower, lower + 1)), members)
+            body_neg = (atom(bound),) if rng.random() < 0.3 else ()
+            head = atom(bound) if rng.random() < 0.85 else None
+            rules.append(Rule(head, body_pos, body_neg, (card,)))
+        P = Program(tuple(rules)).deduplicated()
+        if not P.is_ground and len(P.herbrand_base) <= 10:
+            return P
+
+
+def card_answer_sets(P: Program) -> list[frozenset[Atom]]:
+    """All answer sets of a small ground program with cardinality
+    bodies, by exhaustive candidate checking: ``I`` is one when it
+    satisfies the constraints and is the least fixpoint of the rules
+    whose negative body avoids ``I`` and whose upper bounds ``I`` meets,
+    each lower bound counted in the fixpoint built so far (Simons,
+    Niemelä & Soininen 2002)."""
+    base = sorted(P.herbrand_base)
+    out = []
+    for mask in range(2 ** len(base)):
+        I = frozenset(a for i, a in enumerate(base) if mask >> i & 1)
+        rules = [
+            r for r in P.rules
+            if r.head is not None and I.isdisjoint(r.body_neg)
+            and all(c.upper is None or len(I.intersection(c.atoms)) <= c.upper
+                    for c in r.body_card)
+        ]
+        M: set[Atom] = set()
+        grew = True
+        while grew:
+            grew = False
+            for r in rules:
+                if r.head not in M and M.issuperset(r.body_pos) and all(
+                    len(M.intersection(c.atoms)) >= c.lower for c in r.body_card
+                ):
+                    M.add(r.head)
+                    grew = True
+        if M == I and all(satisfies_rule(I, r) for r in P.rules if r.head is None):
+            out.append(I)
+    return out
+
+
 class _Unbudgeted:
     """What :func:`aspexplain.ground._instance` reads of an index: the
-    universe, and a budget the reference grounding never runs out of."""
+    atoms a cardinality member with a variable stands for, here every
+    instance over the universe, or with ``X`` those of them in ``X``,
+    and a budget the reference grounding never runs out of."""
 
-    def __init__(self, universe: tuple[Term, ...]):
+    def __init__(self, universe: tuple[Term, ...], X: Optional[AtomSet] = None):
         self.universe = universe
+        self.X = X
+
+    def candidates(self, pattern: Atom) -> list[Atom]:
+        found = _atom_instantiations(pattern, self.universe)
+        return list(found) if self.X is None else [a for a in found if a in self.X]
 
     def spend(self, n: int) -> None:
         pass
 
 
-def _product_ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
+def _product_ground_rule(
+    r: Rule, universe: tuple[Term, ...], X: Optional[AtomSet]
+) -> list[Rule]:
     if r.is_ground:
         return [r]
     _check_groundable(r, universe)
@@ -256,19 +331,21 @@ def _product_ground_rule(r: Rule, universe: tuple[Term, ...]) -> list[Rule]:
         global_vars |= a.variables()
     names = sorted(global_vars)
     out = [
-        _instance(r, dict(zip(names, combo)), _Unbudgeted(universe))
+        _instance(r, dict(zip(names, combo)), _Unbudgeted(universe, X))
         for combo in itertools.product(universe, repeat=len(names))
     ]
     out.sort(key=lambda g: g.text)
     return out
 
 
-def product_ground(P: Program) -> Program:
+def product_ground(P: Program, X: Optional[AtomSet] = None) -> Program:
     """All ground instances of the rules of ``P`` over its constants, by
     substituting every tuple of the Herbrand universe for the variables
     of each rule; the reference for
     :func:`aspexplain.ground.ground_program`. Exponential in the number
-    of variables per rule.
+    of variables per rule. A cardinality member with a variable local to
+    its expression stands for each of its instances over the universe,
+    or with ``X`` only for those in ``X``, as the grounder takes them.
 
     Already-ground programs are returned unchanged. Instances of one
     rule come out sorted by text; rules keep program order.
@@ -278,7 +355,7 @@ def product_ground(P: Program) -> Program:
     universe = tuple(sorted(P.herbrand_universe))
     rules: list[Rule] = []
     for r in P.rules:
-        rules.extend(_product_ground_rule(r, universe))
+        rules.extend(_product_ground_rule(r, universe, X))
     return Program(tuple(rules)).deduplicated()
 
 

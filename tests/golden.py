@@ -22,13 +22,15 @@ token grammar reads, with an interval fact, a cardinality body and
 comments inside statements, and a program of plain constraints and
 plain cardinality bodies, which the token grammar reads a statement at
 a time; each is verified, and each atom of its answer set explained and
-enumerated. Last, ``verify`` and ``explain`` on each program the parser
-refuses: bounds out of order, the end of input inside a body, an
-interval in a rule, the interval cap per fact and per program, a
-negative lower and a negative upper bound, a grammar error followed by
-a later lexical one, which is the error reported, a period doubled
-after a fact, and a grammar error followed by a ``$`` in a string and
-in a comment, which is no lexical error.
+enumerated. A program whose cardinality bodies hold variables local to
+them is verified, and each atom of its answer set explained in text,
+in json and in kdiff mode, and enumerated. Last, ``verify`` and
+``explain`` on each program the parser refuses: bounds out of order,
+the end of input inside a body, an interval in a rule, the interval cap
+per fact and per program, a negative lower and a negative upper bound,
+a grammar error followed by a later lexical one, which is the error
+reported, a period doubled after a fact, and a grammar error followed
+by a ``$`` in a string and in a comment, which is no lexical error.
 
 ``tests/test_golden.py`` replays the corpus and names each command
 whose digest moved. To rewrite the digests from the source tree on
@@ -79,6 +81,18 @@ PLAIN = (
     ":- f.\n:- c, not d.\n:- 3 {a; b; c; d; e} 4.\n",
     "c d b a e\n",
 )
+# A program whose cardinality bodies have variables local to them: one
+# and two local variables, a repeated one, a member written ground that
+# is not in the answer set, and a constraint; and its answer set.
+LOCAL = (
+    "node(a). node(b). node(c). node(d).\nedge(a,b). edge(b,c). edge(c,c).\n"
+    "hub(G) :- node(G), 1 {edge(H, G)}.\nloop :- 1 {edge(Y, Y)}.\n"
+    "far(G) :- node(G), 2 {edge(H, G); edge(G, K)} 2.\n"
+    "pair(G) :- node(G), 1 {edge(H, G); edge(K, H)}.\n"
+    "quiet :- node(d), {edge(d, d); edge(H, d)} 0.\n:- 4 {edge(H, K)}.\n",
+    "node(a) node(b) node(c) node(d) edge(a,b) edge(b,c) edge(c,c) hub(b) hub(c)"
+    " loop far(b) far(c) pair(a) pair(b) pair(c) pair(d) quiet\n",
+)
 # Programs the parser refuses, by file name; the first has cardinality
 # bounds out of order.
 REFUSED = {
@@ -117,7 +131,8 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "example41-foreign.as": texts["example41"][1].strip() + " zz\n",
         "example41-dropped.as": " ".join(texts["example41"][1].split()[:-1]) + "\n",
         "small.lp": SMALL[0], "small.as": SMALL[1],
-        "plain.lp": PLAIN[0], "plain.as": PLAIN[1], **REFUSED,
+        "plain.lp": PLAIN[0], "plain.as": PLAIN[1],
+        "local.lp": LOCAL[0], "local.as": LOCAL[1], **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -184,6 +199,13 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
         for p in answer_set.split():
             yield ["explain", *files, p], None
             yield ["enumerate", *files, p], None
+    files = ["local.lp", "local.as"]
+    yield ["verify", *files], None
+    for p in LOCAL[1].split():
+        yield ["explain", *files, p], None
+        yield ["explain", *files, p, "--format", "json"], None
+        yield ["explain", *files, p, "--mode", "kdiff"], None
+        yield ["enumerate", *files, p], None
     for program in REFUSED:
         yield ["verify", program, "small.as"], None
         yield ["explain", program, "small.as", "a"], None

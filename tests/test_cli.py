@@ -5,13 +5,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 from aspexplain import cli, engine, nl
 from aspexplain.cli import main
-from aspexplain.parser import parse_program
+from aspexplain.parser import LookupTable, parse_program
 from aspexplain.serialize import emit_json
 
 from conftest import (
@@ -225,6 +226,81 @@ def test_malformed_command_line_is_one_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_query_atom_after_double_dash_is_read_as_an_atom(capsys):
+    """``--`` ends the options, so a query atom that starts with ``-``
+    reaches the atom parser, whose one-line error it gets, instead of
+    argparse reading it as an option and asking for the atom."""
+    assert run(capsys, "explain", fx("q8.lp"), fx("q8.as"), "--", "-p") == (
+        2, "", "error: unexpected character '-' (line 1, column 1)\n"
+    )
+
+
+BREAKS = pytest.mark.parametrize(
+    "brk, shown", [("\r", "\\r"), ("\u2028", "\\u2028")], ids=["CR", "U+2028"]
+)
+
+
+class TestOneLinePerMessage:
+    """A character ``str.splitlines`` breaks at, quoted from the input
+    into a message on stderr, is escaped as ``repr`` escapes it, so each
+    message stays one line."""
+
+    @BREAKS
+    @pytest.mark.parametrize("command", [["explain"], ["enumerate"], ["convert", "jst2exp"]])
+    def test_atom_not_in_answer_set(self, capsys, brk, shown, command):
+        argv = command + [fx("q8.lp"), fx("q8.as"), 'p("a%sb")' % brk]
+        prefix = ""
+        if command[0] == "convert":
+            argv.append(fx("fig_jst.json"))
+            prefix = "error: "
+        err = 'atom not in answer set: p("a%sb")\n' % shown
+        assert run(capsys, *argv) == (1, "", prefix + err)
+
+    # The file reader turns a carriage return into a line feed, so a
+    # program file is given the two breaks it keeps.
+    @pytest.mark.parametrize(
+        "brk, shown", [("\u2028", "\\u2028"), ("\x85", "\\x85")], ids=["U+2028", "NEL"]
+    )
+    def test_not_an_answer_set(self, tmp_path, capsys, brk, shown):
+        prog, ans = tmp_path / "p.lp", tmp_path / "p.as"
+        prog.write_text('p("a%sb").\n' % brk, encoding="utf-8")
+        ans.write_text("")
+        err = 'not an answer set: unsatisfied rule: p("a%sb").\n' % shown
+        assert run(capsys, "verify", str(prog), str(ans)) == (1, "", err)
+
+    def test_other_characters_print_as_written(self, capsys):
+        argv = ["explain", fx("q8.lp"), fx("q8.as"), 'p("Ä\tö")']
+        assert run(capsys, *argv) == (1, "", 'atom not in answer set: p("Ä\tö")\n')
+
+    @BREAKS
+    def test_error_line(self, capsys, monkeypatch, brk, shown):
+        def fail(P, X, p):
+            raise ValueError("no%sway" % brk)
+
+        monkeypatch.setattr(engine, "shortest_explanation", fail)
+        argv = ["explain", fx("example41.lp"), fx("example41.as"), "a"]
+        assert run(capsys, *argv) == (2, "", "error: no%sway\n" % shown)
+
+    @BREAKS
+    def test_warning_line(self, capsys, monkeypatch, brk, shown):
+        def warn(text):
+            warnings.warn("odd%sentry" % brk)
+            return LookupTable()
+
+        monkeypatch.setattr(cli, "parse_lookup", warn)
+        argv = ["explain", fx("example41.lp"), fx("example41.as"), "a", "--lookup",
+                fx("q8.lookup")]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "warning: odd%sentry\n" % shown)
+
+    @BREAKS
+    def test_command_line_error(self, capsys, brk, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", fx("q8.lp"), fx("q8.as"), "a", "b%sc" % brk])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: b%sc\n" % shown
 
 
 class TestNonGroundQuery:

@@ -23,18 +23,19 @@ from aspexplain.engine import (
 )
 from aspexplain.ground import GroundingIndex, ground_program, instantiate_for_head
 from aspexplain.justify import EGraph, explanation_to_justification
-from aspexplain.model import Atom, Program, Rule, least_model
+from aspexplain.model import Atom, AtomSet, Program, Rule, least_model, supports
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
-    answer_sets, complete_text, copied_ranges, dropped_copy_text, explanation_tree_of,
-    fixture_text, guard_text, knowledge_base_text, product_ground,
-    random_nonground_program, random_program, reference_create_tree, reference_fold,
-    reference_join, reference_k_different, validate_andor_tree,
+    answer_sets, card_answer_sets, complete_text, copied_ranges, dropped_copy_text,
+    explanation_tree_of, fixture_text, guard_text, knowledge_base_text, product_ground,
+    random_card_program, random_nonground_program, random_program, reference_create_tree,
+    reference_fold, reference_join, reference_k_different, validate_andor_tree,
 )
 
 N_PROGRAMS = 500
 N_NONGROUND = 400
+N_CARD = 300
 FIXTURES = ("example41", "example44", "threerule", "q8")
 
 
@@ -63,6 +64,17 @@ def nonground_corpus():
             for p in sorted(X):
                 cases.append((P, X, p))
     assert cases
+    return cases
+
+
+@pytest.fixture(scope="module")
+def card_corpus():
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(N_CARD):
+        P = random_card_program(rng)
+        cases += [(P, X) for X in card_answer_sets(product_ground(P))]
+    assert len(cases) > 200
     return cases
 
 
@@ -224,6 +236,44 @@ def test_eager_and_ondemand_agree(corpus, nonground_corpus, fixture_cases):
         ]
         validate_andor_tree(T, G, X, p)
         assert shortest_explanation(P, X, p) == shortest_explanation(G, X, p)
+
+
+def _in_x(r: Rule, X: AtomSet) -> tuple:
+    """``r`` with the members of each cardinality expression cut to
+    those in ``X``, the only ones its bounds count."""
+    cards = tuple((c.lower, c.upper, X.intersection(c.atoms)) for c in r.body_card)
+    return r.head, r.body_pos, r.body_neg, cards
+
+
+def test_cardinality_members_are_looked_up_in_the_answer_set(card_corpus):
+    """On random programs with variables local to cardinality bodies and
+    their answer sets ``X``: each instance :func:`ground_program` and
+    :func:`instantiate_for_head` give is the product grounding's with
+    the members a local variable expands to outside ``X`` dropped. Which
+    instances support each atom, and the size of its shortest
+    explanation, are those of the product grounding that keeps them."""
+    shown = lambda rules: [(r.text, r.display) for r in rules]
+    dropped = written_outside = 0
+    for P, X in card_corpus:
+        product = product_ground(P)
+        full = [r for r in product.rules if X.issuperset(r.body_pos)]
+        reference = [r for r in product_ground(P, X).rules if X.issuperset(r.body_pos)]
+        G = ground_program(P, X)
+        assert shown(G) == shown(reference)
+        index = GroundingIndex(P, X)
+        for p in sorted(X):
+            expected = sorted((r for r in reference if r.head == p), key=lambda r: r.text)
+            assert shown(instantiate_for_head(index, p)) == shown(expected)
+            for Z in [frozenset()] + [frozenset([q]) for q in sorted(X)[:2]]:
+                held = lambda rules: {_in_x(r, X) for r in rules if supports(r, p, X, Z)}
+                assert held(G.rules) == held(full)
+            assert shortest_explanation(P, X, p).size == shortest_explanation(product, X, p).size
+        members = lambda rules: sum(len(c.atoms) for r in rules for c in r.body_card)
+        dropped += members(full) - members(G.rules)
+        written_outside += any(
+            a.is_ground and a not in X for r in P.rules for c in r.body_card for a in c.atoms
+        )
+    assert dropped > 200 and written_outside > 80  # 275 and 109
 
 
 def _grounding(P: Program, X) -> tuple[list, list]:
