@@ -150,7 +150,7 @@ def cmd_convert(args) -> int:
     if args.direction == "exp2jst" and not isinstance(obj, VertexLabeledTree):
         raise ParseError("expected an explanation-tree input", 1, 1)
     if p not in X:
-        _tell("error: atom not in answer set: %s" % p.text)
+        _tell("atom not in answer set: %s" % p.text)
         return EXIT_NOT_IN_ANSWER_SET
     if args.direction == "jst2exp":
         out = justification_to_explanation(X, p, obj)

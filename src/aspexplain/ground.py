@@ -142,17 +142,20 @@ class GroundingIndex:
     :class:`GroundingError` for the first rule, in program order, that
     is unsafe or has variables in a program without constants.
 
-    Only the rules are filed up front. The ground facts, the bulk of a
-    knowledge base, are taken as :attr:`Program.filed_facts` files them
-    by head, where the parser put them as it read them; the other rules
-    are filed here, in program order, so the first unsafe one is the one
-    reported. A ground pattern, and the body of a ground rule, is looked
-    up in ``X``. ``X`` is grouped by predicate name in one pass, once,
-    when a pattern with a variable is first joined; the join order reads
-    the size of each group. A relation, the atoms of one predicate and
-    arity without those with a constant outside the universe, which no
-    instance holds, is split off its group on first use, and each table
-    of bound positions over it is built on first use too.
+    Only the rules are filed up front, from
+    :attr:`FiledFacts.others <aspexplain.model.FiledFacts>`, in program
+    order, so the first unsafe one is the one reported; ``P.rules`` is
+    not read. The ground facts, the bulk of a knowledge base, stay in
+    the columns the parser filed them in, and a fact's rule is built for
+    :func:`instantiate_for_head` from :attr:`FiledFacts.by_head`, which
+    is built on the first lookup. A ground pattern, and the body of a
+    ground rule, is looked up in ``X``. ``X`` is grouped by predicate
+    name in one pass, once, when a pattern with a variable is first
+    joined; the join order reads the size of each group. A relation, the
+    atoms of one predicate and arity without those with a constant
+    outside the universe, which no instance holds, is split off its
+    group on first use, and each table of bound positions over it is
+    built on first use too.
 
     Each call of :func:`ground_program` or :func:`instantiate_for_head`
     may build :data:`MAX_GROUND_INSTANCES` instances, cardinality
@@ -164,8 +167,7 @@ class GroundingIndex:
     def __init__(self, P: Program, X: AtomSet):
         self.X = X
         self.constants = P.herbrand_universe
-        filed = P.filed_facts
-        self.facts = filed.by_head
+        self.filed = P.filed_facts
         # The other rules: ground heads keyed by atom, others by
         # predicate and arity; the program position decides whose
         # source text a duplicate keeps.
@@ -173,9 +175,7 @@ class GroundingIndex:
         self.nonground: set[int] = set()
         self.room = MAX_GROUND_INSTANCES
         variables = P.variables
-        rules = P.rules
-        for i in filed.others:
-            r = rules[i]
+        for i, r in self.filed.others:
             head = r.head
             if variables and not r.is_ground:
                 _check_groundable(r, self.constants)
@@ -329,11 +329,13 @@ def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:
     index.room = MAX_GROUND_INSTANCES
     out: list[Rule] = []
     rules = index.rules.get(p, []) + index.rules.get((p.predicate, p.arity), [])
-    fact = index.facts.get(p)
-    if fact is not None:
-        rules.append(fact)
     for i, r in sorted(rules):
         head = _match_atom(r.head, p, {})
         if head is not None:
             out.extend(_join(index, i, r, head))
+    # No instance of another rule is a fact: its body is not empty, or
+    # its head holds a variable no positive body atom binds.
+    source = index.filed.by_head.get(p)
+    if source is not None:
+        out.append(Rule(p, source_text=source))
     return tuple(_by_text(list(dict.fromkeys(out))))

@@ -7,9 +7,10 @@ spelled in the input (``source_text`` is carried for display only).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
@@ -206,41 +207,95 @@ def _atom_instantiations(atom: Atom, universe: tuple[Term, ...]) -> Iterator[Ato
 
 
 class FiledFacts:
-    """The ground facts of a program, each filed twice, and the
-    positions of its other rules.
+    """The ground facts of a program, held as columns, and its other
+    rules.
 
-    ``heads`` maps the source text of each ground fact to its head, for
-    reading an answer set against the program. ``by_head`` maps each
-    head to the position and rule of the first fact with that head, for
-    the grounder: a later duplicate is the same rule, and grounding
-    keeps the first. ``others`` holds the positions of every other rule,
-    a fact with a variable in its head among them, in program order, as
-    each rule is filed once in that order. A knowledge base is mostly
-    ground facts, so filing them once, as they are read, spares each
-    later use a pass over every rule.
+    ``atoms`` and ``sources`` hold the head and the source text of each
+    ground fact, in program order; no :class:`Rule` is kept for a fact.
+    ``others`` holds each other rule, a fact with a variable in its head
+    among them, with its position; the facts take the positions the
+    other rules leave, in order. Built from the columns when first asked
+    for: :attr:`heads`, for reading an answer set against the program;
+    :attr:`by_head`, for the grounder; and :meth:`rules`, for
+    ``Program.rules``. A knowledge base is mostly ground facts, so filing
+    them once, as they are read, spares each later use a pass over every
+    rule, and a fact costs a rule only where one is asked for.
     """
 
-    __slots__ = ("heads", "by_head", "others")
-
     def __init__(self) -> None:
-        self.heads: dict[str, Atom] = {}
-        self.by_head: dict[Atom, tuple[int, Rule]] = {}
-        self.others: list[int] = []
+        self.atoms: list[Atom] = []
+        self.sources: list[str] = []
+        self.others: list[tuple[int, Rule]] = []
 
-    def file(self, i: int, r: Rule) -> None:
-        """File ``r``, the rule at position ``i``, as a fact if it is
-        one with a ground head; else among the other rules."""
+    def add_facts(self, atoms: list[Atom], sources: list[str]) -> None:
+        """File ground facts, given as their heads and source texts."""
+        self.atoms += atoms
+        self.sources += sources
+
+    def file(self, r: Rule) -> None:
+        """File ``r``, the rule after those filed so far, as a fact if it
+        is one with a ground head; else among the other rules."""
         head = r[0]
         if head is None or r[1] or r[2] or r[3] or not head.is_ground:
-            self.others.append(i)
+            self.others.append((len(self.atoms) + len(self.others), r))
         else:
-            self.heads[r.source_text] = head
-            self.by_head.setdefault(head, (i, r))
+            self.atoms.append(head)
+            self.sources.append(r.source_text)
+
+    @cached_property
+    def heads(self) -> dict[str, Atom]:
+        """The source text of each ground fact to its head."""
+        return dict(zip(self.sources, self.atoms))
+
+    @cached_property
+    def by_head(self) -> dict[Atom, str]:
+        """Each head to the source text of the first fact with that head,
+        for the grounder: a later duplicate is the same rule, and
+        grounding keeps the first."""
+        return dict(zip(reversed(self.atoms), reversed(self.sources)))
+
+    def rules(self) -> tuple[Rule, ...]:
+        """Every rule in program order, a :class:`Rule` built for each
+        fact."""
+        facts = list(map(tuple.__new__, repeat(Rule),
+                         zip(self.atoms, repeat(()), repeat(()), repeat(()))))
+        deque(map(setattr, facts, repeat("source_text"), self.sources), 0)
+        out: list[Rule] = []
+        rest = iter(facts)
+        for i, r in self.others:
+            if i > len(out):
+                out += islice(rest, i - len(out))
+            out.append(r)
+        out += rest
+        return tuple(out)
 
 
-@dataclass(frozen=True)
 class Program:
-    rules: tuple[Rule, ...]
+    """A tuple of rules, compared and hashed as its rules. A program read
+    by ``parse_program`` holds its ground facts as the columns of its
+    :attr:`filed_facts`, and its ``rules`` are built from them, whole,
+    the first time they are read."""
+
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        self.__dict__["rules"] = rules
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return self.filed_facts.rules()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.rules,))
+
+    def __repr__(self) -> str:
+        return "Program(rules=%r)" % (self.rules,)
 
     @property
     def is_ground(self) -> bool:
@@ -274,13 +329,12 @@ class Program:
 
     @cached_property
     def filed_facts(self) -> FiledFacts:
-        """The ground facts, filed by source text and by head, and the
-        positions of the other rules. ``parse_program`` files each rule
-        as it reads it; this walk files them the same way for a program
-        built any other way."""
+        """The ground facts as columns, and the other rules with their
+        positions. ``parse_program`` files each rule as it reads it; this
+        walk files them the same way for a program built any other way."""
         filed = FiledFacts()
-        for i, r in enumerate(self.rules):
-            filed.file(i, r)
+        for r in self.rules:
+            filed.file(r)
         return filed
 
     @cached_property

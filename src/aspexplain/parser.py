@@ -7,36 +7,39 @@ starts a line comment. Integer intervals ``1..n`` are accepted in facts
 only and desugared into one fact per value, at most
 :data:`MAX_INTERVAL_FACTS` per fact and per program.
 
-There are two readers. One regular-expression match reads a fact or
-a rule of atoms: a head atom, then optionally ``:-`` and a body of
-atoms and ``not`` atoms, then the period, after any whitespace and
-whole-line comments. One ``split`` around the atoms reads an answer set
-(below). Everything else goes to the token grammar, a recursive descent
-over tokens: a query atom; a constraint, a statement with a cardinality
-body, an interval or a comment inside, or of more than 10,000
-characters, that statement alone; an answer set with an ``Answer: N``
-line, a variable or a comment, or an atom the split cannot read, whole.
-Every message, line and column of a refused program is the one the
-token grammar gives on the whole text: a statement it refuses raises
-the first lexical error of the rest of the text, if there is one, and
-its own error otherwise.
+There are three readers. One ``split`` reads every fact line of a
+program of 2,048 characters or more: a line that holds one ground fact
+of at most :data:`_MAX_LINE_ARGS` arguments and, after its period, only
+whitespace and a comment, in at most 10,000 characters; it builds those
+facts column by column, with no Python step per fact. The text between
+fact lines, and a shorter program whole, goes to one regular-expression
+match per statement, which reads a
+fact or a rule of atoms: a head atom, then optionally ``:-`` and a body
+of atoms and ``not`` atoms, then the period, after any whitespace and
+whole-line comments. A statement that runs on into the next fact line
+takes that line with it. One ``split`` around the atoms reads an answer
+set (below). Everything else goes to the token grammar, a recursive
+descent over tokens: a query atom; a constraint, a statement with a
+cardinality body, an interval or a comment inside, or of more than
+10,000 characters, that statement alone; an answer set with an
+``Answer: N`` line, a variable or a comment, or an atom the split
+cannot read, whole. Every message, line and column of a refused program
+is the one the token grammar gives on the whole text: a statement it
+refuses raises the first lexical error of the rest of the text, if
+there is one, and its own error otherwise.
 
-A fact the match reads is built inline as its atom and its rule, two
-tuples; its first two arguments are groups of the match, so only a
-third and further ones are read again. Terms are interned once per
-text, and the program is given the interned terms as its
-:attr:`Program._terms`: every term interned is in a rule, as a
-:class:`ParseError` leaves no program, so the program's variables and
-constants take no pass over its atoms.
+Terms are interned once per text, and the program is given the
+interned terms as its :attr:`Program._terms`: every term interned is in
+a rule, as a :class:`ParseError` leaves no program, so the program's
+variables and constants take no pass over its atoms.
 
-Each rule, whichever reader read it, is filed once as it is built in
-the program's :attr:`Program.filed_facts`: a ground fact by source text
-for the answer-set reader and by head for the grounder, which then take
-the facts as they are instead of walking every rule again; every other
-rule, a fact whose head holds a variable among them, by its position.
-The interned terms record each variable as it is first read, so a fact
-read by the match is tested against the variables read so far, and
-only once the text has shown one.
+Each statement, whichever reader read it, is filed once, in program
+order, in the program's :attr:`Program.filed_facts`: a ground fact as
+its head and source text in two columns, for the answer-set reader and
+the grounder, which then take the facts as they are instead of walking
+every rule again; every other rule, a fact whose head holds a variable
+among them, with its position. No rule is built for a fact:
+``Program.rules`` is built from the columns the first time it is read.
 
 An answer set is read against the facts of its program:
 :attr:`FiledFacts.heads` maps the source text of each ground fact to
@@ -51,9 +54,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import warnings
-from dataclasses import dataclass, field
+from collections import deque
+from itertools import chain, compress, count, repeat
 from typing import Callable, Iterator, Optional
 
 from .model import (
@@ -165,8 +170,7 @@ def _literal(g: str = "?:") -> str:
     return r"({g}not\s+|(?!not(?![A-Za-z0-9_]))){a}".format(g=g, a=_atom(_TERM, g))
 
 
-# Groups: source text, head name, first head argument, second head
-# argument, the text of the further head arguments, body. The period
+# Groups: source text, head name, head argument text, body. The period
 # must be followed by a character other than a period, which the token
 # grammar would read with it as "..": at the end of the text, or of the
 # characters a match is given, the statement goes to the token grammar.
@@ -174,14 +178,42 @@ def _literal(g: str = "?:") -> str:
 # of each list it reads, so it is given at most _MAX_STATEMENT
 # characters; a longer statement, with the whitespace and comments
 # before it, is read by the token grammar.
-_HEAD = r"([a-z_][A-Za-z0-9_]*)(?:\s*\(\s*({t})(?:\s*,\s*({t})(?:\s*,\s*({a}))?)?\s*\))?".format(
-    t=_TERM, a=_list(_TERM, ",")
-)
 _STATEMENT_RE = re.compile(r"{s}({h}(?:\s*:-\s*({b}))?)\s*\.(?=[^.])".format(
-    s=_SKIP, h=_HEAD, b=_list(_literal(), ",")
+    s=_SKIP, h=_atom(_TERM, ""), b=_list(_literal(), ",")
 ))
 _MAX_STATEMENT = 10_000
 _END_RE = re.compile(_SKIP + r"\Z")
+# The line reader: a line that holds one ground fact of at most
+# _MAX_LINE_ARGS arguments, and after its period only whitespace and a
+# comment, in at most _MAX_STATEMENT characters. A match starts at the
+# line break before the line, which a search finds by one scan for the
+# character, so a line is never read from inside it; the first line of a
+# text goes to the statement match. It holds no unbounded list, and no
+# word character may follow the predicate name, so a failed line costs
+# time linear in its length. Groups: the whitespace before the fact, its
+# source text, its predicate name, each argument (None past the last),
+# and the rest of the line.
+_MAX_LINE_ARGS = 10
+_LINE_WS = r"[^\S\n]*"
+_LINE_ARG = r'{w}("[^"\n]*"|-?\d+|[a-z_][A-Za-z0-9_]*)'.format(w=_LINE_WS)
+_FACT_LINE_RE = re.compile(
+    r"\n(?![^\n]{{{n}}})({w})(([a-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_])"
+    r"(?:{w}\({a}{more}{w}\))?)({w}\.{w}(?:%[^\n]*)?)$".format(
+        n=_MAX_STATEMENT + 1, w=_LINE_WS, a=_LINE_ARG,
+        more="(?:{w},{a}".format(w=_LINE_WS, a=_LINE_ARG) * (_MAX_LINE_ARGS - 1)
+        + ")?" * (_MAX_LINE_ARGS - 1),
+    ),
+    re.M,
+)
+# A split of a text holds, per fact line, the text before it and each
+# group. The text is split in slices of whole lines of about _SLICE
+# characters, so the split holds one slice of group strings at a time.
+# A slice shorter than _MIN_SPLIT characters, a program of a few dozen
+# lines, is read by the statement match alone: there the split costs
+# more than the facts it reads save.
+_PER_LINE = _FACT_LINE_RE.groups + 1
+_SLICE = 1 << 20
+_MIN_SPLIT = 2048
 _LITERAL_RE = re.compile(_literal(""))
 _GROUND_ATOM_RE = re.compile(_atom(_GROUND_TERM, ""))
 
@@ -191,14 +223,16 @@ _TERM_KINDS = frozenset(("IDENT", "STRING", "VAR", "NUMBER"))
 
 class _Terms(dict):
     """Interned terms by name: each name gets one :class:`Term`, and
-    each variable among them is also in ``variables``."""
+    each variable among them is also in ``variables``. None, the
+    argument a fact line has not, is None."""
 
     def __init__(self) -> None:
-        super().__init__()
+        super().__init__({None: None})
         self.variables: set[Term] = set()
 
     def __missing__(self, name: str) -> Term:
-        t = self[name] = Term(name)
+        # Term(name), built without its check: no token is empty.
+        t = self[name] = str.__new__(Term, name)
         if name[0].isupper():  # Term.is_variable, inlined
             self.variables.add(t)
         return t
@@ -223,63 +257,104 @@ def _rule_of(source: str, head: Atom, body: str,
 
 
 def _read_program(text: str) -> Program:
-    """Read ``text`` a statement per match of :data:`_STATEMENT_RE`,
-    sending each statement it cannot read, alone, to the token grammar,
-    which raises :class:`ParseError` on a refused one. The head
-    arguments are the match's groups; only a third and further ones are
-    read again. A fact is built here as the two tuples it is and filed
-    in the program's :class:`FiledFacts`, among the other rules if its
-    head holds a variable interned so far; a rule with a body is built
-    by :func:`_rule_of`."""
-    terms = _Terms()
-    intern, variables = terms.__getitem__, terms.variables
-    findall = _TERM_RE.findall
-    new = tuple.__new__
-    plain = _Parser(text, terms)
+    """Read ``text`` a slice of whole lines at a time, by
+    :func:`_read_lines`, and give the program the interned terms and the
+    filed facts; its rules are built from them when first read."""
+    plain = _Parser(text)
     filed = FiledFacts()
-    heads, file_head, others = filed.heads, filed.by_head.setdefault, filed.others
-    rules: list[Rule] = []
-    append = rules.append
-    pos = 0
-    while True:
+    predicates: dict[str, str] = {}
+    pos = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _SLICE) + 1 or len(text)
+        pos = _read_lines(plain, start, stop, pos, filed, predicates)
+        start = stop
+    P = object.__new__(Program)
+    # Each term interned here is in a rule: every statement read ended in
+    # rules holding each term read from it, since one that raises
+    # ParseError leaves no program, and a fact line a statement takes is
+    # an atom of that statement.
+    P.__dict__.update(_terms=frozenset(filter(None, plain.terms.values())), filed_facts=filed)
+    filed.heads  # built now: the answer-set reader takes it next
+    return P
+
+
+def _read_lines(plain: "_Parser", start: int, stop: int, pos: int,
+                filed: FiledFacts, predicates: dict[str, str]) -> int:
+    """Read the lines from ``start`` to ``stop`` of the text, whose
+    statements are read up to ``pos``, and return how far its statements
+    are read now. Every fact line is read by one ``split`` of
+    :data:`_FACT_LINE_RE`, and its fact built column by column and filed
+    as columns, with each predicate name held once in ``predicates``.
+    The text between fact lines is read by :func:`_match_statements`,
+    and on the whole text, where it cannot, by the token grammar. A
+    statement that runs on into the next fact line takes that line with
+    it, as the line is then no statement of its own."""
+    lines = plain.text[start:stop]
+    parts = _FACT_LINE_RE.split(lines) if len(lines) >= _MIN_SPLIT else [lines]
+    n = _PER_LINE
+    gaps, leads, sources, names = parts[::n], parts[1::n], parts[2::n], parts[3::n]
+    tails = parts[n - 1::n]
+    columns = []  # one per argument position a fact fills
+    while len(columns) < _MAX_LINE_ARGS and any(parts[4 + len(columns)::n]):
+        columns.append(parts[4 + len(columns)::n])
+    # A row of terms per fact; None, a position a fact does not fill, is
+    # interned as None and taken out of the rows that hold it.
+    intern = plain.terms.__getitem__
+    args = list(zip(*map(map, repeat(intern), columns))) if columns else [()] * len(names)
+    if columns and None in columns[-1]:
+        short = list(compress(count(), map(operator.is_, columns[-1], repeat(None))))
+        rows = map(tuple, map(filter, repeat(None), map(args.__getitem__, short)))
+        deque(map(args.__setitem__, short, rows), 0)
+    atoms = list(map(tuple.__new__, repeat(Atom),
+                     zip(map(predicates.setdefault, names, names), args)))
+    done = at = 0  # fact lines filed; a gap whose offset is ``offset``
+    offset = start
+    for j in chain((0,), compress(count(1), map(str.strip, gaps[1:]))):
+        filed.add_facts(atoms[done:j], sources[done:j])
+        done = j
+        # The gap and the line break after it, which the split matched
+        # with fact line j. The first gap may go on with a statement of
+        # the slice before.
+        gap = gaps[j] + "\n"
+        read = 0 if j == 0 and pos > start else _match_statements(gap, 0, len(gap), filed, intern)
+        if read < len(gap):  # the token grammar reads on, in the whole text
+            pieces = chain(gaps[at:j], leads[at:j], sources[at:j], tails[at:j])
+            offset += j - at + sum(map(len, pieces))  # a line break per fact line
+            at = j
+            end = offset + len(gaps[j])  # where fact line j starts
+            pos = max(pos, offset + read)
+            while pos < end:
+                pos = _match_statements(plain.text, pos, end, filed, intern)
+                if pos < end:
+                    pos = plain.statement(pos, filed)
+            if pos > end:
+                done = j + 1
+    filed.add_facts(atoms[done:], sources[done:])
+    return pos
+
+
+def _match_statements(text: str, pos: int, end: int, filed: FiledFacts,
+                      intern: Callable[[str], Term]) -> int:
+    """File the statements from ``pos`` that :data:`_STATEMENT_RE` reads,
+    one match each, until only whitespace and comments are left before
+    ``end`` or a statement it cannot read; return ``end``, or where that
+    statement starts, or how far the last match read if it ran on past
+    ``end``."""
+    file = filed.file
+    while pos < end:
         m = _STATEMENT_RE.match(text, pos, pos + _MAX_STATEMENT)
-        if m is not None:
-            source, name, first, second, more, body = m.groups()
-            if second is None:
-                args = () if first is None else (intern(first),)
-            elif more is None:
-                args = (intern(first), intern(second))
-            else:
-                args = (intern(first), intern(second), *map(intern, findall(more)))
-            head = new(Atom, (name, args))
-            if body is None:  # a fact
-                rule = new(Rule, (head, (), (), ()))
-                rule.source_text = source
-                # FiledFacts.file for a fact, inlined: the call adds
-                # 2-18 % to parse_program on a knowledge base.
-                if variables and not variables.isdisjoint(args):
-                    others.append(len(rules))
-                else:
-                    heads[source] = head
-                    file_head(head, (len(rules), rule))
-            else:
-                rule = _rule_of(source, head, body, intern)
-                filed.file(len(rules), rule)
-            append(rule)
-            pos = m.end()
-            continue
-        if _END_RE.match(text, pos):
-            P = Program(tuple(rules))
-            # Each term interned here is in a rule: every statement read
-            # ended in rules holding each term read from it, since one
-            # that raises ParseError leaves no program.
-            P.__dict__["_terms"] = frozenset(terms.values())
-            P.__dict__["filed_facts"] = filed
-            return P
-        start = len(rules)
-        pos = plain.statement(pos, rules)
-        for i in range(start, len(rules)):
-            filed.file(i, rules[i])
+        if m is None:
+            return end if _END_RE.match(text, pos, end) else pos
+        source, name, args, body = m.groups()
+        # _atom_of, inlined: the call adds about a tenth to a statement.
+        args = tuple(map(intern, _TERM_RE.findall(args))) if args else ()
+        head = tuple.__new__(Atom, (name, args))
+        if body is None:
+            file(Rule(head, source_text=source))
+        else:
+            file(_rule_of(source, head, body, intern))
+        pos = m.end()
+    return pos
 
 
 class _Parser:
@@ -287,9 +362,9 @@ class _Parser:
     recognised by their value alone, which no other kind of token can
     have. Terms are interned per text."""
 
-    def __init__(self, text: str, terms: Optional[_Terms] = None):
+    def __init__(self, text: str):
         self.text = text
-        self.terms = _Terms() if terms is None else terms
+        self.terms = _Terms()
         self.expanded = 0  # facts from the interval facts read so far
         self.tokens: list[Token] = []
         self.i = 0
@@ -434,8 +509,8 @@ class _Parser:
                 head, tuple(body_pos), tuple(body_neg), tuple(body_card), source
             )
 
-    def statement(self, pos: int, rules: list[Rule]) -> int:
-        """Read the statement at ``pos`` into ``rules``; return the offset
+    def statement(self, pos: int, filed: FiledFacts) -> int:
+        """File the rules of the statement at ``pos``; return the offset
         just past its period. A statement refused for its grammar, not
         for a character, raises the first lexical error of the rest of
         the text instead, if there is one, as reading the whole text
@@ -443,7 +518,8 @@ class _Parser:
         self.read(pos, one_statement=True)
         end = self.tokens[-1][2]
         try:
-            rules.extend(self.parse_rules())
+            for r in self.parse_rules():
+                filed.file(r)
         except ParseError:
             for m in _TOKEN_RE.finditer(self.text, end):
                 if m.lastgroup == "BAD":
@@ -543,12 +619,19 @@ def parse_answer_set(text: str, program: Optional[Program] = None) -> AnswerSet:
     return _Parser(text).answer_set() if atoms is None else atoms
 
 
-@dataclass(frozen=True)
 class LookupTable:
     """Natural-language templates per predicate name and arity, with
-    ``$1..$n`` standing for the argument positions."""
+    ``$1..$n`` standing for the argument positions; tables compare by
+    their templates. A plain class: building a dataclass costs every
+    command about 0.7 ms at import."""
 
-    templates: dict[tuple[str, int], str] = field(default_factory=dict)
+    def __init__(self, templates: Optional[dict[tuple[str, int], str]] = None) -> None:
+        self.templates = {} if templates is None else templates
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.templates == other.templates
 
     def get(self, predicate: str, arity: int) -> Optional[str]:
         return self.templates.get((predicate, arity))
