@@ -283,65 +283,67 @@ def explanation_to_justification(
     P: Program, X: AtomSet, p: Atom, T: VertexLabeledTree
 ) -> EGraph:
     """Build the justification of ``p`` in the reduct of ``P`` encoded
-    by an explanation tree: atoms with a fact child point to ⊤, other
-    atoms point to the atoms below their rule. In an :class:`Explanation`
-    each rule vertex stands for itself and for its head's atom vertex
-    above it. Vertex labels must be unique for the reading to be
-    unambiguous."""
+    by an explanation tree, read as one map from each atom to the rule
+    it heads. In an :class:`Explanation` each rule vertex maps its head
+    to itself; in a plain tree each atom vertex maps its atom to its one
+    rule child, which must have that atom as head. The root's atom must
+    be ``p``, the atoms below each rule must be its positive body atoms,
+    and an atom met again must head the same rule.
+
+    Each mapped atom points to ⊤ if its rule has no positive body and
+    it is a fact of the reduct, and to each positive body atom of its
+    rule otherwise, once however often the body writes it. No positive
+    cycle arises: each atom keeps one rule and the atoms below a rule
+    are its body, so a cycle would run down the finite tree forever."""
     if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     if T.is_empty:
         raise ValueError("empty explanation tree")
     explanation = isinstance(T, Explanation)
-    if explanation:
-        seen_labels, stack = [], [T.root]
-        while stack:  # each vertex, then its children from the last
-            rule = T.labels[v := stack.pop()]
-            if not isinstance(rule, Rule) or rule.is_constraint:
-                raise ValueError("explanation vertex %s is not a rule with a head"
-                                 % rule.text)
-            seen_labels += [("Atom", rule.head.text), ("Rule", rule.text)]
-            stack.extend(T.child_ids(v))
-    else:
-        seen_labels = [
-            (type(T.labels[v]).__name__, T.labels[v].text) for v in T.preorder()
-        ]
-    if len(seen_labels) != len(set(seen_labels)):
-        raise ValueError("labels not unique")
+
+    def atom_of(v: int) -> Atom:
+        """The atom of vertex ``v``: its label, or in an explanation its head."""
+        lbl = T.labels[v]
+        if explanation and (not isinstance(lbl, Rule) or lbl.is_constraint):
+            raise ValueError("explanation vertex %s is not a rule with a head"
+                             % lbl.text)
+        if not explanation and not isinstance(lbl, Atom):
+            raise ValueError("rule vertex %s where an atom vertex belongs" % lbl.text)
+        return lbl.head if explanation else lbl
+
+    if (root := atom_of(T.root)) != p:
+        raise ValueError("explanation of %s, not of the queried atom %s"
+                         % (root.text, p.text))
+    rule_of: dict[Atom, Rule] = {}
+    stack = [(T.root, root)]
+    while stack:
+        v, atom = stack.pop()
+        rule, below = T.labels[v], T.child_ids(v)
+        if not explanation:
+            if len(below) != 1:
+                raise ValueError("atom vertex %s does not have exactly one child"
+                                 % atom.text)
+            rule, below = T.labels[below[0]], T.child_ids(below[0])
+            if not isinstance(rule, Rule):
+                raise ValueError("child of an atom vertex must be a rule vertex")
+            if rule.head != atom:
+                raise ValueError("atom vertex %s has the rule child %s of another "
+                                 "head" % (atom.text, rule.text))
+        if rule_of.setdefault(atom, rule) != rule:
+            raise ValueError("atom %s heads two rules" % atom.text)
+        below = [(c, atom_of(c)) for c in below]
+        if {a for _, a in below} != set(rule.body_pos):
+            raise ValueError("the atoms below rule %s are not its positive body"
+                             % rule.text)
+        stack += below
     if not P.is_ground:
         raise ValueError("non-ground program")
-    # The facts of the reduct P^X.
-    fact_heads = frozenset(
-        r.head for r in P.rules
-        if not r.body_pos and not r.body_card and X.isdisjoint(r.body_neg)
-    )
-    nodes: set[Node] = set()
-    edges: set[Edge] = set()
-    queue = deque([T.root])
-    while queue:
-        v = queue.popleft()
-        lbl = T.labels[v]
-        if explanation:
-            lbl, kids = lbl.head, (v,)
-        elif not isinstance(lbl, Atom):
-            raise ValueError("rule vertex %s where an atom vertex belongs" % lbl.text)
-        else:
-            kids = T.child_ids(v)
-        src = AnnotatedAtom(lbl, "+")
-        nodes.add(src)
-        if len(kids) != 1:
-            raise ValueError(
-                "atom vertex %s does not have exactly one child" % lbl.text
-            )
-        (rv,) = kids
-        rule = T.labels[rv]
-        if not isinstance(rule, Rule):
-            raise ValueError("child of an atom vertex must be a rule vertex")
-        if not rule.body_pos and rule.head in fact_heads:
-            edges.add((src, TOP, "+"))
-        for v2 in T.child_ids(rv):
-            a2 = T.labels[v2]
-            edges.add((src, AnnotatedAtom(a2.head if explanation else a2, "+"), "+"))
-            queue.append(v2)
-    nodes.add(TOP)
-    return EGraph(frozenset(nodes), frozenset(edges))
+    # The atoms whose rule has no positive body point to ⊤ if they are
+    # facts of the reduct P^X.
+    node = {a: AnnotatedAtom(a, "+") for a in rule_of}
+    bare = {a for a, r in rule_of.items() if not r.body_pos}
+    edges = {(node[r.head], TOP, "+") for r in P.rules if r.head in bare
+             and not r.body_pos and not r.body_card and X.isdisjoint(r.body_neg)}
+    edges.update((node[a], node[b], "+")
+                 for a, r in rule_of.items() for b in r.body_pos)
+    return EGraph(frozenset([*node.values(), TOP]), frozenset(edges))

@@ -16,7 +16,9 @@ and ``-k 5``, in text and json.
 
 Then the error paths: ``verify`` and ``explain --verify`` on the set of
 ``example41`` with a foreign atom added and with an atom dropped,
-``convert`` with the two JSON fixtures swapped, ``explain`` in nl with a
+``convert`` with the two JSON fixtures swapped, ``exp2jst`` under
+``threerule`` on the tree of ``a`` queried for ``b`` and on a tree with
+the fact ``c.`` under the atom ``a``, ``explain`` in nl with a
 look-up table that repeats an entry, a small program that only the
 token grammar reads, with an interval fact, a cardinality body and
 comments inside statements, and a program of plain constraints and
@@ -107,6 +109,17 @@ REFUSED = {
     "double-period.lp": "a.. b.\n",
     "dollar-in-string.lp": 'a :- .\nb("$").\n% $\n',
 }
+# A tree with the fact c. under the atom a, which c. does not head.
+WRONG_HEAD = """{
+  "kind": "tree",
+  "root": 0,
+  "vertices": [
+    {"id": 0, "label_kind": "atom", "label_text": "a"},
+    {"id": 1, "label_kind": "rule", "label_text": "c"}
+  ],
+  "edges": [{"from": 0, "to": 1}]
+}
+"""
 # Explained in kdiff mode with -k 1 and -k 5: program and atom.
 KDIFF = (("example41", "a"), ("k5", "p4"))
 
@@ -132,7 +145,8 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "example41-dropped.as": " ".join(texts["example41"][1].split()[:-1]) + "\n",
         "small.lp": SMALL[0], "small.as": SMALL[1],
         "plain.lp": PLAIN[0], "plain.as": PLAIN[1],
-        "local.lp": LOCAL[0], "local.as": LOCAL[1], **REFUSED,
+        "local.lp": LOCAL[0], "local.as": LOCAL[1], "wrong-head.json": WRONG_HEAD,
+        **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -191,6 +205,9 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
         yield ["explain", "example41.lp", answer_set, "a", "--verify"], None
     for direction, doc in (("jst2exp", "exp_tree.json"), ("exp2jst", "fig_jst.json")):
         yield ["convert", direction, "example41.lp", "example41.as", "a", doc], None
+    threerule = ["convert", "exp2jst", "threerule.lp", "threerule.as"]
+    yield [*threerule, "b", "exp_tree.json"], None
+    yield [*threerule, "a", "wrong-head.json"], None
     q8 = ["q8.lp", "q8.as", 'what_be_genes("CASK")', "--format", "nl"]
     yield ["explain", *q8, "--lookup", "dup.lookup"], None
     for name, (_, answer_set) in (("small", SMALL), ("plain", PLAIN)):

@@ -514,11 +514,21 @@ class TestConvert:
             else:
                 assert (code, out) == (0, want)
 
-    def test_egraph_error_independent_of_hash_seed(self):
-        """The e-graph of exp_tree.json has two atom sinks under q8; the
-        error names the smaller one whatever the set iteration order."""
+    def test_egraph_error_independent_of_hash_seed(self, tmp_path):
+        """exp_tree.json rooted at q8's start_gene("ADRB1") gives an
+        e-graph with two atom sinks, b+ and c+, as neither is a fact of
+        q8; the error names the smaller one whatever the set iteration
+        order."""
         import aspexplain as ax
 
+        tree = ax.parse_json(fixture_text("exp_tree.json"))
+        root = ax.parse_atom('start_gene("ADRB1")')
+        rule = tree.labels[1]
+        path = tmp_path / "tree.json"
+        path.write_text(ax.emit_json(ax.VertexLabeledTree(
+            0, {**tree.labels, 0: root, 1: ax.Rule(root, *rule[1:])},
+            tree.children,
+        )))
         src = str(Path(ax.__file__).parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -526,7 +536,7 @@ class TestConvert:
         )
         argv = [
             sys.executable, "-m", "aspexplain.cli", "convert", "exp2jst",
-            fx("q8.lp"), fx("q8.as"), 'start_gene("ADRB1")', fx("exp_tree.json"),
+            fx("q8.lp"), fx("q8.as"), 'start_gene("ADRB1")', str(path),
         ]
         for seed in ("0", "5"):
             env["PYTHONHASHSEED"] = seed
@@ -614,6 +624,8 @@ class TestConvert:
         assert time.perf_counter() - t0 < seconds
 
     def test_duplicate_labels_exit_code(self, tmp_path, capsys):
+        """example41's largest explanation tree of ``a`` holds the fact
+        ``c.`` twice; it converts, as each atom in it heads one rule."""
         import aspexplain as ax
 
         P = ax.parse_program((FIXTURES / "example41.lp").read_text())
@@ -621,14 +633,48 @@ class TestConvert:
         trees = [explanation_tree_of(e, e.andor)
                  for e in ax.enumerate_explanations(P, X, ax.parse_atom("a"))]
         big = max(trees, key=len)
+        rules = [big.labels[v].text for v in big.preorder() if big.is_rule_vertex(v)]
+        assert rules.count("c") == 2
         path = tmp_path / "dup.json"
         path.write_text(ax.emit_json(big))
-        code, _, err = run(
+        code, out, err = run(
             capsys, "convert", "exp2jst", fx("example41.lp"),
             fx("example41.as"), "a", str(path),
         )
-        assert code == 2
-        assert "labels not unique" in err
+        G = ax.explanation_to_justification(
+            ax.ground_program(P, X), X, ax.parse_atom("a"), big)
+        assert (code, out, err) == (0, ax.emit_json(G), "")
+
+    def test_exp2jst_refuses_an_explanation_of_another_atom(self, tmp_path, capsys):
+        """The explanation of ``a`` is no explanation of ``b``."""
+        code, out, _ = run(
+            capsys, "explain", fx("threerule.lp"), fx("threerule.as"), "a",
+            "--format", "json",
+        )
+        assert code == 0
+        path = tmp_path / "a.json"
+        path.write_text(out)
+        for doc in (str(path), fx("exp_tree.json")):
+            assert run(
+                capsys, "convert", "exp2jst", fx("threerule.lp"),
+                fx("threerule.as"), "b", doc,
+            ) == (2, "", "error: explanation of a, not of the queried atom b\n")
+
+    def test_exp2jst_refuses_a_rule_under_an_atom_it_does_not_head(
+        self, tmp_path, capsys
+    ):
+        """The fact ``c.`` under the atom ``a`` would claim that ``a`` is a
+        fact of the reduct."""
+        path = tmp_path / "wrong-head.json"
+        path.write_text(json.dumps({
+            "kind": "tree", "root": 0, "edges": [{"from": 0, "to": 1}],
+            "vertices": [{"id": 0, "label_kind": "atom", "label_text": "a"},
+                         {"id": 1, "label_kind": "rule", "label_text": "c"}],
+        }))
+        assert run(
+            capsys, "convert", "exp2jst", fx("threerule.lp"),
+            fx("threerule.as"), "a", str(path),
+        ) == (2, "", "error: atom vertex a has the rule child c of another head\n")
 
     @pytest.mark.parametrize(
         "doc",

@@ -19,7 +19,7 @@ from aspexplain.justify import (
 )
 from aspexplain.model import reduct
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
-from aspexplain.trees import VertexLabeledTree
+from aspexplain.trees import Explanation, VertexLabeledTree
 
 from conftest import (
     chain_text, explanation_tree_of, fixture_text, ladder_justification,
@@ -322,6 +322,9 @@ class TestExplanationToJustification:
             explanation_to_justification(P, X, parse_atom("a"), T)
 
     def test_duplicate_labels_rejected(self):
+        """Explanation trees of example41 that repeat a label, such as the
+        fact ``c.`` under two atom vertices, convert: each atom in them
+        heads one rule. Each gives an offline justification of ``a``."""
         P = parse_program(fixture_text("example41.lp"))
         X = parse_answer_set(fixture_text("example41.as"))
         p = parse_atom("a")
@@ -334,8 +337,63 @@ class TestExplanationToJustification:
                     for v in t.preorder()}) < len(t)
         ]
         assert dup
-        with pytest.raises(ValueError, match="labels not unique"):
-            explanation_to_justification(P, X, p, dup[0])
+        R = reduct(P, X.atoms)
+        for t in dup:
+            G = explanation_to_justification(P, X, p, t)
+            assert is_offline_justification(R, G, ann("a"), X, frozenset())
+
+    @pytest.mark.parametrize("kind", ["tree", "explanation"])
+    def test_atom_heading_two_rules_rejected(self, kind):
+        """``b`` is explained by the fact ``b.`` under ``a`` and by
+        ``b :- d`` under ``c``."""
+        P = parse_program("a :- b, c.  c :- b.  b :- d.  b.  d.")
+        X = parse_answer_set("a b c d")
+        a_rule, c_rule, bd_rule, b_fact, d_fact = P.rules
+        a, b, c, d = (parse_atom(x) for x in "abcd")
+        if kind == "tree":
+            labels = [a, a_rule, b, b_fact, c, c_rule, b, bd_rule, d, d_fact]
+            children = {0: (1,), 1: (2, 4), 2: (3,), 4: (5,), 5: (6,),
+                        6: (7,), 7: (8,), 8: (9,)}
+            T = VertexLabeledTree(0, dict(enumerate(labels)), children)
+        else:
+            labels = [a_rule, b_fact, c_rule, bd_rule, d_fact]
+            T = Explanation(0, dict(enumerate(labels)),
+                            {0: (1, 2), 2: (3,), 3: (4,)})
+        with pytest.raises(ValueError, match="^atom b heads two rules$"):
+            explanation_to_justification(P, X, a, T)
+
+    def test_root_must_be_the_queried_atom(self):
+        P = parse_program(fixture_text("threerule.lp"))
+        X = parse_answer_set(fixture_text("threerule.as"))
+        T = create_tree(P, X, parse_atom("a"))
+        with pytest.raises(ValueError, match="^explanation of a, not of the "
+                                             "queried atom b$"):
+            explanation_to_justification(P, X, parse_atom("b"), T)
+
+    def test_rule_child_of_another_head_rejected(self):
+        """The fact ``c.`` under the atom ``a`` would point ``a`` to ⊤."""
+        P = parse_program(fixture_text("threerule.lp"))
+        X = parse_answer_set(fixture_text("threerule.as"))
+        T = VertexLabeledTree(0, {0: parse_atom("a"), 1: P.rules[2]}, {0: (1,)})
+        with pytest.raises(ValueError, match="^atom vertex a has the rule "
+                                             "child c of another head$"):
+            explanation_to_justification(P, X, parse_atom("a"), T)
+
+    @pytest.mark.parametrize("size, bad", [(2, "a :- b"), (4, "b :- a")],
+                             ids=["missing", "cycle"])
+    def test_atoms_below_a_rule_are_its_positive_body(self, size, bad):
+        """A rule vertex with a body atom missing below it is refused.
+        Without that check, ``a :- b`` over ``b :- a`` with nothing below
+        the latter would read as the positive cycle a+ -> b+ -> a+."""
+        P = parse_program("a :- b.  b :- a.")
+        X = parse_answer_set("a b")
+        a, b = parse_atom("a"), parse_atom("b")
+        labels = [a, P.rules[0], b, P.rules[1]][:size]
+        children = {v: (v + 1,) for v in range(size - 1)}
+        T = VertexLabeledTree(0, dict(enumerate(labels)), children)
+        with pytest.raises(ValueError, match="^the atoms below rule %s are not "
+                                             "its positive body$" % bad):
+            explanation_to_justification(P, X, a, T)
 
     def test_round_trip(self):
         P = parse_program(fixture_text("threerule.lp"))

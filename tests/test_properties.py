@@ -22,8 +22,11 @@ from aspexplain.engine import (
     shortest_explanation,
 )
 from aspexplain.ground import GroundingIndex, ground_program, instantiate_for_head
-from aspexplain.justify import EGraph, explanation_to_justification
-from aspexplain.model import Atom, AtomSet, Program, Rule, least_model, supports
+from aspexplain.justify import (
+    AnnotatedAtom, EGraph, explanation_to_justification, is_offline_justification,
+    justification_to_explanation,
+)
+from aspexplain.model import Atom, AtomSet, Program, Rule, least_model, reduct, supports
 from aspexplain.parser import parse_answer_set, parse_program
 
 from conftest import (
@@ -201,7 +204,43 @@ def test_explanation_and_its_tree_give_one_justification(corpus):
             assert got == _justification_or_error(P, X, p, explanation_tree_of(e, e.andor))
             converted += isinstance(got, EGraph)
             failed += isinstance(got, str)
-    assert converted > 800 and failed > 10  # 834 and 14 (labels not unique)
+    assert converted > 840 and failed < 5  # 847 and 1 (atom p1 heads two rules)
+
+
+def _canonical(T, v):
+    """Criterion 10's shape with a rule's positive body and the children
+    of each vertex read as sets: a justification has one edge per
+    literal, so ``q :- p, p`` comes back as ``q :- p``."""
+    kids = tuple(sorted({_canonical(T, c) for c in T.child_ids(v)}))
+    label = T.labels[v]
+    if T.is_atom_vertex(v):
+        return ("atom", label.text, kids)
+    return ("rule", label.head.text,
+            tuple(sorted({x.text for x in label.body_pos})), kids)
+
+
+def test_explanations_round_trip_through_justifications(corpus, nonground_corpus):
+    """Every k-different explanation (k = 3) whose atoms each head one
+    rule converts to an offline justification of its atom in the reduct
+    of the ground program, with no atom assumed, and back to its own
+    tree; every other one is refused for an atom heading two rules."""
+    converted = refused = 0
+    for P, X, p in corpus + nonground_corpus:
+        G = ground_program(P, X)
+        R = reduct(G, X)
+        for e in k_different(P, X, p, 3):
+            T = explanation_tree_of(e, e.andor)
+            try:
+                J = explanation_to_justification(G, X, p, e)
+            except ValueError as exc:
+                assert str(exc).endswith(" heads two rules"), exc
+                refused += 1
+                continue
+            assert is_offline_justification(R, J, AnnotatedAtom(p, "+"), X, frozenset())
+            T2 = justification_to_explanation(X, p, J)
+            assert _canonical(T2, T2.root) == _canonical(T, T.root)
+            converted += 1
+    assert converted > 1700 and refused < 10  # 1,773 and 1
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 5, 10))
