@@ -16,7 +16,7 @@ import warnings
 from typing import NoReturn, Optional
 
 from . import engine
-from .ground import ground_program
+from .ground import GroundingIndex, ground_program
 from .model import Atom, Program, AnswerSet, verify_answer_set
 from .justify import (
     EGraph,
@@ -143,8 +143,10 @@ def cmd_convert(args) -> int:
     P, X = _load_inputs(args)
     p = _query_atom(args)
     obj = parse_json(_read(args.input))
-    # Grounded in both directions, so an ungroundable program exits 2 either way.
-    G = ground_program(P, X)
+    # Indexed in both directions, so an ungroundable program exits 2 with
+    # its first unsafe rule either way; only exp2jst grounds, and only
+    # the rules of the tree's atoms.
+    GroundingIndex(P, X)
     if args.direction == "jst2exp" and not isinstance(obj, EGraph):
         raise ParseError("expected an e-graph input", 1, 1)
     if args.direction == "exp2jst" and not isinstance(obj, VertexLabeledTree):
@@ -155,7 +157,7 @@ def cmd_convert(args) -> int:
     if args.direction == "jst2exp":
         out = justification_to_explanation(X, p, obj)
     else:
-        out = explanation_to_justification(G, X, p, obj)
+        out = explanation_to_justification(P, X, p, obj)
     sys.stdout.write({"dot": emit_dot, "json": emit_json}[args.format](out))
     return EXIT_OK
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
-from .ground import GroundingIndex, instantiate_for_head
-from .model import Atom, Program, Rule, AtomSet, supports
+from .ground import GroundingIndex
+from .model import Atom, Program, Rule, AtomSet
 from .trees import EMPTY_TREE, Explanation, FrozenIdMap, IdMap, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
@@ -31,9 +31,12 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
     The supporting rules of an atom are instantiated when its first
-    vertex opens, through a :class:`~aspexplain.ground.GroundingIndex`
-    built for this call: it files the rules of ``P`` up front, and
-    groups ``X`` by predicate only if a non-ground rule is joined.
+    vertex opens, by :meth:`~aspexplain.ground.GroundingIndex.supporting`
+    of an index built for this call, the one definition of a supporting
+    rule, which :func:`~aspexplain.justify.explanation_to_justification`
+    checks trees against too. The index files the rules of ``P`` up
+    front, and groups ``X`` by predicate only if a non-ground rule is
+    joined.
 
     The subtree under an atom vertex depends only on the atom and the
     set of its ancestor atoms, so it is built once per such state: a
@@ -136,10 +139,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
                 size += 1
                 if isinstance(todo, Atom):
                     if todo not in candidates:
-                        candidates[todo] = [
-                            r for r in instantiate_for_head(index, todo)
-                            if supports(r, todo, X, frozenset())
-                        ]
+                        candidates[todo] = index.supporting(todo)
                         for r in candidates[todo]:
                             for a in r.body_pos:
                                 (shared if a in once else once).add(a)

@@ -37,6 +37,7 @@ from .model import (
     Rule,
     Term,
     AtomSet,
+    supports,
 )
 
 
@@ -138,9 +139,14 @@ def _match_atom(pattern: Atom, ground: Atom, subst: Subst) -> Optional[Subst]:
 
 class GroundingIndex:
     """The rules of ``P`` by head, joined against the atoms of ``X`` by
-    :func:`ground_program` and :func:`instantiate_for_head`. Raises
-    :class:`GroundingError` for the first rule, in program order, that
-    is unsafe or has variables in a program without constants.
+    :func:`ground_program` and :func:`instantiate_for_head`; of the
+    instances for one head atom, :meth:`supporting` keeps those that
+    support it in ``X``, which is how
+    :func:`~aspexplain.engine.create_tree` and
+    :func:`~aspexplain.justify.explanation_to_justification` read a
+    program, one atom at a time. Raises :class:`GroundingError` for the
+    first rule, in program order, that is unsafe or has variables in a
+    program without constants.
 
     Only the rules are filed up front, from
     :attr:`FiledFacts.others <aspexplain.model.FiledFacts>`, in program
@@ -188,6 +194,13 @@ class GroundingIndex:
         # positions) -> values at those positions -> atoms.
         self._relations: dict[tuple[str, int], list[Atom]] = {}
         self._tables: dict[tuple, dict[object, list[Atom]]] = {}
+
+    def supporting(self, p: Atom) -> list[Rule]:
+        """The rules that support ``p`` in ``X``: the instances of
+        :func:`instantiate_for_head` that :func:`~aspexplain.model.supports`
+        accepts, in its order."""
+        return [r for r in instantiate_for_head(self, p)
+                if supports(r, p, self.X, frozenset())]
 
     def spend(self, n: int) -> None:
         """Take ``n`` instances from the budget of the current call."""

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import engine
+from .ground import GroundingIndex
 from .model import Atom, Program, Rule, AtomSet
 from .trees import Explanation, Label, VertexLabeledTree
 
@@ -284,17 +285,23 @@ def explanation_to_justification(
 ) -> EGraph:
     """Build the justification of ``p`` in the reduct of ``P`` encoded
     by an explanation tree, read as one map from each atom to the rule
-    it heads. In an :class:`Explanation` each rule vertex maps its head
-    to itself; in a plain tree each atom vertex maps its atom to its one
-    rule child, which must have that atom as head. The root's atom must
-    be ``p``, the atoms below each rule must be its positive body atoms,
-    and an atom met again must head the same rule.
+    it heads. ``P`` is the program as read, ground or not. In an
+    :class:`Explanation` each rule vertex maps its head to itself; in a
+    plain tree each atom vertex maps its atom to its one rule child. The
+    root's atom must be ``p``, the atoms below each rule must be its
+    positive body atoms, and an atom met again must head the same rule.
+    Each mapped atom's rule must then be among the rules that support it
+    in ``X``, as :meth:`GroundingIndex.supporting
+    <aspexplain.ground.GroundingIndex.supporting>` finds them for
+    :func:`~aspexplain.engine.create_tree`; only those atoms' rules are
+    grounded, and a grounding cap they reach raises.
 
-    Each mapped atom points to ⊤ if its rule has no positive body and
-    it is a fact of the reduct, and to each positive body atom of its
-    rule otherwise, once however often the body writes it. No positive
-    cycle arises: each atom keeps one rule and the atoms below a rule
-    are its body, so a cycle would run down the finite tree forever."""
+    Each mapped atom points to ⊤ if its rule has neither a positive nor
+    a cardinality body, which makes a supporting rule a fact of the
+    reduct, and to each positive body atom of its rule otherwise, once
+    however often the body writes it. No positive cycle arises: each
+    atom keeps one rule and the atoms below a rule are its body, so a
+    cycle would run down the finite tree forever."""
     if p not in X:
         raise ValueError("atom not in answer set: %s" % p.text)
     if T.is_empty:
@@ -326,9 +333,6 @@ def explanation_to_justification(
             rule, below = T.labels[below[0]], T.child_ids(below[0])
             if not isinstance(rule, Rule):
                 raise ValueError("child of an atom vertex must be a rule vertex")
-            if rule.head != atom:
-                raise ValueError("atom vertex %s has the rule child %s of another "
-                                 "head" % (atom.text, rule.text))
         if rule_of.setdefault(atom, rule) != rule:
             raise ValueError("atom %s heads two rules" % atom.text)
         below = [(c, atom_of(c)) for c in below]
@@ -336,14 +340,13 @@ def explanation_to_justification(
             raise ValueError("the atoms below rule %s are not its positive body"
                              % rule.text)
         stack += below
-    if not P.is_ground:
-        raise ValueError("non-ground program")
-    # The atoms whose rule has no positive body point to ⊤ if they are
-    # facts of the reduct P^X.
+    index = GroundingIndex(P, X)
     node = {a: AnnotatedAtom(a, "+") for a in rule_of}
-    bare = {a for a, r in rule_of.items() if not r.body_pos}
-    edges = {(node[r.head], TOP, "+") for r in P.rules if r.head in bare
-             and not r.body_pos and not r.body_card and X.isdisjoint(r.body_neg)}
-    edges.update((node[a], node[b], "+")
-                 for a, r in rule_of.items() for b in r.body_pos)
+    edges = set()
+    for a, r in rule_of.items():
+        if r not in index.supporting(a):
+            raise ValueError("rule %s does not support %s" % (r.text, a.text))
+        if not r.body_pos and not r.body_card:
+            edges.add((node[a], TOP, "+"))
+        edges.update((node[a], node[b], "+") for b in r.body_pos)
     return EGraph(frozenset([*node.values(), TOP]), frozenset(edges))

@@ -579,18 +579,13 @@ def _read_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
     ``split`` around atoms, and each break must fall between two atoms,
     so no atom reaches across tokens. A text with ``%`` is left to the
     token grammar: a fact's source text may end in a comment, which the
-    same token would start in an answer set. A text that fails and holds
-    ``Answer:`` is read once more with its header lines blanked, as the
-    token grammar reads it."""
+    same token would start in an answer set. A text that holds
+    ``Answer:`` is read with its header lines blanked, as the token
+    grammar reads it; a header line never reads as atoms."""
     if "%" in text:
         return None
-    atoms = _split_by_facts(text, heads)
-    if atoms is None and "Answer:" in text:
-        atoms = _split_by_facts(_blank_headers(text), heads)
-    return atoms
-
-
-def _split_by_facts(text: str, heads: dict[str, Atom]) -> Optional[AnswerSet]:
+    if "Answer:" in text:
+        text = _blank_headers(text)
     tokens = text.split()
     misses = list(itertools.filterfalse(heads.__contains__, tokens))
     # [text before the first atom, name, arguments, text before the next

@@ -17,8 +17,9 @@ and ``-k 5``, in text and json.
 Then the error paths: ``verify`` and ``explain --verify`` on the set of
 ``example41`` with a foreign atom added and with an atom dropped,
 ``convert`` with the two JSON fixtures swapped, ``exp2jst`` under
-``threerule`` on the tree of ``a`` queried for ``b`` and on a tree with
-the fact ``c.`` under the atom ``a``, ``explain`` in nl with a
+``threerule`` on the tree of ``a`` queried for ``b``, on a tree with
+the fact ``c.`` under the atom ``a`` and on a tree with ``a :- c``, no
+rule of ``threerule``, under ``a``, ``explain`` in nl with a
 look-up table that repeats an entry, a small program that only the
 token grammar reads, with an interval fact, a cardinality body and
 comments inside statements, and a program of plain constraints and
@@ -120,6 +121,20 @@ WRONG_HEAD = """{
   "edges": [{"from": 0, "to": 1}]
 }
 """
+# A tree whose rule for a, a :- c, is no rule of threerule: a -> a :- c
+# -> c -> c.
+UNSUPPORTED = """{
+  "kind": "tree",
+  "root": 0,
+  "vertices": [
+    {"id": 0, "label_kind": "atom", "label_text": "a"},
+    {"id": 1, "label_kind": "rule", "label_text": "a :- c"},
+    {"id": 2, "label_kind": "atom", "label_text": "c"},
+    {"id": 3, "label_kind": "rule", "label_text": "c"}
+  ],
+  "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 2}, {"from": 2, "to": 3}]
+}
+"""
 # Explained in kdiff mode with -k 1 and -k 5: program and atom.
 KDIFF = (("example41", "a"), ("k5", "p4"))
 
@@ -146,7 +161,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "small.lp": SMALL[0], "small.as": SMALL[1],
         "plain.lp": PLAIN[0], "plain.as": PLAIN[1],
         "local.lp": LOCAL[0], "local.as": LOCAL[1], "wrong-head.json": WRONG_HEAD,
-        **REFUSED,
+        "unsupported.json": UNSUPPORTED, **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -208,6 +223,7 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
     threerule = ["convert", "exp2jst", "threerule.lp", "threerule.as"]
     yield [*threerule, "b", "exp_tree.json"], None
     yield [*threerule, "a", "wrong-head.json"], None
+    yield [*threerule, "a", "unsupported.json"], None
     q8 = ["q8.lp", "q8.as", 'what_be_genes("CASK")', "--format", "nl"]
     yield ["explain", *q8, "--lookup", "dup.lookup"], None
     for name, (_, answer_set) in (("small", SMALL), ("plain", PLAIN)):

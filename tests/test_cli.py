@@ -25,6 +25,17 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def path_tree_json(*texts: str) -> str:
+    """The JSON of an explanation tree that is one path, alternating an
+    atom vertex and a rule vertex, labeled ``texts`` from the root."""
+    return json.dumps({
+        "kind": "tree", "root": 0,
+        "edges": [{"from": v, "to": v + 1} for v in range(len(texts) - 1)],
+        "vertices": [{"id": v, "label_kind": ("atom", "rule")[v % 2],
+                      "label_text": t} for v, t in enumerate(texts)],
+    })
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -514,21 +525,19 @@ class TestConvert:
             else:
                 assert (code, out) == (0, want)
 
-    def test_egraph_error_independent_of_hash_seed(self, tmp_path):
-        """exp_tree.json rooted at q8's start_gene("ADRB1") gives an
-        e-graph with two atom sinks, b+ and c+, as neither is a fact of
-        q8; the error names the smaller one whatever the set iteration
-        order."""
+    def test_egraph_error_independent_of_hash_seed(self, tmp_path, capsys):
+        """The explanation of ``a`` gives an e-graph with two atom sinks,
+        b+ and c+, as each rests on a cardinality body only; the error
+        names the smaller one whatever the set iteration order."""
         import aspexplain as ax
 
-        tree = ax.parse_json(fixture_text("exp_tree.json"))
-        root = ax.parse_atom('start_gene("ADRB1")')
-        rule = tree.labels[1]
-        path = tmp_path / "tree.json"
-        path.write_text(ax.emit_json(ax.VertexLabeledTree(
-            0, {**tree.labels, 0: root, 1: ax.Rule(root, *rule[1:])},
-            tree.children,
-        )))
+        files = [str(tmp_path / "p.lp"), str(tmp_path / "p.as")]
+        Path(files[0]).write_text("a :- b, c.  b :- 1 {d}.  c :- 1 {d}.  d.\n")
+        Path(files[1]).write_text("a b c d\n")
+        code, out, _ = run(capsys, "explain", *files, "a", "--format", "json")
+        assert code == 0
+        path = tmp_path / "expl.json"
+        path.write_text(out)
         src = str(Path(ax.__file__).parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -536,7 +545,7 @@ class TestConvert:
         )
         argv = [
             sys.executable, "-m", "aspexplain.cli", "convert", "exp2jst",
-            fx("q8.lp"), fx("q8.as"), 'start_gene("ADRB1")', str(path),
+            *files, "a", str(path),
         ]
         for seed in ("0", "5"):
             env["PYTHONHASHSEED"] = seed
@@ -666,15 +675,44 @@ class TestConvert:
         """The fact ``c.`` under the atom ``a`` would claim that ``a`` is a
         fact of the reduct."""
         path = tmp_path / "wrong-head.json"
-        path.write_text(json.dumps({
-            "kind": "tree", "root": 0, "edges": [{"from": 0, "to": 1}],
-            "vertices": [{"id": 0, "label_kind": "atom", "label_text": "a"},
-                         {"id": 1, "label_kind": "rule", "label_text": "c"}],
-        }))
+        path.write_text(path_tree_json("a", "c"))
         assert run(
             capsys, "convert", "exp2jst", fx("threerule.lp"),
             fx("threerule.as"), "a", str(path),
-        ) == (2, "", "error: atom vertex a has the rule child c of another head\n")
+        ) == (2, "", "error: rule c does not support a\n")
+
+    @pytest.mark.parametrize("program, bad", [
+        (None, "a :- c"),
+        ("a :- c, not b.  a :- c.  b.  c.", "a :- c, not b"),
+    ], ids=["not-a-rule", "negative-body-meets-X"])
+    def test_exp2jst_refuses_a_rule_that_does_not_support_its_atom(
+        self, tmp_path, capsys, program, bad
+    ):
+        """The tree ``a`` -> ``bad`` -> ``c`` -> ``c.``, whose rule for
+        ``a`` is no rule of threerule, or one whose negative body meets
+        the answer set, would convert to a+ -> c+ -> ⊤."""
+        files = [fx("threerule.lp"), fx("threerule.as")]
+        if program is not None:
+            files[0] = str(tmp_path / "p.lp")
+            Path(files[0]).write_text(program)
+        path = tmp_path / "tree.json"
+        path.write_text(path_tree_json("a", bad, "c", "c"))
+        assert run(capsys, "convert", "exp2jst", *files, "a", str(path)) == (
+            2, "", "error: rule %s does not support a\n" % bad)
+
+    @pytest.mark.parametrize("direction, doc", [
+        ("exp2jst", "exp_tree.json"), ("jst2exp", "fig_jst.json"),
+    ])
+    def test_ungroundable_program_exit_code(self, tmp_path, capsys, direction, doc):
+        """Both directions index the program first, and refuse its first
+        unsafe rule before they read the input's kind or the query."""
+        (tmp_path / "p.lp").write_text("p(X) :- q(X), not r(Y).  q(a).\n")
+        (tmp_path / "p.as").write_text("q(a)\n")
+        assert run(
+            capsys, "convert", direction, str(tmp_path / "p.lp"),
+            str(tmp_path / "p.as"), "q(a)", fx(doc),
+        ) == (2, "", "error: unsafe rule 'p(X) :- q(X), not r(Y)': variable Y "
+                     "does not occur in a positive body atom\n")
 
     @pytest.mark.parametrize(
         "doc",
@@ -1001,7 +1039,7 @@ def test_readme_quick_start(tmp_path, capsys):
     ["explain", "LP", "AS", "p"],
     ["verify", "LP", "AS"],
     ["enumerate", "LP", "AS", "p"],
-    ["convert", "exp2jst", "LP", "AS", "p", fx("exp_tree.json")],
+    ["convert", "exp2jst", "LP", "AS", "p", "TREE"],
 ], ids=["explain", "verify", "enumerate", "convert"])
 def test_grounding_cap_exit_code_under_a_memory_limit(tmp_path, command, n, limit, message):
     """``p :- q(A), ..., q(E).`` has n^5 ground instances. Over 40
@@ -1009,14 +1047,18 @@ def test_grounding_cap_exit_code_under_a_memory_limit(tmp_path, command, n, limi
     15, ``verify`` built all 759,375 at 727 MB and exited 0. Each
     command stops with one line and exit 2: at 40 the fourth join step
     passes the width cap, at 15 the last step passes the instance
-    budget. Measured at 1-2 s and under 260 MB peak RSS each (2-vCPU
-    Xeon)."""
+    budget. ``convert`` reads a tree of ``p``, whose rules it looks up
+    as ``explain`` does. Measured at 1-2 s and under 260 MB peak RSS
+    each (2-vCPU Xeon)."""
     seconds = 30
-    paths = {"LP": tmp_path / "p.lp", "AS": tmp_path / "p.as"}
+    paths = {"LP": tmp_path / "p.lp", "AS": tmp_path / "p.as",
+             "TREE": tmp_path / "tree.json"}
     paths["LP"].write_text(
         "".join("q(%d).\n" % i for i in range(n)) + "p :- q(A), q(B), q(C), q(D), q(E).\n"
     )
     paths["AS"].write_text(" ".join("q(%d)" % i for i in range(n)) + " p\n")
+    paths["TREE"].write_text(
+        path_tree_json("p", "p :- " + ", ".join(["q(0)"] * 5), "q(0)", "q(0)"))
     argv = [str(paths.get(a, a)) for a in command]
     t0 = time.perf_counter()
     r = _cli_under_limit(argv, limit, 5 * seconds)

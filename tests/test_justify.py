@@ -17,7 +17,7 @@ from aspexplain.justify import (
     justification_to_explanation,
     support_of,
 )
-from aspexplain.model import reduct
+from aspexplain.model import Rule, reduct
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 from aspexplain.trees import Explanation, VertexLabeledTree
 
@@ -310,15 +310,17 @@ class TestExplanationToJustification:
     @pytest.mark.parametrize("b_rule", ["b :- not c", "b :- 1 {c}"])
     def test_only_facts_of_the_reduct_point_to_top(self, b_rule):
         """``b``'s rule has no positive body, but the reduct by {a, b, c}
-        drops it (``not c``) or keeps its cardinality part, so it is no
-        fact and ``b`` is left a sink."""
+        drops it (``not c``), so it does not support ``b``, or keeps its
+        cardinality part, so it is no fact and ``b`` is left a sink."""
         P = parse_program("a :- b.  %s.  c." % b_rule)
         X = parse_answer_set("a b c")
         labels = dict(enumerate(
             [parse_atom("a"), P.rules[0], parse_atom("b"), P.rules[1]]
         ))
         T = VertexLabeledTree(0, labels, {0: (1,), 1: (2,), 2: (3,)})
-        with pytest.raises(ValueError, match="sinks: b"):
+        message = {"b :- not c": "^rule b :- not c does not support b$",
+                   "b :- 1 {c}": "sinks: b"}[b_rule]
+        with pytest.raises(ValueError, match=message):
             explanation_to_justification(P, X, parse_atom("a"), T)
 
     def test_duplicate_labels_rejected(self):
@@ -375,9 +377,39 @@ class TestExplanationToJustification:
         P = parse_program(fixture_text("threerule.lp"))
         X = parse_answer_set(fixture_text("threerule.as"))
         T = VertexLabeledTree(0, {0: parse_atom("a"), 1: P.rules[2]}, {0: (1,)})
-        with pytest.raises(ValueError, match="^atom vertex a has the rule "
-                                             "child c of another head$"):
+        with pytest.raises(ValueError, match="^rule c does not support a$"):
             explanation_to_justification(P, X, parse_atom("a"), T)
+
+    @pytest.mark.parametrize("program, bad", [
+        ("a :- b, c, not d.  b :- not e.  c.", "a :- c"),
+        ("a :- c, not b.  a :- c.  b.  c.", "a :- c, not b"),
+    ], ids=["not-a-rule", "negative-body-meets-X"])
+    def test_each_rule_must_support_its_atom(self, program, bad):
+        """The tree ``a`` -> ``bad`` -> ``c`` -> ``c.``: under threerule
+        ``a :- c`` is no rule of the program, and ``a :- c, not b`` is
+        one whose negative body meets X. Either would read as the
+        e-graph a+ -> c+ -> ⊤, which is no offline justification."""
+        P = parse_program(program)
+        X = parse_answer_set("a b c")
+        a, c = parse_atom("a"), parse_atom("c")
+        rule = parse_program(bad + ".").rules[0]
+        T = VertexLabeledTree(0, dict(enumerate([a, rule, c, Rule(c)])),
+                              {0: (1,), 1: (2,), 2: (3,)})
+        with pytest.raises(ValueError, match="^rule %s does not support a$" % bad):
+            explanation_to_justification(P, X, a, T)
+
+    def test_non_ground_program(self):
+        """The program as read converts; only the tree's atoms' rules are
+        grounded."""
+        P = parse_program("p(X) :- q(X), not r(X).  q(a).  q(b).  r(b).")
+        X = parse_answer_set("p(a) q(a) q(b) r(b)")
+        p = parse_atom("p(a)")
+        G = explanation_to_justification(P, X, p, create_tree(P, X, p))
+        assert G.edges == frozenset(
+            [(ann("p(a)"), ann("q(a)"), "+"), (ann("q(a)"), TOP, "+")]
+        )
+        R = reduct(ground_program(P, P.herbrand_base), X.atoms)
+        assert is_offline_justification(R, G, ann("p(a)"), X, frozenset())
 
     @pytest.mark.parametrize("size, bad", [(2, "a :- b"), (4, "b :- a")],
                              ids=["missing", "cycle"])
