@@ -11,8 +11,8 @@ its module when it is first used (PEP 562).
 # Each module and the public names it defines.
 _EXPORTS = {
     "model": (
-        "AnswerSet", "Atom", "CardinalityExpression", "Program", "Rule", "Term",
-        "is_answer_set", "least_model", "reduct", "satisfies_card", "supports",
+        "AnswerSet", "Atom", "CardinalityExpression", "NotInAnswerSet", "Program",
+        "Rule", "Term", "is_answer_set", "least_model", "reduct", "satisfies_card", "supports",
     ),
     "ground": (
         "GroundingError", "GroundingIndex", "ground_program", "instantiate_for_head",

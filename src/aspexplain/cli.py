@@ -5,6 +5,11 @@ set or verification fails; 2 on input errors: a malformed command line,
 parse, I/O and grounding errors, a non-ground query atom and "cap
 exceeded", which running out of memory also reports. Each message on
 stderr is one line, whatever input text it quotes.
+
+A command returns nothing and says "no" by raising: :func:`main` alone
+picks the exit code, 1 for :class:`~aspexplain.model.NotInAnswerSet`,
+with its message as the line, and 2, with an ``error:`` line, for any
+other ``ValueError``, ``OSError`` or ``MemoryError``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import NoReturn, Optional
 
 from . import engine
 from .ground import GroundingIndex, ground_program
-from .model import Atom, Program, AnswerSet, verify_answer_set
+from .model import Atom, AnswerSet, NotInAnswerSet, Program, verify_answer_set
 from .justify import (
     EGraph,
     explanation_to_justification,
@@ -74,13 +79,12 @@ def _load_inputs(args) -> tuple[Program, AnswerSet]:
     return P, parse_answer_set(_read(args.answerset), program=P)
 
 
-def _verify(P: Program, X: AnswerSet) -> bool:
-    """Whether ``X`` is an answer set of ``P``; if not, the reason goes
-    to stderr."""
+def _verify(P: Program, X: AnswerSet) -> None:
+    """Raise :class:`NotInAnswerSet`, with the reason, unless ``X`` is an
+    answer set of ``P``."""
     ok, reason = verify_answer_set(ground_program(P, X), X)
     if not ok:
-        _tell("not an answer set: %s" % reason)
-    return ok
+        raise NotInAnswerSet("not an answer set: %s" % reason)
 
 
 def _format_text(e: Explanation) -> str:
@@ -115,31 +119,25 @@ def _print_explanations(
         sys.stdout.write(text)
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> None:
     P, X = _load_inputs(args)
     p = _query_atom(args)
     table = _read_lookup(args.lookup)
-    if args.verify and not _verify(P, X):
-        return EXIT_NOT_IN_ANSWER_SET
-    if p not in X:
-        _tell("atom not in answer set: %s" % p.text)
-        return EXIT_NOT_IN_ANSWER_SET
+    if args.verify:
+        _verify(P, X)
     if args.mode == "shortest":
         explanations = [engine.shortest_explanation(P, X, p)]
     else:
         explanations = engine.k_different(P, X, p, args.k)
     _print_explanations(explanations, args.format, table)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if not _verify(*_load_inputs(args)):
-        return EXIT_NOT_IN_ANSWER_SET
+def cmd_verify(args) -> None:
+    _verify(*_load_inputs(args))
     print("answer set verified")
-    return EXIT_OK
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> None:
     P, X = _load_inputs(args)
     p = _query_atom(args)
     obj = parse_json(_read(args.input))
@@ -151,30 +149,22 @@ def cmd_convert(args) -> int:
         raise ParseError("expected an e-graph input", 1, 1)
     if args.direction == "exp2jst" and not isinstance(obj, VertexLabeledTree):
         raise ParseError("expected an explanation-tree input", 1, 1)
-    if p not in X:
-        _tell("atom not in answer set: %s" % p.text)
-        return EXIT_NOT_IN_ANSWER_SET
     if args.direction == "jst2exp":
         out = justification_to_explanation(X, p, obj)
     else:
         out = explanation_to_justification(P, X, p, obj)
     sys.stdout.write({"dot": emit_dot, "json": emit_json}[args.format](out))
-    return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     P, X = _load_inputs(args)
     p = _query_atom(args)
-    if p not in X:
-        _tell("atom not in answer set: %s" % p.text)
-        return EXIT_NOT_IN_ANSWER_SET
     explanations = engine.enumerate_explanations(P, X, p, cap=args.max_expl)
     for i, e in enumerate(explanations, start=1):
         text = _format_text(e)  # before the header, which a cap error would orphan
         print("explanation %d (size %d):" % (i, e.size))
         sys.stdout.write(text)
     print("%d explanation(s)" % len(explanations))
-    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -248,18 +238,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
+    except NotInAnswerSet as exc:
+        code, message = EXIT_NOT_IN_ANSWER_SET, str(exc)
     except (ValueError, OSError) as exc:
         # ParseError and GroundingError are ValueErrors.
-        message = str(exc)
+        code, message = EXIT_INPUT_ERROR, "error: %s" % exc
     except MemoryError:
-        message = "cap exceeded: out of memory"
+        code, message = EXIT_INPUT_ERROR, "error: cap exceeded: out of memory"
     finally:
         if enabled:
             gc.enable()
     # Printed once the exception, and with it what the command held, is freed.
-    _tell("error: %s" % message)
-    return EXIT_INPUT_ERROR
+    _tell(message)
+    return code
 
 
 def entry() -> None:

@@ -10,7 +10,7 @@ import math
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 
 from .ground import GroundingIndex
-from .model import Atom, Program, Rule, AtomSet
+from .model import Atom, AtomSet, NotInAnswerSet, Program, Rule
 from .trees import EMPTY_TREE, Explanation, FrozenIdMap, IdMap, Label, VertexLabeledTree
 
 DEFAULT_ENUM_CAP = 10_000
@@ -25,8 +25,11 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     vertex's ancestor atoms (and the atom itself) excluded; a rule
     vertex gets one atom child per positive body atom. Subtrees that
     cannot be completed are dropped, and the whole result is the empty
-    tree when nothing remains. Raises ``ValueError`` ("cap exceeded")
-    once the tree holds more than :data:`MAX_TREE_VERTICES` vertices.
+    tree when nothing remains. Raises
+    :class:`~aspexplain.model.NotInAnswerSet` for an atom not in ``X``
+    before anything is built, the one such check of every query here,
+    and ``ValueError`` ("cap exceeded") once the tree holds more than
+    :data:`MAX_TREE_VERTICES` vertices.
 
     One depth-first pass numbers the vertices in preorder. An incomplete
     subtree is always the one numbered last, so dropping it truncates.
@@ -64,7 +67,7 @@ def create_tree(P: Program, X: AtomSet, d: Union[Atom, Rule]) -> VertexLabeledTr
     """
     if isinstance(d, Atom):
         if d not in X:
-            raise ValueError("unknown explanandum: %s" % d.text)
+            raise NotInAnswerSet("atom not in answer set: %s" % d.text)
     elif d not in P.rules:
         raise ValueError("unknown explanandum: %s" % d.text)
     index = GroundingIndex(P, X)
@@ -319,8 +322,6 @@ def _collapse(
 def shortest_explanation(P: Program, X: AtomSet, p: Atom) -> Explanation:
     """A smallest explanation for ``p``, or the empty explanation when
     the and-or tree is empty."""
-    if p not in X:
-        raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
     if T.is_empty:
         return Explanation(None, andor=T)
@@ -365,11 +366,9 @@ def k_different(P: Program, X: AtomSet, p: Atom, k: int) -> list[Explanation]:
     equals a whole-tree fold with every explanation taken so far seen.
     The re-folded values go into an overlay over the shared ones, since
     a copied vertex and its source may no longer agree."""
+    T = create_tree(P, X, p)
     if k < 1:
         raise ValueError("k must be positive")
-    if p not in X:
-        raise ValueError("atom not in answer set: %s" % p.text)
-    T = create_tree(P, X, p)
     if T.is_empty:
         return []
     D = _Overlay(calculate_difference(T, T.root, frozenset()))
@@ -408,8 +407,6 @@ def enumerate_explanations(
     last one with another rule child advances, and the ones after it
     start over. An atom is reached only after every atom its presence
     depends on, so each choice of rule children is read once."""
-    if p not in X:
-        raise ValueError("atom not in answer set: %s" % p.text)
     T = create_tree(P, X, p)
     if cap < 1:
         raise ValueError("cap must be positive")

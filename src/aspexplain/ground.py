@@ -317,12 +317,19 @@ def ground_program(P: Program, X: AtomSet) -> Program:
     program order. ``ground_program(P, P.herbrand_base)`` is the whole
     grounding. Raises :class:`GroundingError` as :class:`GroundingIndex`
     does.
+
+    The program is given no variables: every rule is safe, its body is
+    joined and its local cardinality members are expanded, so no
+    instance holds one, and checking that it is ground takes no pass
+    over its atoms.
     """
     index = GroundingIndex(P, X)
     rules: list[Rule] = []
     for i, r in enumerate(P.rules):
         rules.extend(_by_text(_join(index, i, r, {})))
-    return Program(tuple(rules)).deduplicated()
+    G = Program(tuple(dict.fromkeys(rules)))
+    G.__dict__["variables"] = frozenset()
+    return G
 
 
 def instantiate_for_head(index: GroundingIndex, p: Atom) -> tuple[Rule, ...]:

@@ -8,7 +8,7 @@ from typing import Union
 
 from . import engine
 from .ground import GroundingIndex
-from .model import Atom, Program, Rule, AtomSet
+from .model import Atom, AtomSet, NotInAnswerSet, Program, Rule
 from .trees import Explanation, Label, VertexLabeledTree
 
 ASSUME = "assume"
@@ -242,7 +242,7 @@ def justification_to_explanation(
     each vertex have consecutive ids.
     """
     if p not in X:
-        raise ValueError("atom not in answer set: %s" % p.text)
+        raise NotInAnswerSet("atom not in answer set: %s" % p.text)
     if AnnotatedAtom(p, "+") not in G.nodes:
         raise ValueError("justification does not mention %s" % p.text)
     if _has_positive_cycle(G):
@@ -303,7 +303,7 @@ def explanation_to_justification(
     atom keeps one rule and the atoms below a rule are its body, so a
     cycle would run down the finite tree forever."""
     if p not in X:
-        raise ValueError("atom not in answer set: %s" % p.text)
+        raise NotInAnswerSet("atom not in answer set: %s" % p.text)
     if T.is_empty:
         raise ValueError("empty explanation tree")
     explanation = isinstance(T, Explanation)

@@ -387,6 +387,13 @@ class AnswerSet(frozenset):
 AtomSet = AbstractSet[Atom]
 
 
+class NotInAnswerSet(ValueError):
+    """A query's "no", which is an answer and not an input error: the
+    atom is not in the answer set, or the set is not an answer set of
+    the program. The command line exits 1 with its message as the one
+    line on stderr."""
+
+
 def satisfies_card(X: AtomSet, C: CardinalityExpression) -> bool:
     """True iff the number of members of ``C`` in ``X`` lies within the
     bounds."""

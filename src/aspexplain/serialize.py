@@ -133,21 +133,39 @@ def parse_json(text: str) -> Emittable:
         raise ParseError("malformed document: %s" % exc, 1, 1) from None
 
 
+def _by_id(vertices: list, read) -> dict:
+    """The label ``read`` gives each vertex, by the vertex's id; an id
+    that two vertices share raises :class:`ParseError`."""
+    labels = {}
+    for v in vertices:
+        label = read(v)
+        if v["id"] in labels:
+            raise ParseError("repeated vertex id: %s" % _json_id(v["id"]), 1, 1)
+        labels[v["id"]] = label
+    return labels
+
+
+def _read_node(v: dict) -> Node:
+    lk = v["label_kind"]
+    if lk == "marker":
+        if v["label_text"] not in MARKERS:
+            raise ParseError("unknown marker: %s" % v["label_text"], 1, 1)
+        return v["label_text"]
+    return AnnotatedAtom(parse_atom(v["label_text"]), "+" if lk == "pos_atom" else "-")
+
+
+def _read_label(v: dict) -> Label:
+    if v["label_kind"] == "atom":
+        return parse_atom(v["label_text"])
+    if v["label_kind"] == "rule":
+        return _parse_rule_text(v["label_text"])
+    raise ParseError("unknown label kind: %r" % v["label_kind"], 1, 1)
+
+
 def _parse_doc(doc: dict) -> Emittable:
     kind = doc.get("kind")
     if kind == "egraph":
-        nodes_by_id: dict[int, Node] = {}
-        for v in doc["vertices"]:
-            lk = v["label_kind"]
-            if lk == "marker":
-                if v["label_text"] not in MARKERS:
-                    raise ParseError("unknown marker: %s" % v["label_text"], 1, 1)
-                nodes_by_id[v["id"]] = v["label_text"]
-            else:
-                sign = "+" if lk == "pos_atom" else "-"
-                nodes_by_id[v["id"]] = AnnotatedAtom(
-                    parse_atom(v["label_text"]), sign
-                )
+        nodes_by_id = _by_id(doc["vertices"], _read_node)
         edges = frozenset(
             (nodes_by_id[e["from"]], nodes_by_id[e["to"]], e["sign"])
             for e in doc["edges"]
@@ -155,14 +173,7 @@ def _parse_doc(doc: dict) -> Emittable:
         return EGraph(frozenset(nodes_by_id.values()), edges)
     if kind not in ("tree", "explanation"):
         raise ParseError("unknown kind: %r" % kind, 1, 1)
-    labels: dict[int, Label] = {}
-    for v in doc["vertices"]:
-        if v["label_kind"] == "atom":
-            labels[v["id"]] = parse_atom(v["label_text"])
-        elif v["label_kind"] == "rule":
-            labels[v["id"]] = _parse_rule_text(v["label_text"])
-        else:
-            raise ParseError("unknown label kind: %r" % v["label_kind"], 1, 1)
+    labels: dict[int, Label] = _by_id(doc["vertices"], _read_label)
     children: dict[int, list[int]] = {v: [] for v in labels}
     for e in doc["edges"]:
         children[e["from"]].append(e["to"])

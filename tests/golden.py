@@ -19,7 +19,8 @@ Then the error paths: ``verify`` and ``explain --verify`` on the set of
 ``convert`` with the two JSON fixtures swapped, ``exp2jst`` under
 ``threerule`` on the tree of ``a`` queried for ``b``, on a tree with
 the fact ``c.`` under the atom ``a`` and on a tree with ``a :- c``, no
-rule of ``threerule``, under ``a``, ``explain`` in nl with a
+rule of ``threerule``, under ``a``, ``jst2exp`` on an e-graph with a
+repeated vertex id, ``explain`` in nl with a
 look-up table that repeats an entry, a small program that only the
 token grammar reads, with an interval fact, a cardinality body and
 comments inside statements, and a program of plain constraints and
@@ -48,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -135,6 +137,10 @@ UNSUPPORTED = """{
   "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 2}, {"from": 2, "to": 3}]
 }
 """
+# A program and its answer set, and the e-graph of fig_jst.json with a
+# second vertex of id 1, d, which once replaced b and gave a -> a :- c, d.
+REPEATED_ID = ("a :- b, c. b :- c. c. d :- c.\n", "a b c d\n")
+REPEATED_VERTEX = {"id": 1, "label_kind": "pos_atom", "label_text": "d"}
 # Explained in kdiff mode with -k 1 and -k 5: program and atom.
 KDIFF = (("example41", "a"), ("k5", "p4"))
 
@@ -154,6 +160,8 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     for name in ("q8.lookup", "exp_tree.json", "fig_jst.json"):
         (root / name).write_bytes(FIXTURES.joinpath(name).read_bytes())
     lookup = (root / "q8.lookup").read_text(encoding="utf-8")
+    egraph = json.loads((root / "fig_jst.json").read_text(encoding="utf-8"))
+    egraph["vertices"].append(REPEATED_VERTEX)
     extra = {
         "dup.lookup": lookup + lookup.splitlines()[1] + "\n",
         "example41-foreign.as": texts["example41"][1].strip() + " zz\n",
@@ -161,7 +169,9 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "small.lp": SMALL[0], "small.as": SMALL[1],
         "plain.lp": PLAIN[0], "plain.as": PLAIN[1],
         "local.lp": LOCAL[0], "local.as": LOCAL[1], "wrong-head.json": WRONG_HEAD,
-        "unsupported.json": UNSUPPORTED, **REFUSED,
+        "unsupported.json": UNSUPPORTED, "repeated-id.lp": REPEATED_ID[0],
+        "repeated-id.as": REPEATED_ID[1], "repeated-id.json": json.dumps(egraph, indent=2),
+        **REFUSED,
     }
     for name, text in extra.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -224,6 +234,7 @@ def error_commands() -> Iterator[tuple[list[str], None]]:
     yield [*threerule, "b", "exp_tree.json"], None
     yield [*threerule, "a", "wrong-head.json"], None
     yield [*threerule, "a", "unsupported.json"], None
+    yield ["convert", "jst2exp", "repeated-id.lp", "repeated-id.as", "a", "repeated-id.json"], None
     q8 = ["q8.lp", "q8.as", 'what_be_genes("CASK")', "--format", "nl"]
     yield ["explain", *q8, "--lookup", "dup.lookup"], None
     for name, (_, answer_set) in (("small", SMALL), ("plain", PLAIN)):

@@ -330,6 +330,57 @@ class TestNonGroundQuery:
         assert run(capsys, *argv) == (2, "", self.ERR)
 
 
+class TestExitCodeOrder:
+    """Which of two outcomes a command reports when its input has both:
+    an atom outside the answer set exits 1 unless an input error is met
+    first, and a set that fails --verify exits 1 before the atom is
+    looked at."""
+
+    ABSENT = (1, "", "atom not in answer set: z\n")
+
+    def test_absent_atom_before_k(self, capsys):
+        argv = ["explain", fx("example41.lp"), fx("example41.as"), "z",
+                "--mode", "kdiff", "-k", "0"]
+        assert run(capsys, *argv) == self.ABSENT
+
+    def test_absent_atom_before_max_expl(self, capsys):
+        argv = ["enumerate", fx("example41.lp"), fx("example41.as"), "z",
+                "--max-expl", "0"]
+        assert run(capsys, *argv) == self.ABSENT
+
+    def test_malformed_lookup_before_absent_atom(self, tmp_path, capsys):
+        lookup = tmp_path / "bad.lookup"
+        lookup.write_text("no entry here\n")
+        argv = ["explain", fx("example41.lp"), fx("example41.as"), "z",
+                "--lookup", str(lookup)]
+        assert run(capsys, *argv) == (
+            2, "", "error: malformed look-up entry (line 1, column 1)\n")
+
+    def test_failed_verification_before_absent_atom(self, tmp_path, capsys):
+        bad = tmp_path / "bad.as"
+        bad.write_text("a\n")
+        argv = ["explain", fx("example41.lp"), str(bad), "z", "--verify"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("not an answer set: ")
+
+    @pytest.mark.parametrize("command, code", [
+        (["explain"], 1), (["enumerate"], 1),
+        (["convert", "jst2exp", "fig_jst.json"], 2),
+        (["convert", "exp2jst", "exp_tree.json"], 2),
+    ], ids=["explain", "enumerate", "jst2exp", "exp2jst"])
+    def test_absent_atom_and_ungroundable_program(self, tmp_path, capsys, command, code):
+        """explain and enumerate refuse the atom before they index the
+        program; convert indexes it first, so its unsafe rule exits 2."""
+        (tmp_path / "p.lp").write_text("p(X) :- q(X), not r(Y).  q(a).\n")
+        (tmp_path / "p.as").write_text("q(a)\n")
+        argv = [*command[:2], str(tmp_path / "p.lp"), str(tmp_path / "p.as"), "z",
+                *(fx(doc) for doc in command[2:])]
+        got, out, err = run(capsys, *argv)
+        assert (got, out, err.count("\n")) == (code, "", 1)
+        assert err.startswith("error: unsafe rule" if code == 2 else "atom not in answer set: z")
+
+
 class TestVerify:
     def test_accepts_answer_set(self, capsys):
         code, out, _ = run(capsys, "verify", fx("example41.lp"), fx("example41.as"))

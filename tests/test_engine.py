@@ -18,7 +18,9 @@ from aspexplain.engine import (
     k_different,
     shortest_explanation,
 )
-from aspexplain.model import Atom, Rule
+from aspexplain.justify import explanation_to_justification, justification_to_explanation
+from aspexplain.model import Atom, NotInAnswerSet, Rule
+from aspexplain.serialize import parse_json
 from aspexplain.trees import Explanation, VertexLabeledTree
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
@@ -79,7 +81,7 @@ class TestCreateTree:
 
     def test_unknown_explanandum(self, ex41):
         P, X, _ = ex41
-        with pytest.raises(ValueError, match="unknown explanandum"):
+        with pytest.raises(NotInAnswerSet, match="^atom not in answer set: z$"):
             create_tree(P, X, parse_atom("z"))
 
     def test_rule_explanandum(self, ex41):
@@ -226,6 +228,24 @@ class TestExtractExp:
         e = extract_exp(T, T.root, W, min)
         assert e.size == 1
         assert e.labels[e.root] == Rule(Atom("p"))
+
+
+@pytest.mark.parametrize("query", [
+    lambda P, X, p: create_tree(P, X, p),
+    lambda P, X, p: shortest_explanation(P, X, p),
+    lambda P, X, p: k_different(P, X, p, 2),
+    lambda P, X, p: enumerate_explanations(P, X, p),
+    lambda P, X, p: justification_to_explanation(X, p, parse_json(fixture_text("fig_jst.json"))),
+    lambda P, X, p: explanation_to_justification(P, X, p, parse_json(fixture_text("exp_tree.json"))),
+], ids=["create_tree", "shortest_explanation", "k_different", "enumerate_explanations",
+        "justification_to_explanation", "explanation_to_justification"])
+def test_absent_atom_is_one_exception_type(ex41, query):
+    """Every query refuses an atom outside the answer set with the one
+    type the command line maps to exit 1, which is still a ValueError."""
+    P, X, _ = ex41
+    with pytest.raises(NotInAnswerSet, match=r"^atom not in answer set: z\(b\)$") as info:
+        query(P, X, parse_atom("z(b)"))
+    assert isinstance(info.value, ValueError)
 
 
 class TestShortestExplanation:

@@ -10,7 +10,7 @@ from aspexplain.ground import (
     ground_program,
     instantiate_for_head,
 )
-from aspexplain.model import Atom, Term, verify_answer_set
+from aspexplain.model import Atom, Program, Term, verify_answer_set
 from aspexplain.parser import parse_answer_set, parse_atom, parse_program
 
 from conftest import (
@@ -100,6 +100,7 @@ class TestGroundProgram:
         card_rule = [r for r in G.rules if r.body_card][0]
         members = sorted(a.text for a in card_rule.body_card[0].atoms)
         assert "idx(1)" in members and "idx(2)" in members
+        assert Program(G.rules).is_ground
 
     def test_full_grounding_matches_product(self):
         """Joined against the Herbrand base, the grounder gives the
@@ -113,6 +114,7 @@ class TestGroundProgram:
             G = ground_program(P, P.herbrand_base)
             reference = product_ground(P)
             assert G.rules == reference.rules
+            assert G.is_ground and Program(G.rules).is_ground
             assert [r.display for r in G] == [r.display for r in reference]
 
     def test_verification_agrees_with_product_grounding(self):

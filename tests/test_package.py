@@ -16,8 +16,8 @@ SRC = Path(__file__).parents[1] / "src"
 
 PUBLIC_NAMES = {
     "AnnotatedAtom", "AnswerSet", "Atom", "CardinalityExpression", "EGraph",
-    "Explanation", "GroundingError", "GroundingIndex", "LookupTable", "ParseError",
-    "PartialInterpretation", "Program", "Rule", "Term", "VertexLabeledTree",
+    "Explanation", "GroundingError", "GroundingIndex", "LookupTable",
+    "NotInAnswerSet", "ParseError", "PartialInterpretation", "Program", "Rule", "Term", "VertexLabeledTree",
     "assumptions", "calculate_difference", "calculate_weight", "create_tree",
     "distance", "emit_dot", "emit_json", "enumerate_explanations",
     "explanation_to_justification", "extract_exp", "ground_program",

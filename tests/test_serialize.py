@@ -106,6 +106,20 @@ class TestParseJson:
         with pytest.raises(ValueError, match="unknown kind"):
             parse_json('{"kind": "nope", "vertices": [], "edges": []}')
 
+    @pytest.mark.parametrize("document", ["ex41_tree", "ex41_shortest", "fig_jst.json"])
+    def test_repeated_vertex_id_rejected(self, document, request):
+        """A vertex whose id an earlier vertex has is refused by name; it
+        would otherwise replace the earlier vertex."""
+        if document.endswith(".json"):
+            doc = json.loads(fixture_text(document))
+        else:
+            doc = json.loads(emit_json(request.getfixturevalue(document)))
+        first = doc["vertices"][0]["id"]
+        doc["vertices"].append({**doc["vertices"][-1], "id": first})
+        with pytest.raises(ParseError, match=r"^repeated vertex id: %d \(line 1, column 1\)$"
+                           % first):
+            parse_json(json.dumps(doc))
+
 
 _KEYS = ["kind", "root", "vertices", "edges", "id", "label_kind", "label_text",
          "from", "to", "sign"]
